@@ -74,8 +74,7 @@ func TestGoldenDirty(t *testing.T) {
 	}
 	for _, a := range []string{
 		"hotalloc", "nilcheck", "errflow", "idxrange", "lockcheck",
-		"sharestate", "detflow", "goroutcheck", "leakcheck", "ctxflow",
-		"chanflow",
+		"detflow", "goroutcheck", "leakcheck",
 	} {
 		if !seen[a] {
 			t.Errorf("no %s diagnostic in golden output (analyzers seen: %v)", a, seen)

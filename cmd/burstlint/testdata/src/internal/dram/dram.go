@@ -1,30 +1,9 @@
 // Package dram is burstlint golden-test data for the interprocedural
-// tier: its import path ends in internal/dram, putting it in both the
-// sharestate ownership scope and the detflow simulation scope.
+// tier: its import path ends in internal/dram, putting it in the detflow
+// simulation scope.
 package dram
 
 import "burstmem/cmd/burstlint/testdata/src/helpers"
-
-// channel carries hot-path state with no ownership annotation
-// (sharestate).
-type channel struct {
-	cycle uint64
-}
-
-// pool claims to be shared but gives no arbitration story (sharestate
-// validation).
-//
-//burstmem:shared
-type pool struct {
-	free int
-}
-
-// Tick is the hot-path entry the ownership gate walks.
-//
-//burstmem:hotpath
-func Tick(c *channel, now uint64) {
-	c.cycle = now
-}
 
 // boundary crosses into the out-of-scope helpers package, which reaches
 // the wall clock (detflow).

@@ -43,7 +43,6 @@ var (
 	flagN        = flag.Uint64("n", 300_000, "measured instructions per run")
 	flagWarmup   = flag.Uint64("warmup", 300_000, "warmup instructions per run")
 	flagParallel = flag.Int("parallel", runtime.NumCPU(), "concurrent simulations")
-	flagWorkers  = flag.Int("workers", 0, "parallel workers per simulation (0 or 1 = serial; results are bit-identical at any setting). Multi-channel configs shard by channel with the count clamped to the channel count; single-channel configs with >= 2 ranks shard scheduler prewarming by rank instead")
 	flagBench    = flag.String("bench", "", "comma-separated benchmark subset (default: all 16)")
 	flagCSV      = flag.String("csv", "", "directory to also write each experiment's tables as CSV")
 	flagCPUProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -90,16 +89,13 @@ func main() {
 // 10) simulate each (benchmark, mechanism) pair once.
 type harness struct {
 	benches []string
-
-	mu    sync.Mutex
-	cache map[string]sim.Result
+	cache   map[string]sim.Result
 }
 
 func simConfig() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Instructions = *flagN
 	cfg.WarmupInstructions = *flagWarmup
-	cfg.Workers = *flagWorkers
 	return cfg
 }
 
@@ -107,7 +103,6 @@ type job struct{ bench, mech string }
 
 // matrix runs all (bench, mech) pairs, memoized, in parallel.
 func (h *harness) matrix(benches, mechs []string) map[job]sim.Result {
-	h.mu.Lock()
 	if h.cache == nil {
 		h.cache = make(map[string]sim.Result)
 	}
@@ -119,32 +114,20 @@ func (h *harness) matrix(benches, mechs []string) map[job]sim.Result {
 			}
 		}
 	}
-	h.mu.Unlock()
-
-	sem := make(chan struct{}, max(1, *flagParallel))
-	var wg sync.WaitGroup
-	for _, j := range todo {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res := h.runOne(j.bench, j.mech)
-			h.mu.Lock()
-			h.cache[j.bench+"/"+j.mech] = res
-			h.mu.Unlock()
-		}(j)
+	res := make([]sim.Result, len(todo))
+	parallelDo(len(todo), func(i int) {
+		res[i] = h.runOne(todo[i].bench, todo[i].mech)
+	})
+	for i, j := range todo {
+		h.cache[j.bench+"/"+j.mech] = res[i]
 	}
-	wg.Wait()
 
 	out := make(map[job]sim.Result)
-	h.mu.Lock()
 	for _, b := range benches {
 		for _, m := range mechs {
 			out[job{b, m}] = h.cache[b+"/"+m]
 		}
 	}
-	h.mu.Unlock()
 	return out
 }
 

@@ -33,7 +33,6 @@ func main() {
 		memfrac   = flag.Float64("memfrac", 0, "override the profile's memory fraction (0 = default)")
 		warmup    = flag.Uint64("warmup", 300_000, "warmup instructions")
 		replay    = flag.String("replay", "", "replay a recorded trace file instead of a synthetic profile")
-		workers   = flag.Int("workers", 0, "parallel channel-shard workers (0 or 1 = serial; clamped to the channel count; output is bit-identical at any setting)")
 
 		traceOut      = flag.String("trace", "", "write a Chrome trace_event JSON timeline (open in ui.perfetto.dev)")
 		traceEvents   = flag.Int("trace-events", 1<<20, "event ring capacity for -trace (oldest events overwritten)")
@@ -61,7 +60,6 @@ func main() {
 	cfg := sim.DefaultConfig()
 	cfg.Instructions = *n
 	cfg.WarmupInstructions = *warmup
-	cfg.Workers = *workers
 	cfg.Mem.Mapping = *mapping
 	switch *rowPolicy {
 	case "op":

@@ -31,8 +31,8 @@ import (
 // Analyzer describes one static check. Exactly one of Run and RunProgram
 // is set: Run analyzers see one package at a time, RunProgram analyzers
 // see the whole loaded program at once (the interprocedural tier —
-// callgraph-backed passes like sharestate and detflow need every function
-// body before they can say anything about any of them).
+// callgraph-backed passes like detflow need every function body before
+// they can say anything about any of them).
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //lint:ignore
 	// comments.
@@ -98,9 +98,8 @@ type Program struct {
 	Broken []*Package
 
 	cache map[string]any
-	// Timings records, per cache key, how long the build function took —
-	// scripts/bench.sh charts the interprocedural share of burstlint's
-	// wall time from this.
+	// Timings records, per cache key, how long the build function took
+	// (printed by burstlint -timing).
 	Timings map[string]time.Duration
 }
 
@@ -122,8 +121,8 @@ func NewProgram(pkgs []*Package) *Program {
 
 // Cached returns the value under key, invoking build at most once per
 // Program. This is the summary-cache: callgraph + summary construction is
-// the expensive half of the interprocedural tier, and sharestate, detflow
-// and goroutcheck all read the same build through this choke point.
+// the expensive half of the interprocedural tier, and detflow, goroutcheck
+// and leakcheck all read the same build through this choke point.
 func (p *Program) Cached(key string, build func() any) any {
 	if v, ok := p.cache[key]; ok {
 		return v

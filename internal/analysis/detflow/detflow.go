@@ -55,8 +55,8 @@ func run(pass *analysis.ProgramPass) {
 		}
 		for _, e := range fn.Out {
 			if e.Callee == nil || e.Callee.Body() == nil {
-				// Dynamic calls are sharestate's problem; external callees
-				// (time.Now itself, rand.Intn itself) are detlint's.
+				// Dynamic calls are invisible to the graph; external
+				// callees (time.Now itself, rand.Intn itself) are detlint's.
 				continue
 			}
 			if detlint.InSimScope(e.Callee.Pkg.PkgPath) {

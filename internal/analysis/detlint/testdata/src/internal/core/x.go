@@ -54,30 +54,16 @@ func spawn(f func()) {
 	go f() // want `goroutine spawn in simulation logic`
 }
 
-// spawnAllowed carries a reasoned exemption: not flagged.
+// spawnAllowed carries a detlint:allow comment, which is not a
+// suppression: flagged.
 func spawnAllowed(f func()) {
 	//detlint:allow goroutine per-channel worker joins before state is read
-	go f()
+	go f() // want `goroutine spawn in simulation logic`
 }
 
-// spawnAllowedSameLine puts the directive on the statement itself.
+// spawnAllowedSameLine puts the comment on the statement itself: flagged.
 func spawnAllowedSameLine(f func()) {
-	go f() //detlint:allow goroutine drained via the channel barrier below
-}
-
-// spawnBareAllow has no reason: the directive exempts nothing and the
-// spawn diagnostic says why.
-func spawnBareAllow(f func()) {
-	//detlint:allow goroutine
-	go f() // want `detlint:allow goroutine requires a reason`
-}
-
-// spawnWrongScope tries to exempt something other than a goroutine: the
-// directive is inert and the ban stands.
-func spawnWrongScope(m map[int]int) {
-	//detlint:allow maprange order does not matter here
-	for range m { // want `range over map m`
-	}
+	go f() //detlint:allow goroutine drained via the channel barrier below // want `goroutine spawn in simulation logic`
 }
 
 // roll uses the global math/rand stream (the import is already flagged).

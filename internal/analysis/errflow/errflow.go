@@ -1,7 +1,7 @@
 // Package errflow checks that error values in the simulation and command
 // packages flow into a check before dying. Burst-scheduling experiments
 // are only as trustworthy as their I/O: a sweep that silently fails to
-// flush BENCH_sim.json or a trace parser that drops a close error
+// flush its CSV output or a trace parser that drops a close error
 // produces plausible-looking garbage, so in internal/sim,
 // internal/workload and cmd/* every error must reach a use — a
 // comparison, a return, an argument — on some path, or carry an explicit

@@ -1,10 +1,8 @@
 // Package summary computes per-function effect summaries over the call
 // graph: what package-level state a function writes (directly or through
-// anything it calls), which struct fields it mutates through pointers,
-// whether it transitively reaches a nondeterminism source (wall-clock
-// time, map iteration, process-seeded rand), spawns goroutines, lets
-// caller-supplied pointers escape into globals, or calls through function
-// values the graph cannot resolve.
+// anything it calls), whether it transitively reaches a nondeterminism
+// source (wall-clock time, map iteration, process-seeded rand), spawns
+// goroutines, or can exit the process.
 //
 // Summaries are computed bottom-up over the strongly connected components
 // of the call graph: a function's summary is its direct effects joined
@@ -16,15 +14,9 @@
 // order.
 //
 // What counts as a write: assignments, inc/dec and range-clause
-// assignments whose destination is a package-level variable (GlobalWrite)
-// or a struct field reached through a pointer (FieldWrite, keyed
-// "pkgpath.Type.field"; a whole-value store through a pointer dereference
-// is keyed "pkgpath.Type.*"). Writes that provably stay inside the
-// function — fields of a non-pointer local reached without crossing a
-// pointer, slice or map — are not effects. Writes into the elements of a
-// local slice/map variable are a known blind spot (the backing store may
-// alias anything); the sharestate gate closes it by refusing unresolved
-// dynamic calls on the hot path rather than by tracking aliases.
+// assignments whose destination is a package-level variable or an element
+// of one (GlobalWrite). Calls through function values the graph cannot
+// resolve contribute nothing.
 //
 // External callees (export data only — the stdlib) are assumed effect-free
 // except for the explicit nondeterminism table: time.Now/Since/Until and
@@ -52,12 +44,6 @@ const (
 	// GlobalWrite: a package-level variable is written. Target is
 	// "pkgpath.varname".
 	GlobalWrite Kind = iota
-	// FieldWrite: a struct field is written through a pointer. Target is
-	// "pkgpath.Type.field" ("pkgpath.Type.*" for whole-value stores).
-	FieldWrite
-	// GlobalEscape: a parameter- or receiver-derived pointer is stored
-	// into a package-level variable. Target is the variable's ID.
-	GlobalEscape
 	// WallClock: time.Now/Since/Until is reached.
 	WallClock
 	// MapRange: a `for range` over a map is reached.
@@ -66,9 +52,6 @@ const (
 	GlobalRand
 	// Spawn: a goroutine is launched.
 	Spawn
-	// DynamicCall: a call through a function value the call graph cannot
-	// resolve.
-	DynamicCall
 	// ProcExit: os.Exit or a fatal logger is reached — the process may
 	// terminate without running the pending defers of calling frames.
 	ProcExit
@@ -78,10 +61,6 @@ func (k Kind) String() string {
 	switch k {
 	case GlobalWrite:
 		return "global write"
-	case FieldWrite:
-		return "field write"
-	case GlobalEscape:
-		return "escape to global"
 	case WallClock:
 		return "wall-clock time"
 	case MapRange:
@@ -90,8 +69,6 @@ func (k Kind) String() string {
 		return "process-seeded rand"
 	case Spawn:
 		return "goroutine spawn"
-	case DynamicCall:
-		return "unresolved dynamic call"
 	case ProcExit:
 		return "process exit"
 	}
@@ -145,7 +122,7 @@ type Set struct {
 }
 
 // Of returns the program's summaries, computing them once per Program
-// (the summary-cache: sharestate, detflow and goroutcheck all share this
+// (the summary-cache: detflow, goroutcheck and leakcheck all share this
 // build, which also keeps burstlint's wall time flat as analyzers stack).
 func Of(prog *analysis.Program) *Set {
 	return prog.Cached("summary", func() any {
@@ -260,12 +237,11 @@ func externalEffect(id callgraph.ID) (Kind, bool) {
 // direct extracts one function's own effects: writes and ranges from its
 // AST (nested literal bodies excluded — literals are separate nodes whose
 // effects arrive through Lit/Static/Spawn edges), nondeterminism and
-// dynamic calls from its resolved edges.
+// process exits from its resolved edges.
 func direct(fn *callgraph.Func) map[Key]Effect {
 	effects := map[Key]Effect{}
 	for _, e := range fn.Out {
 		if e.Callee == nil {
-			merge(effects, Effect{Key: Key{Kind: DynamicCall}, Pos: e.Pos})
 			continue
 		}
 		if k, ok := externalEffect(e.Callee.ID); ok {
@@ -277,8 +253,7 @@ func direct(fn *callgraph.Func) map[Key]Effect {
 		return effects
 	}
 	info := fn.Pkg.TypesInfo
-	pkgScope := fn.Pkg.Types.Scope()
-	w := &walker{effects: effects, info: info, pkgScope: pkgScope, pkgPath: fn.Pkg.PkgPath}
+	w := &walker{info: info}
 
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -294,12 +269,9 @@ func direct(fn *callgraph.Func) map[Key]Effect {
 				// which edges cover.
 				return true
 			}
-			for i, lhs := range n.Lhs {
+			for _, lhs := range n.Lhs {
 				if t, ok := w.writeTarget(lhs); ok {
 					merge(effects, Effect{Key: t, Pos: lhs.Pos()})
-					if t.Kind == GlobalWrite && i < len(n.Rhs) && w.escapes(n.Rhs[i], fn) {
-						merge(effects, Effect{Key: Key{Kind: GlobalEscape, Target: t.Target}, Pos: lhs.Pos()})
-					}
 				}
 			}
 			return true
@@ -334,14 +306,11 @@ func direct(fn *callgraph.Func) map[Key]Effect {
 
 // walker classifies write destinations against one package's type info.
 type walker struct {
-	effects  map[Key]Effect
-	info     *types.Info
-	pkgScope *types.Scope
-	pkgPath  string
+	info *types.Info
 }
 
 // writeTarget classifies an assignment destination. ok is false for
-// blank identifiers, locals, and local-value field chains.
+// blank identifiers, locals and anything reached through a non-global.
 func (w *walker) writeTarget(lhs ast.Expr) (Key, bool) {
 	switch lhs := unparen(lhs).(type) {
 	case *ast.Ident:
@@ -359,43 +328,12 @@ func (w *walker) writeTarget(lhs ast.Expr) (Key, bool) {
 				if v, ok := w.info.Uses[lhs.Sel].(*types.Var); ok {
 					return Key{Kind: GlobalWrite, Target: varID(v)}, true
 				}
-				return Key{}, false
 			}
 		}
-		sel, ok := w.info.Selections[lhs]
-		if !ok || sel.Kind() != types.FieldVal {
-			return Key{}, false
-		}
-		field, _ := sel.Obj().(*types.Var)
-		if field == nil {
-			return Key{}, false
-		}
-		if w.localValueChain(lhs.X) {
-			return Key{}, false
-		}
-		owner := namedOf(fieldOwner(sel))
-		if owner == "" {
-			return Key{}, false
-		}
-		return Key{Kind: FieldWrite, Target: owner + "." + field.Name()}, true
-	case *ast.StarExpr:
-		// *p = v: a whole-value store through a pointer.
-		t := w.info.Types[lhs.X].Type
-		if t == nil {
-			return Key{}, false
-		}
-		p, ok := t.Underlying().(*types.Pointer)
-		if !ok {
-			return Key{}, false
-		}
-		owner := namedOf(p.Elem())
-		if owner == "" {
-			return Key{}, false
-		}
-		return Key{Kind: FieldWrite, Target: owner + ".*"}, true
+		return Key{}, false
 	case *ast.IndexExpr:
-		// x[i] = v: attribute the write to x's own target (the container
-		// field or global being filled).
+		// x[i] = v: attribute the write to x's own target (the global
+		// being filled).
 		return w.writeTarget(lhs.X)
 	}
 	return Key{}, false
@@ -415,133 +353,6 @@ func (w *walker) globalVar(id *ast.Ident) *types.Var {
 		return nil
 	}
 	return v
-}
-
-// localValueChain reports whether the base expression provably stays on
-// this function's stack: an unqualified chain of value-struct selections
-// rooted at a non-pointer local variable. Anything crossing a pointer,
-// slice, map, call or index is reachable memory and counts as an effect.
-func (w *walker) localValueChain(base ast.Expr) bool {
-	for {
-		base = unparen(base)
-		switch b := base.(type) {
-		case *ast.Ident:
-			v, ok := w.info.Uses[b].(*types.Var)
-			if !ok {
-				return false
-			}
-			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return false // global root
-			}
-			if _, isPtr := v.Type().Underlying().(*types.Pointer); isPtr {
-				return false
-			}
-			return true
-		case *ast.SelectorExpr:
-			sel, ok := w.info.Selections[b]
-			if !ok || sel.Kind() != types.FieldVal {
-				return false
-			}
-			if _, isPtr := sel.Recv().Underlying().(*types.Pointer); isPtr {
-				return false
-			}
-			base = b.X
-		default:
-			return false
-		}
-	}
-}
-
-// escapes reports whether the expression may carry a pointer derived from
-// one of fn's parameters or its receiver into the destination.
-func (w *walker) escapes(rhs ast.Expr, fn *callgraph.Func) bool {
-	found := false
-	ast.Inspect(rhs, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := w.info.Uses[id].(*types.Var)
-		if ok && isParamOf(v, fn) && pointerish(v.Type()) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// isParamOf reports whether v is a parameter or receiver of fn.
-func isParamOf(v *types.Var, fn *callgraph.Func) bool {
-	var ft *ast.FuncType
-	var recv *ast.FieldList
-	switch {
-	case fn.Decl != nil:
-		ft, recv = fn.Decl.Type, fn.Decl.Recv
-	case fn.Lit != nil:
-		ft = fn.Lit.Type
-	default:
-		return false
-	}
-	pos := v.Pos()
-	in := func(fl *ast.FieldList) bool {
-		return fl != nil && fl.Pos() <= pos && pos <= fl.End()
-	}
-	return in(ft.Params) || in(recv)
-}
-
-// pointerish reports whether values of the type carry references.
-func pointerish(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface, *types.Signature:
-		return true
-	}
-	return false
-}
-
-// fieldOwner returns the type that owns the selected field: the named
-// struct the selection path lands on (for embedded fields, the embedded
-// struct, not the outer one).
-func fieldOwner(sel *types.Selection) types.Type {
-	t := sel.Recv()
-	// Walk the embedding path: all but the last index step cross embedded
-	// fields.
-	idx := sel.Index()
-	for _, i := range idx[:len(idx)-1] {
-		t = deref(t)
-		s, ok := t.Underlying().(*types.Struct)
-		if !ok {
-			return t
-		}
-		t = s.Field(i).Type()
-	}
-	return deref(t)
-}
-
-func deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-// namedOf renders the stable "pkgpath.TypeName" ID of a (possibly
-// pointer-wrapped, possibly instantiated) named type, "" otherwise.
-func namedOf(t types.Type) string {
-	t = deref(types.Unalias(t))
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	n = n.Origin()
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // varID is the stable ID of a package-level variable.

@@ -52,19 +52,13 @@ func TestDirectEffects(t *testing.T) {
 	if e := has(t, set, "WriteG", GlobalWrite, pkg+".G"); e.Via != "" {
 		t.Errorf("direct write has Via %q", e.Via)
 	}
-	has(t, set, "(*S).Set", FieldWrite, pkg+".S.X")
-	has(t, set, "(*S).SetMap", FieldWrite, pkg+".S.M")
-	has(t, set, "Blank", FieldWrite, pkg+".S.*")
+	has(t, set, "SetTable", GlobalWrite, pkg+".Table")
 	has(t, set, "Clock", WallClock, "")
-	has(t, set, "Dy", DynamicCall, "")
-	has(t, set, "Esc", GlobalWrite, pkg+".Sink")
-	has(t, set, "Esc", GlobalEscape, pkg+".Sink")
 }
 
 func TestLocalityFilter(t *testing.T) {
 	set := loadSet(t)
-	hasNot(t, set, "LocalOnly", FieldWrite, pkg+".S.X")
-	hasNot(t, set, "(S).ValueRecv", FieldWrite, pkg+".S.X")
+	hasNot(t, set, "LocalOnly", GlobalWrite, pkg+".G")
 }
 
 func TestInheritedEffects(t *testing.T) {
@@ -83,8 +77,8 @@ func TestInheritedEffects(t *testing.T) {
 func TestRecursiveFixedPoint(t *testing.T) {
 	set := loadSet(t)
 	// B writes directly; A only through the cycle — both converge.
-	has(t, set, "B", FieldWrite, pkg+".S.X")
-	has(t, set, "A", FieldWrite, pkg+".S.X")
+	has(t, set, "B", GlobalWrite, pkg+".Depth")
+	has(t, set, "A", GlobalWrite, pkg+".Depth")
 }
 
 func TestPath(t *testing.T) {

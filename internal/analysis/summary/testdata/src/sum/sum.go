@@ -1,5 +1,5 @@
 // Package sum is the summary corpus: direct and inherited effects,
-// recursion, generics, locality filtering and escapes.
+// recursion, generics and locality filtering.
 package sum
 
 import "time"
@@ -7,14 +7,11 @@ import "time"
 // G is a written global.
 var G int
 
-// Sink receives escaping pointers.
-var Sink *S
+// Depth is written only inside the A/B recursion.
+var Depth int
 
-// S is the mutated struct.
-type S struct {
-	X int
-	M map[string]int
-}
+// Table is a global filled element by element.
+var Table [4]int
 
 // WriteG writes a global directly.
 func WriteG() { G = 1 }
@@ -22,36 +19,27 @@ func WriteG() { G = 1 }
 // WriteViaHelper inherits WriteG's effect.
 func WriteViaHelper() { WriteG() }
 
-// Set writes a field through its pointer receiver.
-func (s *S) Set() { s.X = 1 }
+// SetTable writes an element of a global: attributed to the global.
+func SetTable(i int) { Table[i] = 2 }
 
-// SetMap writes the element of a field-held map: attributed to the field.
-func (s *S) SetMap(k string) { s.M[k] = 2 }
-
-// LocalOnly writes a field of a non-pointer local: not an effect.
+// LocalOnly writes a local that shadows G: not an effect.
 func LocalOnly() int {
-	var s S
-	s.X = 3
-	return s.X
+	G := 0
+	G = 3
+	return G
 }
 
-// ValueRecv writes its by-value receiver: not an effect either.
-func (s S) ValueRecv() { s.X = 4 }
-
-// Blank stores through a pointer parameter's dereference.
-func Blank(p *S) { *p = S{} }
-
-// A and B recurse mutually; B's field write must reach A's summary.
-func A(n int, s *S) {
+// A and B recurse mutually; B's global write must reach A's summary.
+func A(n int) {
 	if n > 0 {
-		B(n-1, s)
+		B(n - 1)
 	}
 }
 
 // B closes the cycle.
-func B(n int, s *S) {
-	s.X = n
-	A(n-1, s)
+func B(n int) {
+	Depth = n
+	A(n - 1)
 }
 
 // Iter ranges over a map inside a generic body.
@@ -72,14 +60,8 @@ func Clock() int64 { return time.Now().UnixNano() }
 // CallsClock inherits it.
 func CallsClock() int64 { return Clock() }
 
-// Esc lets its pointer parameter escape into a global.
-func Esc(p *S) { Sink = p }
-
 // Sp spawns a goroutine and inherits the spawned function's effects.
 func Sp() { go WriteG() }
-
-// Dy calls through a function value.
-func Dy(f func()) { f() }
 
 // Deep chains three hops so path reconstruction has something to walk.
 func Deep() { WriteViaHelper() }

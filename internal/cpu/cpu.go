@@ -64,8 +64,6 @@ func (c Config) Validate() error {
 }
 
 // Stats reports execution statistics.
-//
-//burstmem:chanlocal
 type Stats struct {
 	Cycles  uint64
 	Retired uint64
@@ -87,8 +85,6 @@ func (s Stats) IPC() float64 {
 }
 
 // robEntry is one in-flight instruction.
-//
-//burstmem:chanlocal
 type robEntry struct {
 	typ     workload.OpType
 	addr    uint64
@@ -105,8 +101,6 @@ type robEntry struct {
 }
 
 // storeSlot is one store-buffer entry.
-//
-//burstmem:chanlocal
 type storeSlot struct {
 	addr    uint64
 	waiting bool // store missed; line fill in flight
@@ -128,12 +122,7 @@ const (
 // only an external cache callback can change the CPU's state.
 const NoEvent = ^uint64(0)
 
-// CPU is the core model. One CPU belongs to one core, ticked only by its
-// shard's coordinator, so its whole object graph is channel-local — the
-// points-to audit (internal/analysis/sharestate) holds this annotation to
-// that claim.
-//
-//burstmem:chanlocal
+// CPU is the core model. One CPU belongs to one core.
 type CPU struct {
 	cfg Config
 	gen workload.Generator

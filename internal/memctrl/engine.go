@@ -27,8 +27,6 @@ import (
 // does, and the whole candidate/next-event machinery reduces to a few
 // version compares plus one peek of an eventq.Wheel keyed by the hints'
 // issue cycles.
-//
-//burstmem:chanlocal
 type Engine struct {
 	host    *Host
 	banks   int
@@ -67,7 +65,7 @@ type Engine struct {
 	oldestBank  int
 	oldestOK    bool
 	oldestValid bool
-	shadow    engineShadow
+	shadow      engineShadow
 }
 
 // bankHint caches one occupied bank's next transaction and issue bound.
@@ -75,8 +73,6 @@ type Engine struct {
 // full folds in the data-bus availability term (guarded by busVer). All
 // three are absolute cycles, so a hint with matching versions is exact
 // regardless of how much time has passed.
-//
-//burstmem:chanlocal
 type bankHint struct {
 	cmd     dram.Cmd
 	ready   uint64 // EarliestReady: bank+rank constraint bound
@@ -93,8 +89,6 @@ type bankHint struct {
 // access kind (read vs write) — the four groups the paper's Table 2
 // priority ranks. Refresh never appears: it is channel-internal and is not
 // a candidate transaction.
-//
-//burstmem:chanlocal
 type BankClasses struct {
 	ColRead  []uint64
 	ColWrite []uint64
@@ -251,34 +245,6 @@ func (e *Engine) syncBank(ch *dram.Channel, r, b int) {
 	h.full = maxU64(h.ready, ch.ColumnBusReady(h.cmd, r))
 	h.bankVer, h.rankVer, h.busVer = bv, rv, xv
 	h.valid = true
-}
-
-// PrewarmRanks refreshes the hint cache for the occupied banks of ranks
-// [lo, hi) without touching the engine's aggregate sync state (minFull,
-// dirty, syncedVer): the next sync() then finds those hints version-clean
-// and reduces to its aggregate fold. Writes are confined to the hint slots
-// of the given ranks and every channel query used is read-only, so
-// disjoint rank ranges are safe to refresh concurrently — the rank-sharded
-// parallel mode runs one PrewarmRanks per rank shard inside a barrier
-// round, before the channel ticks. Skipped entirely when no hint can be
-// stale (the same version guard sync() uses), so idle rounds cost two
-// compares.
-//
-//burstmem:hotpath
-func (e *Engine) PrewarmRanks(lo, hi int) {
-	ch := e.host.Channel()
-	if !e.dirty && ch.StateVersion() == e.syncedVer {
-		return
-	}
-	if hi > len(e.occ) {
-		hi = len(e.occ)
-	}
-	for r := lo; r < hi; r++ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			e.syncBank(ch, r, b)
-		}
-	}
 }
 
 // Candidate is a bank's next transaction, with its unblocked status this
@@ -459,7 +425,6 @@ func (e *Engine) Issue(c Candidate, now uint64) {
 	if c.IsColumn() {
 		e.host.CompleteAt(a, res.DataEnd)
 		if e.onColumn != nil {
-			//lint:ignore sharestate mechanism-supplied issue hook fixed at engine construction; each mechanism owns one channel's state
 			e.onColumn(a, now)
 		}
 		e.ClearOngoing(c.Rank, c.Bank)

@@ -70,8 +70,6 @@ func IntelRP() memctrl.Factory {
 // a single access is serviced at a time with no overlap beyond the
 // precharge/activate of the next access starting under the current data
 // tail.
-//
-//burstmem:chanlocal
 type bankInOrder struct {
 	host      *memctrl.Host
 	engine    *memctrl.Engine
@@ -183,8 +181,6 @@ func (s *bankInOrder) Tick(now uint64) {
 
 // rowHit: unified per-bank queues; oldest row-hit access first, else oldest
 // access; column transactions take precedence on the busses.
-//
-//burstmem:chanlocal
 type rowHit struct {
 	host   *memctrl.Host
 	engine *memctrl.Engine
@@ -299,8 +295,6 @@ func oldestInMasks(e *memctrl.Engine, a, b []uint64) (int, int, bool) {
 // queue (held as per-bank FIFOs with a global occupancy view). Writes run
 // only when the channel has no reads at all or the write queue is full. A
 // started access has the highest transaction priority.
-//
-//burstmem:chanlocal
 type intel struct {
 	host       *memctrl.Host
 	engine     *memctrl.Engine
@@ -501,8 +495,6 @@ func (s *intel) oldestSafeWrite(r, b int) *memctrl.Access {
 
 // roundRobin issues one unblocked transaction per cycle, visiting banks in
 // rotating order so every bank gets an equal share of the command bus.
-//
-//burstmem:chanlocal
 type roundRobin struct {
 	ranks, banks int
 	next         int
@@ -549,19 +541,6 @@ func (s *rowHit) NextEventCycle(now uint64) uint64 { return s.engine.NextEventCy
 //
 //burstmem:hotpath
 func (s *intel) NextEventCycle(now uint64) uint64 { return s.engine.NextEventCycle(now) }
-
-// PrewarmRanks implementations (memctrl.RankPrewarmer): the baseline
-// mechanisms keep no per-bank caches beyond the engine's, so rank-shard
-// prewarming delegates straight to it.
-
-//burstmem:hotpath
-func (s *bankInOrder) PrewarmRanks(lo, hi int) { s.engine.PrewarmRanks(lo, hi) }
-
-//burstmem:hotpath
-func (s *rowHit) PrewarmRanks(lo, hi int) { s.engine.PrewarmRanks(lo, hi) }
-
-//burstmem:hotpath
-func (s *intel) PrewarmRanks(lo, hi int) { s.engine.PrewarmRanks(lo, hi) }
 
 var (
 	_ memctrl.Mechanism   = (*bankInOrder)(nil)

@@ -25,71 +25,68 @@ func conservationMechanisms() []string {
 // enqueued access completes exactly once, completion timestamps are
 // monotone, reconstructed pool/write-queue occupancy stays within
 // capacity, and controller totals agree with per-channel device counts.
+// Subtests are named <mech>/workers0: the serial controller, which is the
+// only engine, under the name its leg had when a sharded one ran beside it.
 func TestAccessConservation(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		for _, mech := range conservationMechanisms() {
-			workers, mech := workers, mech
-			t.Run(mech+"/workers"+itoa(workers), func(t *testing.T) {
-				factory, err := MechanismByName(mech)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := memctrl.DefaultConfig()
-				cfg.Geometry = addrmap.Geometry{
-					Channels: 2, Ranks: 2, Banks: 4, Rows: 64, ColumnLines: 32, LineBytes: 64,
-				}
-				cfg.PoolSize = 48
-				cfg.MaxWrites = 12
-				ctrl, err := memctrl.New(cfg, factory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctrl.SetWorkers(workers)
-				defer ctrl.SetWorkers(0)
-				tr := trace.New(1<<18, 0)
-				ctrl.SetTracer(tr)
+	for _, mech := range conservationMechanisms() {
+		t.Run(mech+"/workers0", func(t *testing.T) {
+			factory, err := MechanismByName(mech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := memctrl.DefaultConfig()
+			cfg.Geometry = addrmap.Geometry{
+				Channels: 2, Ranks: 2, Banks: 4, Rows: 64, ColumnLines: 32, LineBytes: 64,
+			}
+			cfg.PoolSize = 48
+			cfg.MaxWrites = 12
+			ctrl, err := memctrl.New(cfg, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := trace.New(1<<18, 0)
+			ctrl.SetTracer(tr)
 
-				// Closed loop: submit a skewed read/write mix over a small
-				// footprint (heavy row reuse exercises bursts, forwarding and
-				// piggybacking; pool pressure exercises forced writes and
-				// preemption), respecting back-pressure.
-				rng := xrand.New(7)
-				cyc := uint64(0)
+			// Closed loop: submit a skewed read/write mix over a small
+			// footprint (heavy row reuse exercises bursts, forwarding and
+			// piggybacking; pool pressure exercises forced writes and
+			// preemption), respecting back-pressure.
+			rng := xrand.New(7)
+			cyc := uint64(0)
+			ctrl.Tick(cyc)
+			submitted := 0
+			for submitted < 4000 {
+				cyc++
 				ctrl.Tick(cyc)
-				submitted := 0
-				for submitted < 4000 {
-					cyc++
-					ctrl.Tick(cyc)
-					for b := rng.Intn(3); b > 0; b-- {
-						kind := memctrl.KindRead
-						if rng.Intn(3) == 0 {
-							kind = memctrl.KindWrite
-						}
-						if !ctrl.CanAccept(kind) {
-							continue
-						}
-						addr := uint64(rng.Intn(1<<13)) * 64
-						if _, ok := ctrl.Submit(kind, addr, nil); ok {
-							submitted++
-						}
+				for b := rng.Intn(3); b > 0; b-- {
+					kind := memctrl.KindRead
+					if rng.Intn(3) == 0 {
+						kind = memctrl.KindWrite
+					}
+					if !ctrl.CanAccept(kind) {
+						continue
+					}
+					addr := uint64(rng.Intn(1<<13)) * 64
+					if _, ok := ctrl.Submit(kind, addr, nil); ok {
+						submitted++
 					}
 				}
-				for i := 0; !ctrl.Drained(); i++ {
-					if i > 200_000 {
-						t.Fatalf("%s: controller not drained after 200k cycles", mech)
-					}
-					cyc++
-					ctrl.Tick(cyc)
+			}
+			for i := 0; !ctrl.Drained(); i++ {
+				if i > 200_000 {
+					t.Fatalf("%s: controller not drained after 200k cycles", mech)
 				}
-				if err := mctest.CheckConservation(tr, ctrl); err != nil {
-					t.Fatal(err)
-				}
-				if tr.Count(trace.EvEnqueue) != uint64(submitted) {
-					t.Fatalf("%s: %d submitted but %d enqueue events",
-						mech, submitted, tr.Count(trace.EvEnqueue))
-				}
-			})
-		}
+				cyc++
+				ctrl.Tick(cyc)
+			}
+			if err := mctest.CheckConservation(tr, ctrl); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Count(trace.EvEnqueue) != uint64(submitted) {
+				t.Fatalf("%s: %d submitted but %d enqueue events",
+					mech, submitted, tr.Count(trace.EvEnqueue))
+			}
+		})
 	}
 }
 
@@ -148,15 +145,15 @@ func MechanismNamesFactoryForTest(t *testing.T, name string) memctrl.Factory {
 // (SampleOccupancySkipped) must split across interval boundaries exactly
 // as per-cycle sampling would, and skipping must never reorder or drop an
 // event. Parameterized over front-end behavior: swim keeps the front end
-// busy (skips rare, windows short), while mcf's pointer chase and apsi's
-// 6% memory intensity produce the long front-end-idle stretches where the
-// precise CPU.NextEventCycle bound lets skips and TickWindow batches run
-// longest — the paths most likely to misattribute a bulk-accounted cycle.
+// busy (skips rare and short), while mcf's pointer chase and apsi's 6%
+// memory intensity produce the long front-end-idle stretches where the
+// precise CPU.NextEventCycle bound lets skips run longest — the paths
+// most likely to misattribute a bulk-accounted cycle.
 func TestTraceSkipEquivalence(t *testing.T) {
 	for _, bench := range []string{"swim", "mcf", "apsi"} {
 		bench := bench
 		t.Run(bench, func(t *testing.T) {
-			run := func(disableSkip bool, workers int) *trace.Tracer {
+			run := func(disableSkip bool) *trace.Tracer {
 				prof, err := workload.ByName(bench)
 				if err != nil {
 					t.Fatal(err)
@@ -168,7 +165,6 @@ func TestTraceSkipEquivalence(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.WarmupInstructions = 5_000
 				cfg.Instructions = 20_000
-				cfg.Workers = workers
 				sys, err := NewSystem(cfg, prof, factory)
 				if err != nil {
 					t.Fatal(err)
@@ -181,7 +177,7 @@ func TestTraceSkipEquivalence(t *testing.T) {
 				}
 				return tr
 			}
-			ref := run(true, 0)
+			ref := run(true)
 			compare := func(label string, got *trace.Tracer) {
 				t.Helper()
 				re, se := ref.Events(), got.Events()
@@ -203,12 +199,7 @@ func TestTraceSkipEquivalence(t *testing.T) {
 					}
 				}
 			}
-			compare("skipping", run(false, 0))
-			// The skip engine and the worker pool compose: a skipping
-			// parallel run must still match the stepped serial reference
-			// event for event.
-			compare("workers=2 stepped", run(true, 2))
-			compare("workers=2 skipping", run(false, 2))
+			compare("skipping", run(false))
 		})
 	}
 }

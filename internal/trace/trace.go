@@ -118,8 +118,6 @@ type Event struct {
 // first) and folds the stream into per-interval metrics as it goes. The
 // zero Tracer is not usable; construct with New. A nil *Tracer is the
 // disabled tracer: every method is a no-op.
-//
-//burstmem:shared one tracer ring receives events from every channel; the parallel refactor will shard or funnel it through the controller goroutine
 type Tracer struct {
 	ring    []Event
 	head    int // next write slot
@@ -132,16 +130,6 @@ type Tracer struct {
 	intervals []Interval
 
 	counts [numKinds]uint64
-
-	// Capture mode (NewCapture): events append to capture instead of the
-	// ring, and no metrics fold — everything is deferred to the Adopt
-	// replay into a real tracer. Used by the parallel controller to give
-	// each channel shard a private emission buffer for one barrier round.
-	// adopted is the AdoptUpTo cursor: events before it have already been
-	// replayed into the adopting tracer mid-window.
-	capturing bool
-	capture   []Event
-	adopted   int
 }
 
 // New builds a tracer with capacity for events ring entries and, when
@@ -152,109 +140,6 @@ func New(events int, intervalCycles uint64) *Tracer {
 		events = 1
 	}
 	return &Tracer{ring: make([]Event, events), interval: intervalCycles}
-}
-
-// NewCapture builds a shard-capture tracer: every emit is appended to a
-// growable buffer verbatim (no ring, no metrics) until Adopt replays the
-// buffer into a real tracer and clears it. Exported accessors (Events,
-// Intervals, Count) see nothing — a capture is a transport, not a sink.
-func NewCapture() *Tracer {
-	return &Tracer{capturing: true, capture: make([]Event, 0, 64)}
-}
-
-// Adopt replays src's captured events into t exactly as if each had been
-// emitted on t directly — ring placement, per-kind counts and interval
-// metrics all roll identically — then clears src for the next round. The
-// parallel controller calls it once per channel per barrier round, in
-// channel order, which makes the merged stream byte-identical to the
-// serial path's.
-//
-//burstmem:hotpath
-func (t *Tracer) Adopt(src *Tracer) {
-	if t == nil || src == nil {
-		return
-	}
-	for i := src.adopted; i < len(src.capture); i++ {
-		t.replay(src.capture[i])
-	}
-	src.capture = src.capture[:0]
-	src.adopted = 0
-}
-
-// AdoptUpTo replays src's captured events stamped at or before cycle into
-// t, leaving later events buffered (a cursor remembers progress). Captures
-// are emitted in nondecreasing cycle order per shard, so the window merge
-// can interleave per-cycle replays across channels with the controller's
-// per-cycle sampling — reproducing the serial path's exact interval folds.
-// Once every buffered event is consumed the capture resets for the next
-// round; a window merge that reaches its last cycle therefore leaves the
-// capture in the same state plain Adopt would.
-//
-//burstmem:hotpath
-func (t *Tracer) AdoptUpTo(src *Tracer, cycle uint64) {
-	if t == nil || src == nil {
-		return
-	}
-	i := src.adopted
-	for i < len(src.capture) && src.capture[i].Cycle <= cycle {
-		t.replay(src.capture[i])
-		i++
-	}
-	src.adopted = i
-	if i == len(src.capture) {
-		src.capture = src.capture[:0]
-		src.adopted = 0
-	}
-}
-
-// replay re-dispatches one captured event through the same ring append and
-// metric updates its original emit wrapper would have performed. The
-// per-kind cases mirror Command/Enqueue/Forward/Start/Complete/Mark/
-// SchedPick exactly; keep them in sync.
-//
-//burstmem:hotpath
-func (t *Tracer) replay(e Event) {
-	t.emit(e)
-	switch e.Kind {
-	case EvPrecharge, EvActivate, EvRead, EvWrite, EvRefresh, EvAutoPrecharge:
-		if t.interval > 0 {
-			switch e.Kind {
-			case EvRead:
-				t.cur.Reads++
-				t.cur.DataBusCycles += e.Arg1 - e.Arg0
-			case EvWrite:
-				t.cur.Writes++
-				t.cur.DataBusCycles += e.Arg1 - e.Arg0
-			case EvActivate:
-				t.cur.Activates++
-			case EvPrecharge, EvAutoPrecharge:
-				t.cur.Precharges++
-			case EvRefresh:
-				t.cur.Refreshes++
-			}
-		}
-	case EvEnqueue:
-		t.cur.Enqueued++
-	case EvForward:
-		t.cur.Forwarded++
-	case EvStart:
-		if t.interval > 0 && e.Arg1 < 3 {
-			t.cur.Outcomes[e.Arg1]++
-		}
-	case EvComplete:
-		t.cur.Completed++
-	case EvPreempt, EvPiggyback, EvForcedWrite, EvIdleWrite, EvBurstForm, EvBurstJoin:
-		if t.interval > 0 {
-			switch e.Kind {
-			case EvPreempt:
-				t.cur.Preemptions++
-			case EvPiggyback:
-				t.cur.Piggybacks++
-			}
-		}
-	case EvSchedPick:
-		// No metrics beyond the count emit already rolled.
-	}
 }
 
 // Enabled reports whether the tracer records anything (false for nil).
@@ -307,13 +192,6 @@ func (t *Tracer) Events() []Event {
 // emit appends one event to the ring and rolls metrics. Callers are the
 // inlinable exported wrappers, which have already checked t != nil.
 func (t *Tracer) emit(e Event) {
-	if t.capturing {
-		// Shard capture: buffer verbatim; counts, ring and metrics all
-		// roll at Adopt-replay time on the adopting tracer.
-		//lint:ignore hotalloc capture buffer growth is amortized; capacity is retained across barrier rounds
-		t.capture = append(t.capture, e)
-		return
-	}
 	t.counts[e.Kind]++
 	t.ring[t.head] = e
 	t.head++
@@ -533,8 +411,6 @@ func (t *Tracer) Intervals() []Interval {
 }
 
 // Interval aggregates one metrics window [Start, End) of the run.
-//
-//burstmem:shared intervals belong to the tracer ring, which all channels feed
 type Interval struct {
 	Start, End uint64
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate: static checks, build, race-enabled
-# tests, and a short throughput benchmark smoke run.
+# tests, the benchmark module's tests and a correctness smoke of the
+# benchmark runner.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,23 +14,15 @@ go build ./...
 echo "== burstlint =="
 go run ./cmd/burstlint ./...
 
-echo "== interprocedural tier (call graph, effect summaries, ownership gate) =="
-# The burstlint stage above already fails if sharestate/detflow/goroutcheck
+echo "== interprocedural tier (call graph, effect summaries, whole-program analyzers) =="
+# The burstlint stage above already fails if detflow/goroutcheck/leakcheck
 # find anything on the tree; this stage runs the tier's own corpus tests so
-# a regression in the machinery is caught even when the tree happens to be
-# annotated around it.
+# a regression in the machinery is caught even when the tree happens to
+# contain nothing for it to find.
 go test -count=1 \
     ./internal/analysis/callgraph/ ./internal/analysis/summary/ \
-    ./internal/analysis/sharestate/ ./internal/analysis/detflow/ \
-    ./internal/analysis/goroutcheck/
-
-echo "== pointsto tier (Andersen solver, ownership audit, concurrency-hygiene analyzers) =="
-# The points-to solution backs sharestate's annotation audit and the
-# leakcheck/ctxflow/chanflow analyzers; this stage runs the solver's own
-# probe corpus plus each analyzer's analysistest corpus.
-go test -count=1 \
-    ./internal/analysis/pointsto/ ./internal/analysis/leakcheck/ \
-    ./internal/analysis/ctxflow/ ./internal/analysis/chanflow/
+    ./internal/analysis/detflow/ ./internal/analysis/goroutcheck/ \
+    ./internal/analysis/leakcheck/
 
 echo "== burstlint golden (CLI output/exit-code contract) =="
 go test -count=1 -run 'TestGolden|TestExitCode' ./cmd/burstlint/
@@ -49,18 +42,6 @@ go test -count=1 -run 'FuzzQueueDifferential|TestQueueDifferential|TestWheel' ./
 go test -count=1 -tags invariants -run 'TestEngineShadow' ./internal/memctrl/
 go test -count=1 -tags invariants -run 'TestTraceSkipEquivalence' ./internal/sim/
 
-echo "== parallel-sim gate (differential equivalence + barrier fuzz seeds under -race, then a -count=2 determinism rerun) =="
-# The full -race stage above already covers these packages once; this stage
-# pins the contract explicitly. First the differential/metamorphic suite and
-# the FuzzParallelBarrier seed corpus under the race detector (-short bounds
-# the matrix: the full sweep runs in the plain -race stage), then the
-# equivalence suite twice in one invocation — identical configurations must
-# produce bit-identical results run to run, not just shard-merge to match
-# serial once.
-go test -race -short -count=1 -run 'Parallel' ./internal/sim/
-go test -race -count=1 ./internal/parsim/
-go test -count=2 -run 'TestParallelEquivalence' ./internal/sim/
-
 echo "== traced simulation (memsim -trace, exported JSON must parse) =="
 tracetmp="$(mktemp -d)"
 trap 'rm -rf "$tracetmp"' EXIT
@@ -68,31 +49,10 @@ go run ./cmd/memsim -bench swim -mech Burst_TH -n 50000 -warmup 20000 \
     -trace "$tracetmp/trace.json" -trace-interval 500 >/dev/null
 go run ./scripts/jsoncheck "$tracetmp/trace.json"
 
-echo "== serial perf gate (swim/Burst_TH quick smoke vs committed BENCH_sim.json) =="
-# One-iteration smoke of the serial hot path, emitted as JSON (validated by
-# jsoncheck like every other artifact) and compared against the committed
-# baseline: a drop of more than 10% fails the gate. A single iteration is
-# noisy, but the gate is meant to catch structural regressions (an
-# accidental O(n) scan, a lost fast path), not single-digit drift — the
-# committed number itself comes from the full scripts/bench.sh run.
-go test -bench 'BenchmarkSimThroughput/swim/Burst_TH$' -benchtime 1x -run '^$' . \
-    | awk '{ for (i = 2; i <= NF; i++) if ($i == "simcycles/s") v = $(i-1) }
-           END { printf "[\n  {\"case\": \"swim/Burst_TH\", \"simcycles_per_sec\": %d}\n]\n", v }' \
-    > "$tracetmp/perfgate.json"
-go run ./scripts/jsoncheck -bench "$tracetmp/perfgate.json"
-go run ./scripts/jsoncheck -bench BENCH_sim.json
-baseline=$(awk -F'"simcycles_per_sec": ' '/"case": "swim\/Burst_TH"/ { split($2, a, ","); print a[1]; exit }' BENCH_sim.json)
-current=$(awk -F'"simcycles_per_sec": ' '/"case": "swim\/Burst_TH"/ { split($2, a, ","); print a[1]; exit }' "$tracetmp/perfgate.json")
-awk -v cur="$current" -v base="$baseline" 'BEGIN {
-    if (base + 0 <= 0) { print "FAIL: no swim/Burst_TH baseline in BENCH_sim.json"; exit 1 }
-    if (cur + 0 < 0.9 * base) {
-        printf "FAIL: swim/Burst_TH %d simcycles/s is >10%% below committed baseline %d (floor %.0f)\n", cur, base, 0.9 * base
-        exit 1
-    }
-    printf "ok: swim/Burst_TH %d simcycles/s (baseline %d, floor %.0f)\n", cur, base, 0.9 * base
-}'
+echo "== benchmark module tests =="
+(cd bench && go test ./...)
 
-echo "== throughput bench (short) =="
-scripts/bench.sh -short
+echo "== benchmark correctness smoke (apsi-sparse; fails on any Result-digest mismatch) =="
+bash bench/run.sh -workload apsi-sparse -seconds 2 >/dev/null
 
 echo "CI OK"

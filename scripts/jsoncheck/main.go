@@ -5,15 +5,7 @@
 // carries the mandatory trace_event fields. It is a build-free stand-in
 // for loading the file in ui.perfetto.dev.
 //
-// With -bench the file is instead checked against the BENCH_sim.json
-// shape: a non-empty JSON array of objects, each carrying a non-empty
-// "case" string (the key every consumer joins on). Files that record lint
-// timings (a "burstlint" entry is present) must carry the full family —
-// burstlint, burstlint_interproc, burstlint_pointsto — each with a
-// numeric wall_ms.
-//
 //	go run ./scripts/jsoncheck trace.json
-//	go run ./scripts/jsoncheck -bench BENCH_sim.json
 package main
 
 import (
@@ -24,21 +16,12 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	bench := false
-	if len(args) > 0 && args[0] == "-bench" {
-		bench = true
-		args = args[1:]
-	}
 	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: jsoncheck [-bench] <file.json>")
+		fmt.Fprintln(os.Stderr, "usage: jsoncheck <trace.json>")
 		os.Exit(2)
 	}
 	data, err := os.ReadFile(args[0])
 	fatal(err)
-	if bench {
-		checkBench(args[0], data)
-		return
-	}
 	checkTrace(args[0], data)
 }
 
@@ -63,38 +46,6 @@ func checkTrace(path string, data []byte) {
 		}
 	}
 	fmt.Printf("%s: %d trace events OK\n", path, len(doc.TraceEvents))
-}
-
-func checkBench(path string, data []byte) {
-	var entries []map[string]any
-	fatal(json.Unmarshal(data, &entries))
-	if len(entries) == 0 {
-		fatal(fmt.Errorf("%s: empty benchmark entry array", path))
-	}
-	cases := map[string]map[string]any{}
-	for i, e := range entries {
-		name, _ := e["case"].(string)
-		if name == "" {
-			fatal(fmt.Errorf("%s: entry %d missing case", path, i))
-		}
-		cases[name] = e
-	}
-	// Files carrying lint timings (full bench.sh output, as opposed to the
-	// one-entry CI perf gate) must carry the whole family, each with a
-	// numeric wall_ms: a bench.sh edit that drops one silently would
-	// otherwise erase its trajectory.
-	if _, ok := cases["burstlint"]; ok {
-		for _, name := range []string{"burstlint", "burstlint_interproc", "burstlint_pointsto"} {
-			e, ok := cases[name]
-			if !ok {
-				fatal(fmt.Errorf("%s: %q entry present but %q missing", path, "burstlint", name))
-			}
-			if _, ok := e["wall_ms"].(float64); !ok {
-				fatal(fmt.Errorf("%s: %q entry has no numeric wall_ms", path, name))
-			}
-		}
-	}
-	fmt.Printf("%s: %d benchmark entries OK\n", path, len(entries))
 }
 
 func fatal(err error) {
