@@ -73,7 +73,7 @@ func TestGoldenDirty(t *testing.T) {
 		prev = cur
 	}
 	for _, a := range []string{
-		"hotalloc", "nilcheck", "errflow", "idxrange", "lockcheck",
+		"hotalloc", "nilcheck", "errflow", "idxrange",
 		"detflow", "goroutcheck", "leakcheck",
 	} {
 		if !seen[a] {

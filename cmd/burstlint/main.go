@@ -14,12 +14,11 @@
 //	nilcheck     unguarded dereferences of possibly-nil *trace.Tracer values
 //	errflow      error values dropped before reaching a check
 //	idxrange     DRAM coordinates indexing mismatched-dimension containers
-//	lockcheck    Lock without matching Unlock on some path to return
 //	detflow      nondeterminism reached through out-of-scope callees
 //	goroutcheck  loop capture, WaitGroup balance, unguarded shared writes
 //	leakcheck    resources released on every path; no exit past a pending defer
 //
-// nilcheck/errflow/idxrange/lockcheck run a worklist dataflow solver over
+// nilcheck/errflow/idxrange run a worklist dataflow solver over
 // per-function control flow graphs (internal/analysis/cfg,
 // internal/analysis/dataflow); detlint/hotalloc/exhaustive are single-pass
 // AST walks. The rest are the interprocedural tier: they run once over
@@ -61,7 +60,6 @@ import (
 	"burstmem/internal/analysis/hotalloc"
 	"burstmem/internal/analysis/idxrange"
 	"burstmem/internal/analysis/leakcheck"
-	"burstmem/internal/analysis/lockcheck"
 	"burstmem/internal/analysis/nilcheck"
 )
 
@@ -74,7 +72,6 @@ var analyzers = []*analysis.Analyzer{
 	nilcheck.Analyzer,
 	errflow.Analyzer,
 	idxrange.Analyzer,
-	lockcheck.Analyzer,
 	detflow.Analyzer,
 	goroutcheck.Analyzer,
 	leakcheck.Analyzer,
@@ -92,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timing := fs.Bool("timing", false, "print interprocedural build times (callgraph, summary) to stderr")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array of {file, line, col, analyzer, message, chain} objects")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: burstlint [-timing] [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, nilcheck,\nerrflow, idxrange, lockcheck, detflow, goroutcheck, leakcheck) over the\npackage patterns (default ./...)\n")
+		fmt.Fprintf(stderr, "usage: burstlint [-timing] [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, nilcheck,\nerrflow, idxrange, detflow, goroutcheck, leakcheck) over the package\npatterns (default ./...)\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2

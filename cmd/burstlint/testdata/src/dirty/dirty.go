@@ -5,7 +5,6 @@ package dirty
 
 import (
 	"os"
-	"sync"
 	"time"
 
 	"burstmem/internal/addrmap"
@@ -13,7 +12,6 @@ import (
 )
 
 type state struct {
-	mu    sync.Mutex
 	banks []uint32
 	n     int
 }
@@ -43,17 +41,6 @@ func spawnAll(jobs []string) {
 		cur = j
 		go func() { _ = len(cur) }()
 	}
-}
-
-// leakyLock returns holding the mutex on the early path (lockcheck).
-func leakyLock(s *state) int {
-	s.mu.Lock()
-	if s.n == 0 {
-		return 0
-	}
-	n := s.n
-	s.mu.Unlock()
-	return n
 }
 
 // forgottenTicker stops the ticker on only one path; the early return

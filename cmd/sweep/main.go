@@ -66,35 +66,33 @@ func main() {
 		mechs = append(mechs, fmt.Sprintf("Burst_TH%d", th))
 	}
 
-	type key struct{ bench, mech string }
-	results := make(map[key]sim.Result)
-	var mu sync.Mutex
+	// One job per benchmark×mechanism, benchmark-major; each goroutine
+	// writes its own result slot, and the table is built after the pool
+	// drains.
+	results := make([]sim.Result, len(benches)*len(mechs))
 	sem := make(chan struct{}, maxInt(1, *parallel))
 	var wg sync.WaitGroup
-	for _, b := range benches {
-		for _, m := range mechs {
-			wg.Add(1)
-			go func(b, m string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				prof, err := workload.ByName(b)
-				fatal(err)
-				factory, err := sim.MechanismByName(m)
-				fatal(err)
-				res, err := sim.Run(cfg, prof, factory)
-				fatal(err)
-				mu.Lock()
-				results[key{b, m}] = res
-				mu.Unlock()
-			}(b, m)
-		}
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			prof, err := workload.ByName(benches[i/len(mechs)])
+			fatal(err)
+			factory, err := sim.MechanismByName(mechs[i%len(mechs)])
+			fatal(err)
+			res, err := sim.Run(cfg, prof, factory)
+			fatal(err)
+			results[i] = res
+		}(i)
 	}
 	wg.Wait()
 
-	agg := func(m string) (exec, rd, wr, outR, outW, sat float64) {
-		for _, b := range benches {
-			r := results[key{b, m}]
+	// agg averages mechanism mechs[mi] over the benchmarks.
+	agg := func(mi int) (exec, rd, wr, outR, outW, sat float64) {
+		for bi := range benches {
+			r := results[bi*len(mechs)+mi]
 			exec += float64(r.CPUCycles)
 			rd += r.ReadLatency
 			wr += r.WriteLatency
@@ -106,15 +104,14 @@ func main() {
 		return exec / nb, rd / nb, wr / nb, outR / nb, outW / nb, sat / nb
 	}
 
-	baseExec, _, _, _, _, _ := agg("Burst")
+	baseExec, _, _, _, _, _ := agg(0)
 	fmt.Printf("threshold sweep over %v (%d instructions each, write queue size %d)\n\n",
 		benches, *n, cfg.Mem.MaxWrites)
 	t := stats.NewTable("threshold", "exec/Burst", "read lat", "write lat",
 		"avg out reads", "avg out writes", "wq sat %")
 	best, bestExec := -1, 0.0
-	for _, th := range ths {
-		m := fmt.Sprintf("Burst_TH%d", th)
-		exec, rd, wr, outR, outW, sat := agg(m)
+	for ti, th := range ths {
+		exec, rd, wr, outR, outW, sat := agg(ti + 1)
 		if best < 0 || exec < bestExec {
 			best, bestExec = th, exec
 		}

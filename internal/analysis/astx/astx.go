@@ -1,7 +1,7 @@
 // Package astx holds the small AST/type utilities shared by the dataflow
-// analyzers (nilcheck, errflow, idxrange, lockcheck): access-path
-// printing, function enumeration, hot-path directive detection, and named
-// type matching.
+// analyzers (nilcheck, errflow, idxrange) and the interprocedural tier
+// (callgraph, goroutcheck): access-path printing, function enumeration,
+// hot-path directive detection, and named type matching.
 package astx
 
 import (

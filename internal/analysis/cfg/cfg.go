@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies, sized for this repository's dataflow analyzers
-// (internal/analysis/dataflow and the nilcheck/errflow/idxrange/lockcheck
-// passes built on it).
+// (internal/analysis/dataflow and the nilcheck/errflow/idxrange passes
+// built on it, plus goroutcheck and leakcheck).
 //
 // The graph is a set of basic blocks. Each block holds the statements and
 // expressions evaluated in order; a block that ends in a branch carries the
@@ -21,8 +21,8 @@
 // appended to a chain of KindDefer blocks that runs — in LIFO order —
 // between each return (or the body's fall-off-the-end) and the Exit block.
 // The chain deliberately has no bypass edges: a conditional defer is
-// treated as always executed, which is the useful convention for lockcheck
-// (`if locked { defer mu.Unlock() }` patterns are out of scope). Panic
+// treated as always executed, which is the useful convention for leakcheck
+// (`if opened { defer f.Close() }` patterns are out of scope). Panic
 // terminators get no successor edges at all: facts on a panicking path
 // never reach Exit, so exit-state analyses only see orderly returns.
 package cfg

@@ -132,9 +132,6 @@ func (r Result) String() string {
 	return fmt.Sprintf("Result(%d)", int(r))
 }
 
-// IsMiss reports whether the result is a (primary or merged) miss.
-func (r Result) IsMiss() bool { return r == Miss || r == MissMerged }
-
 // Stats counts cache activity.
 type Stats struct {
 	Hits       uint64

@@ -627,9 +627,6 @@ func (h *Host) Tracer() *trace.Tracer { return h.tr }
 // occupancy the paper's threshold compares against.
 func (h *Host) GlobalWrites() int { return h.ctrl.poolWrites }
 
-// GlobalReads returns the controller-wide pending read count.
-func (h *Host) GlobalReads() int { return h.ctrl.poolReads }
-
 // WriteQueueFull reports whether the write queue is at capacity.
 func (h *Host) WriteQueueFull() bool { return h.ctrl.poolWrites >= h.ctrl.cfg.MaxWrites }
 

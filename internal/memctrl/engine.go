@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"burstmem/internal/dram"
-	"burstmem/internal/eventq"
 )
 
 // Engine tracks each bank's ongoing access — the access whose transactions
@@ -25,8 +24,8 @@ import (
 // timers are absolute cycles; only comparisons against "now" move), so a
 // hint stays exact until one of its counters advances — most cycles nothing
 // does, and the whole candidate/next-event machinery reduces to a few
-// version compares plus one peek of an eventq.Wheel keyed by the hints'
-// issue cycles.
+// version compares. The sync that revalidates the hints also takes their
+// minimum issue bound, which is the engine's next-event answer.
 type Engine struct {
 	host    *Host
 	banks   int
@@ -38,15 +37,8 @@ type Engine struct {
 	scratch  []Candidate
 
 	// hints holds one cached (command, earliest-issue) pair per flattened
-	// bank; wheel mirrors every valid hint's issue cycle so the earliest
-	// one is a single PeekMin away. The mirror is maintained lazily:
-	// scheduling-path syncs only refresh hints (and mark the wheel
-	// stale), and NextEventCycle — the only wheel consumer — pushes
-	// changed deadlines right before peeking. Busy phases, where the
-	// skip hint is never consulted, thus pay nothing for the wheel.
-	hints      []bankHint
-	wheel      *eventq.Wheel
-	wheelStale bool
+	// bank.
+	hints []bankHint
 	// classes is the reused result of Unblocked (per-rank class masks).
 	classes BankClasses
 	// syncedVer/dirty short-circuit sync entirely: when the channel's
@@ -57,7 +49,8 @@ type Engine struct {
 	// minFull is the minimum issue bound across occupied banks
 	// (dram.NoEvent when none), refreshed by every dirty sync. While it
 	// lies in the future no bank can issue, so Unblocked skips mask
-	// construction outright on such cycles.
+	// construction outright on such cycles; NextEventCycle answers from
+	// it directly.
 	minFull uint64
 	// oldestRank/oldestBank/oldestOK cache OldestOngoing, invalidated
 	// whenever an ongoing slot changes (arrival stamps are immutable).
@@ -77,7 +70,6 @@ type bankHint struct {
 	cmd     dram.Cmd
 	ready   uint64 // EarliestReady: bank+rank constraint bound
 	full    uint64 // max(ready, ColumnBusReady): the issue bound
-	wheeled uint64 // the deadline currently mirrored in the wheel
 	bankVer uint32
 	rankVer uint32
 	busVer  uint32
@@ -114,12 +106,7 @@ func NewEngine(host *Host, onColumn func(a *Access, now uint64)) *Engine {
 	for r := range e.ongoing {
 		e.ongoing[r] = make([]*Access, ch.Banks())
 	}
-	total := ch.Ranks() * ch.Banks()
-	e.hints = make([]bankHint, total)
-	for i := range e.hints {
-		e.hints[i].wheeled = eventq.NoDeadline
-	}
-	e.wheel = eventq.NewWheel(total)
+	e.hints = make([]bankHint, ch.Ranks()*ch.Banks())
 	e.classes = BankClasses{
 		ColRead:  make([]uint64, ch.Ranks()),
 		ColWrite: make([]uint64, ch.Ranks()),
@@ -150,12 +137,7 @@ func (e *Engine) SetOngoing(rank, bank int, a *Access) {
 func (e *Engine) ClearOngoing(rank, bank int) {
 	e.ongoing[rank][bank] = nil
 	e.occ[rank] &^= 1 << uint(bank)
-	h := &e.hints[rank*e.banks+bank]
-	h.valid = false
-	if h.wheeled != eventq.NoDeadline {
-		e.wheel.Cancel(rank*e.banks + bank)
-		h.wheeled = eventq.NoDeadline
-	}
+	e.hints[rank*e.banks+bank].valid = false
 	e.dirty = true
 	e.oldestValid = false
 }
@@ -163,15 +145,6 @@ func (e *Engine) ClearOngoing(rank, bank int) {
 // OccupiedMask returns the rank's occupied-bank bitmap (bit b set means
 // bank b has an ongoing access).
 func (e *Engine) OccupiedMask(rank int) uint64 { return e.occ[rank] }
-
-// ForEachBank visits every (rank, bank) pair in order.
-func (e *Engine) ForEachBank(f func(rank, bank int)) {
-	for r := range e.ongoing {
-		for b := range e.ongoing[r] {
-			f(r, b)
-		}
-	}
-}
 
 // sync revalidates the hint of every occupied bank. The global version
 // check makes the common case — nothing issued, nothing submitted — free;
@@ -197,33 +170,9 @@ func (e *Engine) sync() {
 	e.minFull = min
 	e.dirty = false
 	e.syncedVer = sv
-	e.wheelStale = true
 }
 
-// syncWheel mirrors every occupied bank's issue bound into the wheel.
-// Called only from NextEventCycle, right before the peek; a fully idle
-// machine runs this once and then short-circuits (sync no-ops, the wheel
-// is clean, the answer is a single PeekMin).
-//
-//burstmem:hotpath
-func (e *Engine) syncWheel() {
-	if !e.wheelStale {
-		return
-	}
-	for r := range e.occ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			flat := r*e.banks + b
-			if h := &e.hints[flat]; h.full != h.wheeled {
-				e.wheel.Schedule(flat, h.full)
-				h.wheeled = h.full
-			}
-		}
-	}
-	e.wheelStale = false
-}
-
-// syncBank refreshes one bank's hint and its wheel deadline.
+// syncBank refreshes one bank's hint.
 //
 //burstmem:hotpath
 func (e *Engine) syncBank(ch *dram.Channel, r, b int) {
@@ -390,23 +339,16 @@ func (e *Engine) OldestOngoing() (rank, bank int, ok bool) {
 // their idle-skip hint: with no submissions, completions or refreshes in
 // between, the channel state is frozen and nothing can happen earlier.
 //
-// The answer is one wheel peek after the version-guarded sync. The wheel
-// may under-estimate (its far bucket is a conservative lower bound); an
-// early hint only shortens a skip and cannot change simulation results.
-// Over-estimating would: the invariants build cross-checks every answer
-// against the linear scan (see shadow_on.go).
+// The answer is minFull after the version-guarded sync, floored at now+1
+// (dram.NoEvent, the largest cycle, passes through the floor unchanged).
+// An early answer only shortens a skip and cannot change simulation
+// results; a late one would, so the invariants build cross-checks every
+// answer against the linear scan (see shadow_on.go).
 //
 //burstmem:hotpath
 func (e *Engine) NextEventCycle(now uint64) uint64 {
 	e.sync()
-	e.syncWheel()
-	if e.wheel.NeedRebase(now) {
-		e.wheel.Rebase(now)
-	}
-	next := dram.NoEvent
-	if at, ok := e.wheel.PeekMin(); ok {
-		next = maxU64(at, now+1)
-	}
+	next := maxU64(e.minFull, now+1)
 	e.shadow.checkNextEvent(e, now, next)
 	return next
 }

@@ -8,11 +8,11 @@ import (
 	"burstmem/internal/addrmap"
 )
 
-// TestEngineShadowTrigger proves the -tags invariants wheel-vs-linear-scan
+// TestEngineShadowTrigger proves the -tags invariants hint-vs-linear-scan
 // cross-check actually fires: it primes the engine's hint cache, then
-// simulates a cache-invalidation bug by pushing the bank's cached issue
-// bound (and its wheel deadline) far into the future without any channel
-// state change, and asserts NextEventCycle panics cycle-stamped.
+// simulates a cache-invalidation bug by pushing the cached minimum issue
+// bound far into the future without any channel state change, and asserts
+// NextEventCycle panics cycle-stamped.
 func TestEngineShadowTrigger(t *testing.T) {
 	c, m := newEngineHarness(t)
 	a, ok := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 0, Bank: 0, Row: 2}), nil)
@@ -21,20 +21,18 @@ func TestEngineShadowTrigger(t *testing.T) {
 	}
 	m.engine.SetOngoing(0, 0, a)
 
-	// Prime: the activate is issuable immediately, so the hint cache and
-	// wheel agree with the linear scan here.
+	// Prime: the activate is issuable immediately, so the hint cache
+	// agrees with the linear scan here.
 	if next := m.engine.NextEventCycle(0); next != 1 {
 		t.Fatalf("primed next event %d, want 1 (activate issuable next cycle)", next)
 	}
 
-	// Bug: the hint claims the bank cannot issue for thousands of cycles.
-	// No channel counter moved, so sync() keeps the corrupt hint — exactly
-	// the failure mode the shadow check exists to catch.
-	flat := 0*m.engine.banks + 0
-	m.engine.hints[flat].full = 50000
-	m.engine.wheel.Schedule(flat, 50000)
+	// Bug: the cached bound claims no bank can issue for thousands of
+	// cycles. No channel counter moved, so sync() keeps the corrupt bound —
+	// exactly the failure mode the shadow check exists to catch.
+	m.engine.minFull = 50000
 
-	mustPanicContaining(t, "event wheel predicts next event", func() {
+	mustPanicContaining(t, "cycle 0: hint cache predicts next event at cycle 50000", func() {
 		m.engine.NextEventCycle(0)
 	})
 }

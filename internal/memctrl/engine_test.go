@@ -106,12 +106,62 @@ func TestEngineCandidatesAndIssue(t *testing.T) {
 	}
 }
 
-func TestEngineForEachBank(t *testing.T) {
-	_, m := newEngineHarness(t)
-	visited := map[[2]int]bool{}
-	m.engine.ForEachBank(func(r, b int) { visited[[2]int{r, b}] = true })
-	if len(visited) != 4 {
-		t.Fatalf("visited %d banks, want 4 (2 ranks x 2 banks)", len(visited))
+// TestEngineNextEventCycle pins the idle-skip hint through one access's
+// transaction sequence: nothing pending, an issuable activate, the column
+// waiting on tRCD, a second bank with an earlier bound, and the slots
+// clearing again.
+func TestEngineNextEventCycle(t *testing.T) {
+	c, m := newEngineHarness(t)
+	e := m.engine
+	if next := e.NextEventCycle(0); next != dram.NoEvent {
+		t.Fatalf("idle engine: next event %d, want NoEvent", next)
+	}
+
+	a, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 0, Bank: 0, Row: 2}), nil)
+	e.SetOngoing(0, 0, a)
+	if next := e.NextEventCycle(0); next != 1 {
+		t.Fatalf("issuable activate: next event %d, want 1 (now+1)", next)
+	}
+
+	// The activate issues at cycle 0; the read waits on tRCD.
+	act := e.Candidates()[0]
+	if act.Cmd != dram.CmdActivate || !act.Unblocked {
+		t.Fatalf("candidate %+v, want unblocked activate", act)
+	}
+	e.Issue(act, 0)
+	ch := c.Channel(0)
+	tRCD := uint64(ch.T.TRCD)
+	read := ch.EarliestIssue(dram.CmdRead, a.Target())
+	if read != tRCD {
+		t.Fatalf("read EarliestIssue %d, want tRCD %d", read, tRCD)
+	}
+	if next := e.NextEventCycle(0); next != read {
+		t.Fatalf("after activate: next event %d, want the read's EarliestIssue %d", next, read)
+	}
+
+	// A second bank in the other rank can activate next cycle: the earlier
+	// of the two bounds wins.
+	b, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 1, Bank: 1, Row: 5}), nil)
+	e.SetOngoing(1, 1, b)
+	if next := e.NextEventCycle(0); next != 1 {
+		t.Fatalf("two banks: next event %d, want 1 (the activate's bound)", next)
+	}
+	e.ClearOngoing(1, 1)
+	if next := e.NextEventCycle(0); next != read {
+		t.Fatalf("second bank cleared: next event %d, want %d", next, read)
+	}
+
+	// Step to the read's bound and issue it; the slot clears.
+	for cyc := uint64(1); cyc <= read; cyc++ {
+		c.Tick(cyc)
+	}
+	col := e.Candidates()[0]
+	if col.Cmd != dram.CmdRead || !col.Unblocked {
+		t.Fatalf("candidate %+v at cycle %d, want unblocked read", col, read)
+	}
+	e.Issue(col, read)
+	if next := e.NextEventCycle(read); next != dram.NoEvent {
+		t.Fatalf("after the column: next event %d, want NoEvent", next)
 	}
 }
 

@@ -10,16 +10,16 @@ import (
 )
 
 // This file is the enabled build of the next-event shadow checker (build
-// with -tags invariants). Every Engine.NextEventCycle answer derived from
-// the hint cache and event wheel is cross-checked against the naive linear
-// scan the wheel replaced: per occupied bank, recompute the next command
-// and its EarliestIssue from primary channel state and take the minimum.
+// with -tags invariants). Every Engine.NextEventCycle answer, taken from
+// the hint cache's minimum issue bound (minFull), is cross-checked against
+// the naive linear scan: per occupied bank, recompute the next command and
+// its EarliestIssue from primary channel state and take the minimum.
 //
-// The wheel is allowed to be conservative (early): a too-early hint only
-// shortens an idle skip and the machine re-evaluates at the landing cycle.
-// An answer LATER than the linear bound is a bug — TrySkip would jump over
-// a cycle on which a transaction becomes issuable, silently changing
-// simulation results — so that direction panics, cycle-stamped.
+// An early answer is harmless: it only shortens an idle skip and the
+// machine re-evaluates at the landing cycle. An answer LATER than the
+// linear bound is a bug — TrySkip would jump over a cycle on which a
+// transaction becomes issuable, silently changing simulation results — so
+// that direction panics, cycle-stamped.
 
 // engineShadow is the enabled next-event shadow checker.
 type engineShadow struct{}
@@ -39,7 +39,7 @@ func (engineShadow) checkNextEvent(e *Engine, now, fast uint64) {
 	}
 	if fast > linear {
 		panic(fmt.Sprintf(
-			"memctrl sanitizer: cycle %d: event wheel predicts next event at cycle %d but the linear scan bounds it at cycle %d (an idle skip would jump a live event)",
+			"memctrl sanitizer: cycle %d: hint cache predicts next event at cycle %d but the linear scan bounds it at cycle %d (an idle skip would jump a live event)",
 			now, fast, linear))
 	}
 }

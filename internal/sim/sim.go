@@ -20,7 +20,6 @@ import (
 	"burstmem/internal/core"
 	"burstmem/internal/cpu"
 	"burstmem/internal/dram"
-	"burstmem/internal/eventq"
 	"burstmem/internal/memctrl"
 	"burstmem/internal/sched"
 	"burstmem/internal/stats"
@@ -168,29 +167,9 @@ type System struct {
 	// (reference mode for equivalence testing).
 	DisableSkip bool
 
-	// skipWheel aggregates the machine's next-event sources — the memory
-	// controller (mechanism timers, refresh, completions) and the FSB —
-	// into one event wheel, so TrySkip's bound is a single PeekMin. The
-	// wheel's far-bucket answer is a conservative lower bound: a skip can
-	// only come up short, never jump an event, and the next iteration
-	// resumes skipping from the landing cycle.
-	skipWheel *eventq.Wheel
-
 	memCycle     uint64 // the machine clock
 	measureStart uint64 // memCycle when the measurement window opened
 }
-
-// skipWheel handles: one per machine-level next-event source.
-const (
-	skipSrcCtrl = iota
-	skipSrcFSB
-	numSkipSrcs
-)
-
-// TrySkip passes controller/FSB hints straight into Wheel.Schedule, which
-// treats NoDeadline as "unschedule"; the sentinels must therefore agree
-// (compile error here if they ever drift).
-var _ = [1]struct{}{}[memctrl.NoEvent-eventq.NoDeadline]
 
 // NewSystem builds the machine for one benchmark profile and mechanism.
 func NewSystem(cfg Config, prof workload.Profile, factory memctrl.Factory) (*System, error) {
@@ -245,8 +224,7 @@ func newSystem(cfg Config, gens []workload.Generator, factory memctrl.Factory) (
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{Cfg: cfg, L2: l2, FSB: fsb, Ctrl: ctrl,
-		skipWheel: eventq.NewWheel(numSkipSrcs)}
+	sys := &System{Cfg: cfg, L2: l2, FSB: fsb, Ctrl: ctrl}
 	for _, gen := range gens {
 		l1d, err := cache.New(cfg.L1D, l2.AsBackend())
 		if err != nil {
@@ -339,16 +317,10 @@ func (s *System) TrySkip() uint64 {
 			return 0
 		}
 	}
-	// Memory-domain components bound the next state transition. Each
-	// source's bound lands in the wheel (NoEvent == eventq.NoDeadline
-	// unschedules it) and one peek yields the machine-wide minimum.
-	if s.skipWheel.NeedRebase(s.memCycle) {
-		s.skipWheel.Rebase(s.memCycle)
-	}
-	s.skipWheel.Schedule(skipSrcCtrl, s.Ctrl.NextEventCycle(s.memCycle))
-	s.skipWheel.Schedule(skipSrcFSB, s.FSB.NextEventCycle(s.memCycle))
-	next, ok := s.skipWheel.PeekMin()
-	if !ok || next <= s.memCycle+1 {
+	// Memory-domain components bound the next state transition: the
+	// controller (mechanism timers, refresh, completions) and the FSB.
+	next := min(s.Ctrl.NextEventCycle(s.memCycle), s.FSB.NextEventCycle(s.memCycle))
+	if next == memctrl.NoEvent || next <= s.memCycle+1 {
 		return 0
 	}
 	// Land one cycle before the event so the event cycle itself is

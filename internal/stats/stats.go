@@ -9,24 +9,20 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
 // Mean accumulates a running mean of uint64 samples (e.g. access latencies).
 type Mean struct {
-	sum   float64
-	sumSq float64
-	n     uint64
-	min   uint64
-	max   uint64
+	sum float64
+	n   uint64
+	min uint64
+	max uint64
 }
 
 // Add records one sample.
 func (m *Mean) Add(v uint64) {
-	f := float64(v)
-	m.sum += f
-	m.sumSq += f * f
+	m.sum += float64(v)
 	if m.n == 0 || v < m.min {
 		m.min = v
 	}
@@ -55,19 +51,6 @@ func (m *Mean) Min() uint64 { return m.min }
 
 // Max returns the largest sample, or 0 when empty.
 func (m *Mean) Max() uint64 { return m.max }
-
-// StdDev returns the population standard deviation, or 0 when empty.
-func (m *Mean) StdDev() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	mean := m.Mean()
-	v := m.sumSq/float64(m.n) - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
 
 // Reset clears all accumulated state.
 func (m *Mean) Reset() { *m = Mean{} }
@@ -120,21 +103,6 @@ func (h *Histogram) Fraction(v int) float64 {
 		return 0
 	}
 	return float64(h.Count(v)) / float64(h.total)
-}
-
-// FractionAtLeast returns the share of weight in buckets >= v.
-func (h *Histogram) FractionAtLeast(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if v < 0 {
-		v = 0
-	}
-	var s uint64
-	for i := v; i < len(h.buckets); i++ {
-		s += h.buckets[i]
-	}
-	return float64(s) / float64(h.total)
 }
 
 // Mean returns the weighted mean bucket index.
@@ -206,28 +174,6 @@ func (h *Histogram) Reset() {
 		h.buckets[i] = 0
 	}
 	h.total = 0
-}
-
-// Ratio is a convenience for hit-rate style statistics.
-type Ratio struct {
-	Hits  uint64
-	Total uint64
-}
-
-// Observe records one event and whether it "hit".
-func (r *Ratio) Observe(hit bool) {
-	r.Total++
-	if hit {
-		r.Hits++
-	}
-}
-
-// Value returns Hits/Total, or 0 when no events were observed.
-func (r *Ratio) Value() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Total)
 }
 
 // Table renders aligned text tables for the experiment harness.
@@ -328,14 +274,4 @@ func (t *Table) CSV() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsBy sorts data rows by the given column, treating cells as strings.
-func (t *Table) SortRowsBy(col int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		if col >= len(t.rows[i]) || col >= len(t.rows[j]) {
-			return false
-		}
-		return t.rows[i][col] < t.rows[j][col]
-	})
 }

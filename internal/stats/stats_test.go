@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,7 +8,7 @@ import (
 
 func TestMeanBasics(t *testing.T) {
 	var m Mean
-	if m.Mean() != 0 || m.StdDev() != 0 || m.N() != 0 {
+	if m.Mean() != 0 || m.N() != 0 {
 		t.Fatal("empty mean not zero")
 	}
 	for _, v := range []uint64{2, 4, 6} {
@@ -17,10 +16,6 @@ func TestMeanBasics(t *testing.T) {
 	}
 	if m.Mean() != 4 || m.N() != 3 || m.Min() != 2 || m.Max() != 6 || m.Sum() != 12 {
 		t.Fatalf("mean stats wrong: %+v", m)
-	}
-	want := math.Sqrt(8.0 / 3.0)
-	if math.Abs(m.StdDev()-want) > 1e-9 {
-		t.Fatalf("stddev %v, want %v", m.StdDev(), want)
 	}
 	m.Reset()
 	if m.N() != 0 || m.Mean() != 0 {
@@ -61,9 +56,6 @@ func TestHistogram(t *testing.T) {
 	if h.Fraction(3) != 2.0/6 {
 		t.Fatalf("fraction %v", h.Fraction(3))
 	}
-	if got := h.FractionAtLeast(3); got != 4.0/6 {
-		t.Fatalf("fraction at least: %v", got)
-	}
 	if b, f := h.Peak(); b != 0 || f != 2.0/6 {
 		t.Fatalf("peak %d %v", b, f)
 	}
@@ -92,20 +84,6 @@ func TestHistogramMeanProperty(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Fatal("empty ratio")
-	}
-	r.Observe(true)
-	r.Observe(false)
-	r.Observe(true)
-	r.Observe(true)
-	if r.Value() != 0.75 {
-		t.Fatalf("ratio %v", r.Value())
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
 	tb.AddRow("zebra", 3.14159)
@@ -121,11 +99,6 @@ func TestTableRendering(t *testing.T) {
 	// All lines aligned to equal prefix widths.
 	if len(lines[0]) == 0 || lines[1][0] != '-' {
 		t.Fatalf("separator missing:\n%s", out)
-	}
-	tb.SortRowsBy(0)
-	sorted := tb.String()
-	if strings.Index(sorted, "ant") > strings.Index(sorted, "zebra") {
-		t.Fatalf("sort failed:\n%s", sorted)
 	}
 }
 

@@ -33,12 +33,11 @@ go test -race ./...
 echo "== go test -tags invariants (protocol sanitizer armed) =="
 go test -tags invariants ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/
 
-echo "== eventq gate (differential fuzz seed corpus + event-wheel shadow check) =="
-# The fuzz seeds replay the recorded operation sequences against the naive
-# reference queue; the invariants build then cross-checks the engine's
-# wheel-predicted next-event cycle against the linear scan on a live
-# simulation (an over-estimate would let an idle skip jump a real event).
-go test -count=1 -run 'FuzzQueueDifferential|TestQueueDifferential|TestWheel' ./internal/eventq/
+echo "== next-event shadow check (hint-cache bound vs linear scan) =="
+# The invariants build cross-checks the engine's next-event cycle, taken
+# from the hint cache's minimum issue bound, against the linear scan: first
+# on its trigger and clean-run tests, then on live simulations (an
+# over-estimate would let an idle skip jump a real event).
 go test -count=1 -tags invariants -run 'TestEngineShadow' ./internal/memctrl/
 go test -count=1 -tags invariants -run 'TestTraceSkipEquivalence' ./internal/sim/
 
