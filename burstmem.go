@@ -30,8 +30,8 @@
 // accesses directly; see examples/controller_trace.
 //
 // This root package re-exports the stable surface of the internal
-// packages; the experiment harness binaries (cmd/experiments, cmd/sweep,
-// cmd/memsim) regenerate every table and figure of the paper.
+// packages; the experiment harness binaries (cmd/experiments, cmd/memsim)
+// regenerate every table and figure of the paper.
 package burstmem
 
 import (

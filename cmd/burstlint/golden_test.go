@@ -72,10 +72,7 @@ func TestGoldenDirty(t *testing.T) {
 		}
 		prev = cur
 	}
-	for _, a := range []string{
-		"hotalloc", "nilcheck", "errflow", "idxrange",
-		"detflow", "goroutcheck", "leakcheck",
-	} {
+	for _, a := range []string{"hotalloc", "errflow", "detflow", "leakcheck"} {
 		if !seen[a] {
 			t.Errorf("no %s diagnostic in golden output (analyzers seen: %v)", a, seen)
 		}

@@ -8,21 +8,18 @@
 //
 // Analyzers (see each package's doc for the exact contract):
 //
-//	detlint      nondeterminism sources in simulation packages
-//	hotalloc     heap allocations in //burstmem:hotpath functions
-//	exhaustive   non-exhaustive switches over protocol enums
-//	nilcheck     unguarded dereferences of possibly-nil *trace.Tracer values
-//	errflow      error values dropped before reaching a check
-//	idxrange     DRAM coordinates indexing mismatched-dimension containers
-//	detflow      nondeterminism reached through out-of-scope callees
-//	goroutcheck  loop capture, WaitGroup balance, unguarded shared writes
-//	leakcheck    resources released on every path; no exit past a pending defer
+//	detlint     nondeterminism sources in simulation packages
+//	hotalloc    heap allocations in //burstmem:hotpath functions
+//	exhaustive  non-exhaustive switches over protocol enums
+//	errflow     error values dropped before reaching a check
+//	detflow     nondeterminism reached through out-of-scope callees
+//	leakcheck   resources released on every path; no exit past a pending defer
 //
-// nilcheck/errflow/idxrange run a worklist dataflow solver over
-// per-function control flow graphs (internal/analysis/cfg,
-// internal/analysis/dataflow); detlint/hotalloc/exhaustive are single-pass
-// AST walks. The rest are the interprocedural tier: they run once over
-// the whole loaded program on top of a CHA call graph
+// errflow runs a worklist dataflow solver over per-function control flow
+// graphs (internal/analysis/cfg, internal/analysis/dataflow);
+// detlint/hotalloc/exhaustive are single-pass AST walks. detflow and
+// leakcheck are the interprocedural tier: they run once over the whole
+// loaded program on top of a CHA call graph
 // (internal/analysis/callgraph) and per-function effect summaries
 // (internal/analysis/summary), each built once and shared through the
 // program's result cache — `-timing` prints how long those shared builds
@@ -56,11 +53,8 @@ import (
 	"burstmem/internal/analysis/detlint"
 	"burstmem/internal/analysis/errflow"
 	"burstmem/internal/analysis/exhaustive"
-	"burstmem/internal/analysis/goroutcheck"
 	"burstmem/internal/analysis/hotalloc"
-	"burstmem/internal/analysis/idxrange"
 	"burstmem/internal/analysis/leakcheck"
-	"burstmem/internal/analysis/nilcheck"
 )
 
 // analyzers is the full suite, in registration order (output order is by
@@ -69,11 +63,8 @@ var analyzers = []*analysis.Analyzer{
 	detlint.Analyzer,
 	hotalloc.Analyzer,
 	exhaustive.Analyzer,
-	nilcheck.Analyzer,
 	errflow.Analyzer,
-	idxrange.Analyzer,
 	detflow.Analyzer,
-	goroutcheck.Analyzer,
 	leakcheck.Analyzer,
 }
 
@@ -89,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timing := fs.Bool("timing", false, "print interprocedural build times (callgraph, summary) to stderr")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array of {file, line, col, analyzer, message, chain} objects")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: burstlint [-timing] [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, nilcheck,\nerrflow, idxrange, detflow, goroutcheck, leakcheck) over the package\npatterns (default ./...)\n")
+		fmt.Fprintf(stderr, "usage: burstlint [-timing] [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, errflow,\ndetflow, leakcheck) over the package patterns (default ./...)\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2

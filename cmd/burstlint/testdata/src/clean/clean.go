@@ -4,36 +4,34 @@ package clean
 
 import (
 	"os"
-	"sync"
-
-	"burstmem/internal/addrmap"
-	"burstmem/internal/trace"
+	"time"
 )
 
 type state struct {
-	mu    sync.Mutex
-	banks []uint32
-	n     int
+	n int
 }
 
 func checkedClose(f *os.File) error {
 	return f.Close()
 }
 
-func guardedTracer() int {
-	tr := trace.New(16, 0)
-	if tr == nil {
-		return 0
+func stoppedTicker(s *state) {
+	t := time.NewTicker(time.Second)
+	defer t.Stop()
+	if s.n == 0 {
+		return
 	}
-	return tr.Len()
 }
 
-func matchedDimension(s *state, loc addrmap.Loc) uint32 {
-	return s.banks[loc.Bank]
+func cleanupBeforeExit() {
+	t := time.NewTicker(time.Second)
+	t.Stop()
+	os.Exit(1)
 }
 
-func pairedLock(s *state) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
+// tick stays allocation-free on the annotated hot path.
+//
+//burstmem:hotpath
+func tick(s *state, now uint64) {
+	s.n = int(now)
 }

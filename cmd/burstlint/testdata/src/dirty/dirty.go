@@ -1,46 +1,21 @@
-// Package dirty is burstlint golden-test data: one known finding for
-// each dataflow analyzer plus a hot-path allocation, spread over two
-// files to pin the file-then-line output ordering.
+// Package dirty is burstlint golden-test data: known errflow and
+// leakcheck findings plus a hot-path allocation, spread over two files to
+// pin the file-then-line output ordering.
 package dirty
 
 import (
 	"os"
 	"time"
-
-	"burstmem/internal/addrmap"
-	"burstmem/internal/trace"
 )
 
 type state struct {
-	banks []uint32
-	n     int
+	n int
 }
 
 // dropClose discards a Close error (errflow; this package's import path
 // contains a cmd element, so it is in scope).
 func dropClose(f *os.File) {
 	f.Close()
-}
-
-// unguardedTracer dereferences a maybe-nil constructor result (nilcheck).
-func unguardedTracer() int {
-	tr := trace.New(16, 0)
-	return tr.Len()
-}
-
-// crossDimension indexes the bank table with a rank coordinate (idxrange).
-func crossDimension(s *state, loc addrmap.Loc) uint32 {
-	return s.banks[loc.Rank]
-}
-
-// spawnAll reads a variable the loop reassigns from inside the spawned
-// goroutine (goroutcheck).
-func spawnAll(jobs []string) {
-	var cur string
-	for _, j := range jobs {
-		cur = j
-		go func() { _ = len(cur) }()
-	}
 }
 
 // forgottenTicker stops the ticker on only one path; the early return

@@ -121,8 +121,8 @@ func NewProgram(pkgs []*Package) *Program {
 
 // Cached returns the value under key, invoking build at most once per
 // Program. This is the summary-cache: callgraph + summary construction is
-// the expensive half of the interprocedural tier, and detflow, goroutcheck
-// and leakcheck all read the same build through this choke point.
+// the expensive half of the interprocedural tier, and detflow and
+// leakcheck both read the same build through this choke point.
 func (p *Program) Cached(key string, build func() any) any {
 	if v, ok := p.cache[key]; ok {
 		return v

@@ -1,18 +1,15 @@
-// Package astx holds the small AST/type utilities shared by the dataflow
-// analyzers (nilcheck, errflow, idxrange) and the interprocedural tier
-// (callgraph, goroutcheck): access-path printing, function enumeration,
-// hot-path directive detection, and named type matching.
+// Package astx holds the small AST utilities shared by errflow and the
+// call graph: access-path printing, function enumeration, scope matching
+// and hot-path directive detection.
 package astx
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
 // HotpathDirective marks a function as part of the allocation-free
-// per-cycle path (see internal/analysis/hotalloc). nilcheck exempts such
-// functions: their tracer emits go through the nil-safe inlined wrappers.
+// per-cycle path (see internal/analysis/hotalloc).
 const HotpathDirective = "//burstmem:hotpath"
 
 // IsHotpath reports whether the function declaration's doc block carries
@@ -92,43 +89,6 @@ func PathString(e ast.Expr) string {
 		return base + "." + e.Sel.Name
 	}
 	return ""
-}
-
-// HasPrefixPath reports whether path is equal to or an extension of
-// prefix ("c.tracer" has prefix "c" and "c.tracer", not "c.tr").
-func HasPrefixPath(path, prefix string) bool {
-	if !strings.HasPrefix(path, prefix) {
-		return false
-	}
-	return len(path) == len(prefix) || path[len(prefix)] == '.'
-}
-
-// NamedType returns the named type behind t, unwrapping one level of
-// pointer, or nil.
-func NamedType(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
-// IsNamed reports whether t (or the pointee of a pointer t) is the named
-// type with the given name declared in a package whose import path ends
-// with pkgSuffix.
-func IsNamed(t types.Type, pkgSuffix, name string) bool {
-	n := NamedType(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	if n.Obj().Name() != name {
-		return false
-	}
-	p := n.Obj().Pkg().Path()
-	return p == pkgSuffix || strings.HasSuffix(p, "/"+pkgSuffix)
 }
 
 // InScope reports whether the package import path matches one of the

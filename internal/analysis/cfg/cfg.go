@@ -1,14 +1,13 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
-// function bodies, sized for this repository's dataflow analyzers
-// (internal/analysis/dataflow and the nilcheck/errflow/idxrange passes
-// built on it, plus goroutcheck and leakcheck).
+// function bodies, sized for this repository's analyzers (errflow, on top
+// of internal/analysis/dataflow, and leakcheck).
 //
 // The graph is a set of basic blocks. Each block holds the statements and
 // expressions evaluated in order; a block that ends in a branch carries the
 // *atomic* branch condition in Cond, with Succs[0] the true edge and
 // Succs[1] the false edge. Compound conditions are decomposed: `if a && b`
 // produces one block testing a and a second testing b, so a path-sensitive
-// analysis (nilcheck's nil-test refinement) sees every short-circuit edge
+// analysis (leakcheck's nil-test edge kills) sees every short-circuit edge
 // individually. `!x` swaps the outgoing edges rather than producing a
 // synthetic condition.
 //

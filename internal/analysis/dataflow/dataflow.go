@@ -8,23 +8,13 @@
 // reverse postorder (forward) or postorder (backward) — the orders that
 // make reducible graphs converge in near-linear passes.
 //
-// A forward Problem may additionally implement BranchRefiner to sharpen
-// the fact flowing along the true/false edges of a condition block —
-// nilcheck uses this to model `if t != nil` dominance, and the cfg
-// package's short-circuit decomposition guarantees every refined condition
-// is atomic.
-//
-// Facts must be immutable values from the solver's point of view: Transfer
-// and Refine return fresh (or unchanged) facts and never mutate their
-// input in place, because a block's output fact is joined into several
+// Facts must be immutable values from the solver's point of view:
+// Transfer returns a fresh (or unchanged) fact and never mutates its input
+// in place, because a block's output fact is joined into several
 // successors.
 package dataflow
 
-import (
-	"go/ast"
-
-	"burstmem/internal/analysis/cfg"
-)
+import "burstmem/internal/analysis/cfg"
 
 // Direction of a dataflow problem.
 type Direction int
@@ -56,13 +46,6 @@ type Problem[F any] interface {
 	Transfer(b *cfg.Block, in F) F
 }
 
-// BranchRefiner is an optional extension for forward problems: the fact
-// leaving a KindCond block may be sharpened per edge. branch is true on
-// the Succs[0] (condition holds) edge and false on Succs[1].
-type BranchRefiner[F any] interface {
-	Refine(cond ast.Expr, branch bool, out F) F
-}
-
 // Result holds the fixed-point facts per block. For forward problems In is
 // the fact before the block and Out after it; for backward problems In is
 // the fact after the block (flowing in from successors) and Out before it.
@@ -77,7 +60,6 @@ func Solve[F any](g *cfg.CFG, p Problem[F]) Result[F] {
 		Out: make(map[*cfg.Block]F, len(g.Blocks)),
 	}
 	forward := p.Direction() == Forward
-	refiner, _ := p.(BranchRefiner[F])
 
 	// Iteration order: reverse postorder over the direction's edges.
 	// For backward problems the postorder of the forward RPO works as the
@@ -135,18 +117,7 @@ func Solve[F any](g *cfg.CFG, p Problem[F]) Result[F] {
 			in = p.Boundary()
 		}
 		for _, pr := range preds(b) {
-			f := res.Out[pr]
-			if forward && refiner != nil && pr.Cond != nil {
-				// pr may list b in several successor slots (degenerate
-				// conditions); join the refinement of each edge taken.
-				for slot, s := range pr.Succs {
-					if s == b {
-						in = p.Join(in, refiner.Refine(pr.Cond, slot == 0, f))
-					}
-				}
-				continue
-			}
-			in = p.Join(in, f)
+			in = p.Join(in, res.Out[pr])
 		}
 		out := p.Transfer(b, in)
 

@@ -49,161 +49,7 @@ func blockCalling(t *testing.T, g *cfg.CFG, name string) *cfg.Block {
 	return nil
 }
 
-// --- fixture 1: forward nil-ness with branch refinement ------------------
-
-type nilness uint8
-
-const (
-	nilUnknown nilness = iota // bottom / untracked
-	nilYes
-	nilNo
-	nilMaybe
-)
-
-func joinNil(a, b nilness) nilness {
-	switch {
-	case a == nilUnknown:
-		return b
-	case b == nilUnknown:
-		return a
-	case a == b:
-		return a
-	}
-	return nilMaybe
-}
-
-// nilFact maps variable names to nil-ness. nil maps mean "nothing known".
-type nilFact map[string]nilness
-
-type nilProblem struct{}
-
-func (nilProblem) Direction() Direction { return Forward }
-func (nilProblem) Boundary() nilFact    { return nilFact{} }
-func (nilProblem) Bottom() nilFact      { return nil }
-
-func (nilProblem) Join(a, b nilFact) nilFact {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := nilFact{}
-	for k, v := range a {
-		out[k] = joinNil(v, b[k])
-	}
-	for k, v := range b {
-		if _, ok := a[k]; !ok {
-			out[k] = joinNil(v, nilUnknown)
-		}
-	}
-	return out
-}
-
-func (nilProblem) Equal(a, b nilFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func (nilProblem) Transfer(b *cfg.Block, in nilFact) nilFact {
-	out := nilFact{}
-	for k, v := range in {
-		out[k] = v
-	}
-	for _, n := range b.Nodes {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 {
-			continue
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			continue
-		}
-		switch rhs := as.Rhs[0].(type) {
-		case *ast.Ident:
-			if rhs.Name == "nil" {
-				out[id.Name] = nilYes
-			} else {
-				out[id.Name] = nilMaybe
-			}
-		case *ast.UnaryExpr:
-			if rhs.Op == token.AND {
-				out[id.Name] = nilNo
-			}
-		default:
-			out[id.Name] = nilMaybe
-		}
-	}
-	return out
-}
-
-// Refine implements BranchRefiner for `x != nil` / `x == nil` conditions.
-func (nilProblem) Refine(cond ast.Expr, branch bool, out nilFact) nilFact {
-	be, ok := cond.(*ast.BinaryExpr)
-	if !ok {
-		return out
-	}
-	id, ok := be.X.(*ast.Ident)
-	if !ok {
-		return out
-	}
-	rhs, ok := be.Y.(*ast.Ident)
-	if !ok || rhs.Name != "nil" {
-		return out
-	}
-	isNil := (be.Op == token.EQL) == branch
-	ref := nilFact{}
-	for k, v := range out {
-		ref[k] = v
-	}
-	if isNil {
-		ref[id.Name] = nilYes
-	} else {
-		ref[id.Name] = nilNo
-	}
-	return ref
-}
-
-// TestSolverShortCircuitRefinement checks that the refinement of a
-// decomposed `a != nil && b != nil` condition reaches the guarded block
-// with both operands known non-nil.
-func TestSolverShortCircuitRefinement(t *testing.T) {
-	g := buildCFG(t, `
-func f(x, y int) {
-	p = nil
-	q = nil
-	if c {
-		p = &x
-	}
-	if c2 {
-		q = &y
-	}
-	if p != nil && q != nil {
-		use(p, q)
-	}
-	after(p)
-}`, "f")
-	res := Solve[nilFact](g, nilProblem{})
-
-	useB := blockCalling(t, g, "use")
-	in := res.In[useB]
-	if in["p"] != nilNo || in["q"] != nilNo {
-		t.Errorf("guarded block sees p=%v q=%v, want both non-nil (refined)", in["p"], in["q"])
-	}
-	afterB := blockCalling(t, g, "after")
-	if got := res.In[afterB]["p"]; got != nilMaybe {
-		t.Errorf("after join p=%v, want maybe-nil", got)
-	}
-}
-
-// --- fixture 2: may/must call-reachability ------------------------------
+// --- fixture 1: may/must call-reachability ------------------------------
 
 // callFact is a set of called function names. For the must-variant, the
 // nil map is the lattice identity ("universe": every call assumed, as on an
@@ -354,7 +200,7 @@ func f(xs []int) {
 	}
 }
 
-// --- fixture 3: backward liveness ---------------------------------------
+// --- fixture 2: backward liveness ---------------------------------------
 
 type liveFact map[string]bool
 

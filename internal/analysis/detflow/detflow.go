@@ -70,12 +70,11 @@ func run(pass *analysis.ProgramPass) {
 				continue
 			}
 			for _, kind := range reached {
-				eff, ok := csum.Effects[summary.Key{Kind: kind}]
-				if !ok {
+				if _, ok := csum.Effects[kind]; !ok {
 					continue
 				}
 				pass.Reportf(e.Pos, "call of %s reaches %s (%s): simulation logic must stay deterministic and single-threaded",
-					e.Callee.Name, kind, chain(set, e.Callee, eff.Key))
+					e.Callee.Name, kind, chain(set, e.Callee, kind))
 			}
 		}
 	}
@@ -83,7 +82,7 @@ func run(pass *analysis.ProgramPass) {
 
 // chain renders the call path from the callee to the effect's ultimate
 // source, e.g. "stats.Snapshot -> stats.keys".
-func chain(set *summary.Set, callee *callgraph.Func, k summary.Key) string {
+func chain(set *summary.Set, callee *callgraph.Func, k summary.Kind) string {
 	parts := append([]string{callee.Name}, set.Path(callee.ID, k)...)
 	return strings.Join(parts, " -> ")
 }

@@ -302,7 +302,7 @@ func checkFunc(pass *analysis.ProgramPass, fn *callgraph.Func, set *summary.Set,
 			continue
 		}
 		chain := []string{e.Callee.Name}
-		chain = append(chain, set.Path(id, summary.Key{Kind: summary.ProcExit})...)
+		chain = append(chain, set.Path(id, summary.ProcExit)...)
 		pass.ReportChainf(e.Pos, chain,
 			"call to %s can exit the process while the cleanup deferred at line %d (%s) is pending: deferred calls do not run across os.Exit; run the cleanup before exiting",
 			e.Callee.Name, pass.Prog.Fset.Position(first.pos).Line, first.desc)
@@ -354,7 +354,7 @@ func exits(set *summary.Set, id callgraph.ID) bool {
 	if sum == nil {
 		return false
 	}
-	_, ok := sum.Effects[summary.Key{Kind: summary.ProcExit}]
+	_, ok := sum.Effects[summary.ProcExit]
 	return ok
 }
 

@@ -1,22 +1,16 @@
 // Package summary computes per-function effect summaries over the call
-// graph: what package-level state a function writes (directly or through
-// anything it calls), whether it transitively reaches a nondeterminism
-// source (wall-clock time, map iteration, process-seeded rand), spawns
-// goroutines, or can exit the process.
+// graph: whether a function, directly or through anything it calls,
+// reaches a nondeterminism source (wall-clock time, map iteration,
+// process-seeded rand), spawns goroutines, or can exit the process.
 //
 // Summaries are computed bottom-up over the strongly connected components
 // of the call graph: a function's summary is its direct effects joined
 // with the summaries of everything it calls, and mutually recursive
 // components iterate to a fixed point. The lattice is a map from effect
-// key (kind + target) to a provenance record; join is set union with a
-// deterministic tie-break (smallest source position wins), so the fixed
-// point is unique and diagnostics built on it never depend on iteration
-// order.
-//
-// What counts as a write: assignments, inc/dec and range-clause
-// assignments whose destination is a package-level variable or an element
-// of one (GlobalWrite). Calls through function values the graph cannot
-// resolve contribute nothing.
+// kind to a provenance record; join is set union with a deterministic
+// tie-break (smallest source position wins), so the fixed point is unique
+// and diagnostics built on it never depend on iteration order. Calls
+// through function values the graph cannot resolve contribute nothing.
 //
 // External callees (export data only — the stdlib) are assumed effect-free
 // except for the explicit nondeterminism table: time.Now/Since/Until and
@@ -29,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"burstmem/internal/analysis"
@@ -41,11 +34,8 @@ type Kind uint8
 
 // Effect kinds.
 const (
-	// GlobalWrite: a package-level variable is written. Target is
-	// "pkgpath.varname".
-	GlobalWrite Kind = iota
 	// WallClock: time.Now/Since/Until is reached.
-	WallClock
+	WallClock Kind = iota
 	// MapRange: a `for range` over a map is reached.
 	MapRange
 	// GlobalRand: math/rand or math/rand/v2 is reached.
@@ -59,8 +49,6 @@ const (
 
 func (k Kind) String() string {
 	switch k {
-	case GlobalWrite:
-		return "global write"
 	case WallClock:
 		return "wall-clock time"
 	case MapRange:
@@ -75,17 +63,11 @@ func (k Kind) String() string {
 	return "?"
 }
 
-// Key identifies one effect within a summary.
-type Key struct {
-	Kind   Kind
-	Target string // "" for kinds without a target
-}
-
 // Effect is one summarized fact with provenance.
 type Effect struct {
-	Key
-	// Pos is the ultimate source site (the assignment, the range clause,
-	// the time.Now call), wherever in the call tree it lives.
+	Kind Kind
+	// Pos is the ultimate source site (the range clause, the go
+	// statement, the time.Now call), wherever in the call tree it lives.
 	Pos token.Pos
 	// Via is the immediate callee the effect was inherited from (""
 	// when the effect is direct), CallPos the inheriting call site.
@@ -96,23 +78,7 @@ type Effect struct {
 // Summary is one function's fixed-point effect set.
 type Summary struct {
 	Fn      *callgraph.Func
-	Effects map[Key]Effect
-}
-
-// Sorted returns the effects ordered by (kind, target) — the iteration
-// order for reporting.
-func (s *Summary) Sorted() []Effect {
-	out := make([]Effect, 0, len(s.Effects))
-	for _, e := range s.Effects {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Target < out[j].Target
-	})
-	return out
+	Effects map[Kind]Effect
 }
 
 // Set holds every function's summary plus the graph it was computed over.
@@ -122,8 +88,8 @@ type Set struct {
 }
 
 // Of returns the program's summaries, computing them once per Program
-// (the summary-cache: detflow, goroutcheck and leakcheck all share this
-// build, which also keeps burstlint's wall time flat as analyzers stack).
+// (the summary-cache: detflow and leakcheck share this build, which also
+// keeps burstlint's wall time flat as analyzers stack).
 func Of(prog *analysis.Program) *Set {
 	return prog.Cached("summary", func() any {
 		return build(prog)
@@ -163,7 +129,7 @@ func (set *Set) propagate(fn *callgraph.Func) bool {
 			continue // external: effect-free beyond the nondet table
 		}
 		for k, ce := range csum.Effects {
-			cand := Effect{Key: k, Pos: ce.Pos, Via: e.Callee.ID, CallPos: e.Pos}
+			cand := Effect{Kind: k, Pos: ce.Pos, Via: e.Callee.ID, CallPos: e.Pos}
 			if merge(sum.Effects, cand) {
 				changed = true
 			}
@@ -172,15 +138,15 @@ func (set *Set) propagate(fn *callgraph.Func) bool {
 	return changed
 }
 
-// merge inserts cand unless an equal-or-smaller record already holds the
-// key. Ordering by (Pos, CallPos, Via) makes the fixed point independent
+// merge inserts cand unless an equal-or-smaller record already holds its
+// kind. Ordering by (Pos, CallPos, Via) makes the fixed point independent
 // of map iteration order.
-func merge(effects map[Key]Effect, cand Effect) bool {
-	cur, ok := effects[cand.Key]
+func merge(effects map[Kind]Effect, cand Effect) bool {
+	cur, ok := effects[cand.Kind]
 	if ok && !less(cand, cur) {
 		return false
 	}
-	effects[cand.Key] = cand
+	effects[cand.Kind] = cand
 	return true
 }
 
@@ -195,9 +161,9 @@ func less(a, b Effect) bool {
 }
 
 // Path renders the call chain from fn to the ultimate source of the
-// keyed effect: the short names of the Via links, in call order. Empty
-// for direct effects.
-func (set *Set) Path(id callgraph.ID, k Key) []string {
+// effect of kind k: the short names of the Via links, in call order.
+// Empty for direct effects.
+func (set *Set) Path(id callgraph.ID, k Kind) []string {
 	var out []string
 	seen := map[callgraph.ID]bool{}
 	for {
@@ -234,18 +200,18 @@ func externalEffect(id callgraph.ID) (Kind, bool) {
 	return 0, false
 }
 
-// direct extracts one function's own effects: writes and ranges from its
-// AST (nested literal bodies excluded — literals are separate nodes whose
-// effects arrive through Lit/Static/Spawn edges), nondeterminism and
-// process exits from its resolved edges.
-func direct(fn *callgraph.Func) map[Key]Effect {
-	effects := map[Key]Effect{}
+// direct extracts one function's own effects: map ranges and go
+// statements from its AST (nested literal bodies excluded — literals are
+// separate nodes whose effects arrive through Lit/Static/Spawn edges),
+// nondeterminism and process exits from its resolved edges.
+func direct(fn *callgraph.Func) map[Kind]Effect {
+	effects := map[Kind]Effect{}
 	for _, e := range fn.Out {
 		if e.Callee == nil {
 			continue
 		}
 		if k, ok := externalEffect(e.Callee.ID); ok {
-			merge(effects, Effect{Key: Key{Kind: k}, Pos: e.Pos})
+			merge(effects, Effect{Kind: k, Pos: e.Pos})
 		}
 	}
 	body := fn.Body()
@@ -253,122 +219,20 @@ func direct(fn *callgraph.Func) map[Key]Effect {
 		return effects
 	}
 	info := fn.Pkg.TypesInfo
-	w := &walker{info: info}
-
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false // its own node
 		case *ast.GoStmt:
-			merge(effects, Effect{Key: Key{Kind: Spawn}, Pos: n.Pos()})
-			return true
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				// New variables; RHS may still contain writes via calls,
-				// which edges cover.
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				if t, ok := w.writeTarget(lhs); ok {
-					merge(effects, Effect{Key: t, Pos: lhs.Pos()})
-				}
-			}
-			return true
-		case *ast.IncDecStmt:
-			if t, ok := w.writeTarget(n.X); ok {
-				merge(effects, Effect{Key: t, Pos: n.X.Pos()})
-			}
-			return true
+			merge(effects, Effect{Kind: Spawn, Pos: n.Pos()})
 		case *ast.RangeStmt:
 			if tv := info.Types[n.X]; tv.Type != nil {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					merge(effects, Effect{Key: Key{Kind: MapRange}, Pos: n.Pos()})
+					merge(effects, Effect{Kind: MapRange, Pos: n.Pos()})
 				}
 			}
-			if n.Tok == token.ASSIGN {
-				for _, e := range []ast.Expr{n.Key, n.Value} {
-					if e == nil {
-						continue
-					}
-					if t, ok := w.writeTarget(e); ok {
-						merge(effects, Effect{Key: t, Pos: e.Pos()})
-					}
-				}
-			}
-			return true
 		}
 		return true
-	}
-	ast.Inspect(body, walk)
+	})
 	return effects
-}
-
-// walker classifies write destinations against one package's type info.
-type walker struct {
-	info *types.Info
-}
-
-// writeTarget classifies an assignment destination. ok is false for
-// blank identifiers, locals and anything reached through a non-global.
-func (w *walker) writeTarget(lhs ast.Expr) (Key, bool) {
-	switch lhs := unparen(lhs).(type) {
-	case *ast.Ident:
-		if lhs.Name == "_" {
-			return Key{}, false
-		}
-		if v := w.globalVar(lhs); v != nil {
-			return Key{Kind: GlobalWrite, Target: varID(v)}, true
-		}
-		return Key{}, false
-	case *ast.SelectorExpr:
-		// Qualified global: pkg.Var = ...
-		if id, ok := lhs.X.(*ast.Ident); ok {
-			if _, isPkg := w.info.Uses[id].(*types.PkgName); isPkg {
-				if v, ok := w.info.Uses[lhs.Sel].(*types.Var); ok {
-					return Key{Kind: GlobalWrite, Target: varID(v)}, true
-				}
-			}
-		}
-		return Key{}, false
-	case *ast.IndexExpr:
-		// x[i] = v: attribute the write to x's own target (the global
-		// being filled).
-		return w.writeTarget(lhs.X)
-	}
-	return Key{}, false
-}
-
-// globalVar returns the package-level variable an identifier denotes.
-func (w *walker) globalVar(id *ast.Ident) *types.Var {
-	obj := w.info.Uses[id]
-	if obj == nil {
-		obj = w.info.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok || v.Pkg() == nil {
-		return nil
-	}
-	if v.Parent() != v.Pkg().Scope() {
-		return nil
-	}
-	return v
-}
-
-// varID is the stable ID of a package-level variable.
-func varID(v *types.Var) string {
-	if v.Pkg() == nil {
-		return v.Name()
-	}
-	return v.Pkg().Path() + "." + v.Name()
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

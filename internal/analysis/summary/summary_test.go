@@ -23,69 +23,53 @@ func loadSet(t *testing.T) *Set {
 	return Of(prog)
 }
 
-func has(t *testing.T, set *Set, fn string, k Kind, target string) Effect {
+func has(t *testing.T, set *Set, fn string, k Kind) Effect {
 	t.Helper()
 	sum := set.Funcs[callgraph.ID(pkg+"."+fn)]
 	if sum == nil {
 		t.Fatalf("no summary for %s", fn)
 	}
-	e, ok := sum.Effects[Key{Kind: k, Target: target}]
+	e, ok := sum.Effects[k]
 	if !ok {
-		t.Fatalf("%s missing effect %v %q; has %v", fn, k, target, sum.Sorted())
+		t.Fatalf("%s missing effect %v; has %v", fn, k, sum.Effects)
 	}
 	return e
 }
 
-func hasNot(t *testing.T, set *Set, fn string, k Kind, target string) {
-	t.Helper()
-	sum := set.Funcs[callgraph.ID(pkg+"."+fn)]
-	if sum == nil {
-		t.Fatalf("no summary for %s", fn)
-	}
-	if _, ok := sum.Effects[Key{Kind: k, Target: target}]; ok {
-		t.Fatalf("%s unexpectedly has effect %v %q", fn, k, target)
-	}
-}
-
 func TestDirectEffects(t *testing.T) {
 	set := loadSet(t)
-	if e := has(t, set, "WriteG", GlobalWrite, pkg+".G"); e.Via != "" {
-		t.Errorf("direct write has Via %q", e.Via)
+	if e := has(t, set, "Exit", ProcExit); e.Via != "" {
+		t.Errorf("direct exit has Via %q", e.Via)
 	}
-	has(t, set, "SetTable", GlobalWrite, pkg+".Table")
-	has(t, set, "Clock", WallClock, "")
-}
-
-func TestLocalityFilter(t *testing.T) {
-	set := loadSet(t)
-	hasNot(t, set, "LocalOnly", GlobalWrite, pkg+".G")
+	has(t, set, "Ranges", MapRange)
+	has(t, set, "Clock", WallClock)
 }
 
 func TestInheritedEffects(t *testing.T) {
 	set := loadSet(t)
-	e := has(t, set, "WriteViaHelper", GlobalWrite, pkg+".G")
-	if e.Via != callgraph.ID(pkg+".WriteG") {
-		t.Errorf("inherited write Via = %q, want WriteG", e.Via)
+	e := has(t, set, "ExitViaHelper", ProcExit)
+	if e.Via != callgraph.ID(pkg+".Exit") {
+		t.Errorf("inherited exit Via = %q, want Exit", e.Via)
 	}
-	has(t, set, "CallsClock", WallClock, "")
-	has(t, set, "CallsIter", MapRange, "")
+	has(t, set, "CallsClock", WallClock)
+	has(t, set, "CallsIter", MapRange)
 	// Spawned callee effects surface in the spawner.
-	has(t, set, "Sp", Spawn, "")
-	has(t, set, "Sp", GlobalWrite, pkg+".G")
+	has(t, set, "Sp", Spawn)
+	has(t, set, "Sp", ProcExit)
 }
 
 func TestRecursiveFixedPoint(t *testing.T) {
 	set := loadSet(t)
-	// B writes directly; A only through the cycle — both converge.
-	has(t, set, "B", GlobalWrite, pkg+".Depth")
-	has(t, set, "A", GlobalWrite, pkg+".Depth")
+	// B reads the clock directly; A only through the cycle — both converge.
+	has(t, set, "B", WallClock)
+	has(t, set, "A", WallClock)
 }
 
 func TestPath(t *testing.T) {
 	set := loadSet(t)
-	path := set.Path(callgraph.ID(pkg+".Deep"), Key{Kind: GlobalWrite, Target: pkg + ".G"})
+	path := set.Path(callgraph.ID(pkg+".Deep"), ProcExit)
 	joined := strings.Join(path, " -> ")
-	if joined != "sum.WriteViaHelper -> sum.WriteG" {
-		t.Errorf("path = %q, want sum.WriteViaHelper -> sum.WriteG", joined)
+	if joined != "sum.ExitViaHelper -> sum.Exit" {
+		t.Errorf("path = %q, want sum.ExitViaHelper -> sum.Exit", joined)
 	}
 }

@@ -1,35 +1,28 @@
 // Package sum is the summary corpus: direct and inherited effects,
-// recursion, generics and locality filtering.
+// recursion and generics.
 package sum
 
-import "time"
+import (
+	"os"
+	"time"
+)
 
-// G is a written global.
-var G int
+// Exit terminates the process directly.
+func Exit() { os.Exit(1) }
 
-// Depth is written only inside the A/B recursion.
-var Depth int
+// ExitViaHelper inherits Exit's effect.
+func ExitViaHelper() { Exit() }
 
-// Table is a global filled element by element.
-var Table [4]int
-
-// WriteG writes a global directly.
-func WriteG() { G = 1 }
-
-// WriteViaHelper inherits WriteG's effect.
-func WriteViaHelper() { WriteG() }
-
-// SetTable writes an element of a global: attributed to the global.
-func SetTable(i int) { Table[i] = 2 }
-
-// LocalOnly writes a local that shadows G: not an effect.
-func LocalOnly() int {
-	G := 0
-	G = 3
-	return G
+// Ranges iterates a map directly.
+func Ranges(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
 }
 
-// A and B recurse mutually; B's global write must reach A's summary.
+// A and B recurse mutually; B's wall-clock read must reach A's summary.
 func A(n int) {
 	if n > 0 {
 		B(n - 1)
@@ -37,9 +30,9 @@ func A(n int) {
 }
 
 // B closes the cycle.
-func B(n int) {
-	Depth = n
+func B(n int) int64 {
 	A(n - 1)
+	return time.Now().UnixNano()
 }
 
 // Iter ranges over a map inside a generic body.
@@ -61,7 +54,7 @@ func Clock() int64 { return time.Now().UnixNano() }
 func CallsClock() int64 { return Clock() }
 
 // Sp spawns a goroutine and inherits the spawned function's effects.
-func Sp() { go WriteG() }
+func Sp() { go Exit() }
 
 // Deep chains three hops so path reconstruction has something to walk.
-func Deep() { WriteViaHelper() }
+func Deep() { ExitViaHelper() }

@@ -1,7 +1,7 @@
 // Package profiling gives the repo's commands the conventional
 // -cpuprofile/-memprofile behaviour via runtime/pprof, so simulator
 // performance work (`go tool pprof`) needs no test harness — any
-// experiment or sweep invocation can be profiled directly.
+// experiment invocation can be profiled directly.
 package profiling
 
 import (

@@ -88,9 +88,9 @@ func requireIdentical(t *testing.T, label string, ref, got tracedRun) {
 	}
 }
 
-// TestParallelEquivalence pins the contract the grid pools of
-// cmd/experiments and cmd/sweep rely on: a simulation is a pure function of
-// its inputs, so runs on concurrent goroutines produce output
+// TestParallelEquivalence pins the contract the grid pool of
+// cmd/experiments relies on: a simulation is a pure function of its
+// inputs, so runs on concurrent goroutines produce output
 // byte-identical to a run on its own — the full Result (latency histograms
 // included), the complete trace event stream, and the interval metrics —
 // for every one of the eleven mechanisms on SPEC trace workloads. Mutable

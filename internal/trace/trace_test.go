@@ -1,23 +1,36 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 )
 
-// TestNilTracerNoOps exercises every emit path on a nil tracer: the
-// disabled path must be safe to call from instrumentation sites that never
-// check for attachment.
+// TestNilTracerNoOps calls every exported method on a nil tracer, with
+// zero-value arguments: the disabled path must be safe to call from
+// instrumentation sites that never check for attachment, including for
+// methods added after this test.
 func TestNilTracerNoOps(t *testing.T) {
 	var tr *Tracer
-	tr.Command(1, EvRead, 0, 0, 0, 7, 5, 9)
-	tr.Enqueue(1, 0, 0, 0, 7, 42, false)
-	tr.Forward(1, 0, 42)
-	tr.Start(1, 0, 0, 0, 7, 42, 0, false)
-	tr.Complete(9, 0, 0, 0, 7, 42, 1, 0)
-	tr.Mark(1, EvPreempt, 0, 0, 0, 7, 42, 0)
-	tr.SchedPick(1, 0, 0, 0, 42, 1, EvRead)
-	tr.SampleOccupancy(1, 3, 2, false)
-	tr.SampleOccupancySkipped(1, 100, 3, 2, false)
+	v := reflect.ValueOf(tr)
+	for i := 0; i < v.NumMethod(); i++ {
+		name, mt := v.Type().Method(i).Name, v.Method(i).Type()
+		args := make([]reflect.Value, mt.NumIn())
+		for j := range args {
+			args[j] = reflect.Zero(mt.In(j))
+		}
+		call := v.Method(i).Call
+		if mt.IsVariadic() {
+			call = v.Method(i).CallSlice
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Tracer)(nil).%s panics: %v", name, r)
+				}
+			}()
+			call(args)
+		}()
+	}
 	if tr.Enabled() || tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil ||
 		tr.Intervals() != nil || tr.Count(EvRead) != 0 {
 		t.Fatal("nil tracer must observe nothing")
