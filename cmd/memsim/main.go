@@ -7,6 +7,10 @@
 //	memsim -bench swim -mech Burst_TH -n 1000000
 //	memsim -bench mcf -mech BkInOrder -mapping bit-reversal -row-policy cpa
 //	memsim -bench swim -mech Burst_TH -trace out.json   # Perfetto timeline
+//	memsim -replay mcf.trace -mech Burst_TH             # run a recorded trace
+//
+// -replay reads a text trace (tracegen -record writes one); -trace writes
+// a timeline, overwriting its path, so never point it at a trace to replay.
 package main
 
 import (

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"burstmem/internal/workload"
 )
 
 // childArgs carries a memsim command line, newline-separated, into a child
@@ -89,5 +91,45 @@ func TestUnknownBenchmark(t *testing.T) {
 	}
 	if !strings.HasPrefix(stderr, "memsim: ") {
 		t.Errorf("stderr %q lacks the memsim: prefix", stderr)
+	}
+}
+
+// TestReplayRun: -replay runs a recorded trace and leaves the file as it
+// was; a malformed trace is a clean error exit naming its file and line.
+func TestReplayRun(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "mcf.trace")
+	prof, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec bytes.Buffer
+	if err := workload.WriteTrace(&rec, workload.MustNew(prof), 5000); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(good, rec.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := memsim(t, "-replay", good, "-n", "2000", "-warmup", "0")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "benchmark         "+good+"\n") {
+		t.Errorf("result does not name the replayed trace:\n%s", stdout)
+	}
+	if after, err := os.ReadFile(good); err != nil || !bytes.Equal(after, rec.Bytes()) {
+		t.Errorf("replay changed the trace file (err %v)", err)
+	}
+
+	bad := filepath.Join(dir, "bad.trace")
+	if err := os.WriteFile(bad, []byte("# bad op on line 3\nL 0x40\nQ 12\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code = memsim(t, "-replay", bad, "-n", "2000", "-warmup", "0")
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if want := "memsim: trace " + bad + ":3: "; !strings.HasPrefix(stderr, want) {
+		t.Errorf("stderr %q, want prefix %q", stderr, want)
 	}
 }

@@ -1,30 +1,11 @@
-// Package astx holds the small AST utilities shared by errflow and the
-// call graph: access-path printing, function enumeration, scope matching
-// and hot-path directive detection.
+// Package astx holds the small AST utilities errflow uses: access-path
+// printing, function enumeration and scope matching.
 package astx
 
 import (
 	"go/ast"
 	"strings"
 )
-
-// HotpathDirective marks a function as part of the allocation-free
-// per-cycle path (see internal/analysis/hotalloc).
-const HotpathDirective = "//burstmem:hotpath"
-
-// IsHotpath reports whether the function declaration's doc block carries
-// the hot-path directive.
-func IsHotpath(fn *ast.FuncDecl) bool {
-	if fn == nil || fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if strings.HasPrefix(c.Text, HotpathDirective) {
-			return true
-		}
-	}
-	return false
-}
 
 // FuncInfo is one analyzable function: a declaration or a function
 // literal, with the declaration it is lexically inside (nil for top-level

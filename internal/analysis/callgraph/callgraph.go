@@ -48,7 +48,6 @@ import (
 	"strings"
 
 	"burstmem/internal/analysis"
-	"burstmem/internal/analysis/astx"
 )
 
 // ID is the stable, universe-independent identity of a function.
@@ -109,11 +108,6 @@ type Func struct {
 	Decl   *ast.FuncDecl
 	Lit    *ast.FuncLit
 	Parent *Func // enclosing function, for literals
-
-	// Hotpath records the //burstmem:hotpath directive on the declaration
-	// (literals inherit it from their encloser: a closure written on the
-	// hot path runs on the hot path).
-	Hotpath bool
 
 	Out []Edge
 }
@@ -183,11 +177,10 @@ func build(prog *analysis.Program) *Graph {
 					continue
 				}
 				fn := &Func{
-					ID:      FuncID(obj),
-					Name:    shortName(obj),
-					Pkg:     pkg,
-					Decl:    decl,
-					Hotpath: astx.IsHotpath(decl),
+					ID:   FuncID(obj),
+					Name: shortName(obj),
+					Pkg:  pkg,
+					Decl: decl,
 				}
 				g.Funcs[fn.ID] = fn
 				g.Source = append(g.Source, fn)
@@ -211,12 +204,11 @@ func build(prog *analysis.Program) *Graph {
 						}
 					}
 					lf := &Func{
-						ID:      ID(fmt.Sprintf("%s$%d", fn.ID, n)),
-						Name:    fmt.Sprintf("%s$%d", fn.Name, n),
-						Pkg:     pkg,
-						Lit:     lit,
-						Parent:  parent,
-						Hotpath: fn.Hotpath,
+						ID:     ID(fmt.Sprintf("%s$%d", fn.ID, n)),
+						Name:   fmt.Sprintf("%s$%d", fn.Name, n),
+						Pkg:    pkg,
+						Lit:    lit,
+						Parent: parent,
 					}
 					lits = append(lits, lf)
 					g.Funcs[lf.ID] = lf

@@ -126,19 +126,6 @@ func TestClosureEdges(t *testing.T) {
 	wantCallees(t, g, cgPath+".Closures$1", depPath+".Helper")
 }
 
-func TestHotpathInheritance(t *testing.T) {
-	g := loadGraph(t)
-	if !g.Funcs[ID(cgPath+".Hot")].Hotpath {
-		t.Error("Hot not marked hotpath")
-	}
-	if !g.Funcs[ID(cgPath+".Hot$1")].Hotpath {
-		t.Error("literal inside hotpath function did not inherit the directive")
-	}
-	if g.Funcs[ID(cgPath+".Static")].Hotpath {
-		t.Error("Static wrongly marked hotpath")
-	}
-}
-
 func TestSCCsBottomUp(t *testing.T) {
 	g := loadGraph(t)
 	sccs := g.SCCs()

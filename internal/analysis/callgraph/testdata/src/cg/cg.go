@@ -70,11 +70,3 @@ func Closures() func() int {
 		return inner
 	}()
 }
-
-// Hot carries the hot-path directive; literals inside inherit it.
-//
-//burstmem:hotpath
-func Hot() {
-	f := func() {}
-	_ = f
-}

@@ -194,6 +194,9 @@ type Cache struct {
 	mshrQ    deque.Deque[*mshr] // MSHRs not yet issued to the backend
 	wbQ      deque.Deque[uint64]
 	tick     uint64 // LRU touch counter
+	// version moves on every event after which a refused access could get
+	// another answer (see Version).
+	version uint64
 
 	now       uint64                // cycle counter, advanced by Tick
 	delayQ    deque.Deque[deferred] // latency-deferred callbacks, FIFO (constant delay)
@@ -335,6 +338,7 @@ func (c *Cache) Access(addr uint64, isWrite bool, done func()) Result {
 	}
 	c.mshrs.Put(la, m)
 	c.mshrQ.PushBack(m)
+	c.version++
 	c.Stats.Misses++
 	return Miss
 }
@@ -342,15 +346,12 @@ func (c *Cache) Access(addr uint64, isWrite bool, done func()) Result {
 // AccessLoad performs a load access whose LSQ-slot admission is decided by
 // the cache in the same pass: with mayAllocate false, an access that would
 // start a new line fetch returns Parked with zero side effects (the CPU
-// parks the load on its LSQ queue and retries when a slot frees). This
-// fuses the WouldAllocate probe and the subsequent Access into a single
-// address decomposition and set probe — on an LSQ-saturated replay walk
-// the old pair decomposed and probed every address twice.
+// parks the load until an LSQ slot frees). One address decomposition and
+// set probe answers both questions.
 //
 // The outcome and every observable side effect (LRU/MRU touches, statistic
-// counters, MSHR state) are identical to WouldAllocate+Access: hits and
-// coalesced misses proceed regardless of mayAllocate, exactly as they did
-// when WouldAllocate returned false.
+// counters, MSHR state) are identical to WouldAllocate followed by Access:
+// hits and coalesced misses proceed regardless of mayAllocate.
 //
 //burstmem:hotpath
 func (c *Cache) AccessLoad(addr uint64, mayAllocate bool, done func()) Result {
@@ -397,15 +398,15 @@ func (c *Cache) AccessLoad(addr uint64, mayAllocate bool, done func()) Result {
 	}
 	c.mshrs.Put(la, m)
 	c.mshrQ.PushBack(m)
+	c.version++
 	c.Stats.Misses++
 	return Miss
 }
 
 // WouldAllocate reports whether an access to addr would start a new line
-// fetch (neither present nor already in flight). The CPU uses this to
-// charge LSQ slots only for distinct outstanding fetches. (The CPU's hot
-// path uses AccessLoad, which answers the same question and performs the
-// access in one probe; this remains for callers that only want the query.)
+// fetch (neither present nor already in flight). The CPU asks the same
+// question through AccessLoad, which also performs the access in the same
+// probe; this is for callers that only want the query.
 func (c *Cache) WouldAllocate(addr uint64) bool {
 	if c.Probe(addr) {
 		return false
@@ -471,6 +472,7 @@ func (c *Cache) Tick() {
 			break
 		}
 		c.wbQ.PopFront()
+		c.version++
 		c.Stats.Writebacks++
 	}
 }
@@ -480,6 +482,7 @@ func (c *Cache) Tick() {
 func (c *Cache) fill(m *mshr) {
 	la := m.addr
 	c.mshrs.Delete(la)
+	c.version++
 	set, tag := c.index(la)
 	ways := c.lines[int(set)*c.ways : int(set)*c.ways+c.ways]
 	victim := 0
@@ -523,9 +526,7 @@ func (c *Cache) fill(m *mshr) {
 // input arrives: no latency-deferred responses, no unissued miss requests,
 // no queued writebacks. MSHRs already issued to the backend don't block a
 // skip — their fills arrive via the backend's callback, not via Tick.
-func (c *Cache) SkipEligible() bool {
-	return c.delayQ.Len() == 0 && c.mshrQ.Len() == 0 && c.wbQ.Len() == 0
-}
+func (c *Cache) SkipEligible() bool { return c.NextEventCycle() == NoEvent }
 
 // NoEvent is NextEventCycle's "no internally scheduled event" sentinel.
 const NoEvent = ^uint64(0)
@@ -556,6 +557,18 @@ func (c *Cache) InertFor(n uint64) bool {
 	next := c.NextEventCycle()
 	return next == NoEvent || next > c.now+n
 }
+
+// Version counts the events after which a refused access could get another
+// answer: an MSHR allocated, a fill, a writeback drained. An access's
+// answer depends only on the lines, the MSHRs and the writeback queue's
+// length, and these events are the only ones that change them. While the
+// version stands still, an access the cache refused would be refused
+// again; the CPU's replay gate relies on this.
+func (c *Cache) Version() uint64 { return c.version }
+
+// AddBlocked charges n refused accesses to Stats.Blocked without probing:
+// the CPU's replay gate calls it for loads a repeat probe would refuse.
+func (c *Cache) AddBlocked(n uint64) { c.Stats.Blocked += n }
 
 // OutstandingMisses returns the number of allocated MSHRs.
 func (c *Cache) OutstandingMisses() int { return c.mshrs.Len() }

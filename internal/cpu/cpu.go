@@ -17,12 +17,12 @@
 //     write queue, the buffer fills and the pipeline stalls (the paper's
 //     Section 5.1 mechanism).
 //
-// Pending loads are event-driven: instead of one linear replay list walked
-// every cycle, loads park on wakeup queues keyed by what blocks them
-// (dependence, LSQ slot, blocked cache), and a completing load wakes
-// exactly its dependent. The replay walk visits only queues that can make
-// progress, which also makes SkipEligible O(1) and gives NextEventCycle a
-// precise bound for the simulator's cycle-skipping engine.
+// Pending loads (dispatched, not yet issued) wait on one list in dispatch
+// order, which replay retries every cycle behind a gate: once a walk issues
+// nothing, a repeat walk would get the same answers until a load completes
+// or the L1D's state moves, so replay charges the cache's refusals in bulk
+// instead of re-probing them. The gate also tells SkipEligible and
+// NextEventCycle when the replay stage is idle.
 package cpu
 
 import (
@@ -33,9 +33,22 @@ import (
 	"burstmem/internal/workload"
 )
 
-// Mem is the CPU's data-memory port (normally the L1 data cache).
+// Mem is the CPU's data-memory port (normally the L1 data cache). Stores
+// use Access. Loads use AccessLoad, which also decides LSQ admission: with
+// mayAllocate false, a load that would start a new line fetch returns
+// cache.Parked and touches nothing.
 type Mem interface {
 	Access(addr uint64, isWrite bool, done func()) cache.Result
+	AccessLoad(addr uint64, mayAllocate bool, done func()) cache.Result
+}
+
+// refusalGate is the optional port (the L1 data cache) behind replay's
+// gate. Version moves whenever an access the cache refused could get
+// another answer; AddBlocked charges n refusals to the cache's Blocked
+// statistic without probing.
+type refusalGate interface {
+	Version() uint64
+	AddBlocked(n uint64)
 }
 
 // Config describes the core (defaults per paper Table 3).
@@ -89,7 +102,6 @@ type robEntry struct {
 	typ     workload.OpType
 	addr    uint64
 	done    bool
-	issued  bool
 	counted bool // holds an LSQ (outstanding line fetch) slot
 	lsqWait bool // last issue attempt failed on a full LSQ
 	seq     uint64
@@ -106,17 +118,6 @@ type storeSlot struct {
 	waiting bool // store missed; line fill in flight
 	filled  bool // fill arrived; slot can pop
 }
-
-// Park states for pending (dispatched, not yet issued) loads. A pending
-// load sits in exactly one wakeup queue matching its state; psNone marks
-// slots with no pending load (unoccupied, issued, or non-load).
-const (
-	psNone uint8 = iota
-	psReady
-	psBlocked
-	psLsq
-	psDep
-)
 
 // NoEvent is NextEventCycle's "no internally scheduled event" sentinel:
 // only an external cache callback can change the CPU's state.
@@ -138,41 +139,20 @@ type CPU struct {
 	lastLoadIdx int
 	lastLoadSeq uint64
 
-	// Wakeup queues: ROB indices of pending loads in ascending dispatch
-	// (seq) order, partitioned by park reason. The replay walk is a
-	// min-seq merge across them, so the visit order is identical to the
-	// single-list walk it replaced; the partition only lets the walk skip
-	// entries that provably cannot progress.
-	//
-	//   readyQ   — dependence resolved by a completing load; must retry.
-	//   blockedQ — cache refused the access (MSHR/writeback pressure or
-	//              saturated memory write queue); must retry every cycle
-	//              (each retry is what the cache's Blocked stat counts).
-	//   lsqQ     — parked on a full LSQ; visited only while the walk's
-	//              bug-compatible lsqFull flag is unset.
-	//   depQ     — parked on an unresolved address dependence; woken by
-	//              completeLoad via depWaiter, never by the walk. May hold
-	//              stale entries already moved to readyQ (pstate disam-
-	//              biguates); compacted on each walk.
-	readyQ   []int
-	blockedQ []int
-	lsqQ     []int
-	depQ     []int
-	// Scratch double-buffers for rebuilding the queues during a walk
-	// without allocating. lsqOut is the merge destination for the case
-	// where an unvisited lsqQ tail must interleave with re-parked entries.
-	scratchB []int
-	scratchL []int
-	scratchD []int
-	lsqOut   []int
+	// pending holds the ROB indices of dispatched, not yet issued loads in
+	// dispatch (seq) order.
+	pending []int
 
-	// pstate tracks each ROB slot's park state (psNone when not pending).
-	pstate []uint8
-	// depWaiter[i] is the ROB index of the (at most one) load whose
-	// address depends on the load in slot i, or -1. At most one because
-	// the dependence target is always the most recently dispatched load,
-	// and dispatching the dependent immediately makes it the new target.
-	depWaiter []int
+	// The replay gate (see replay). A walk that issues nothing closes it,
+	// recording the L1D's version and how many loads the cache refused;
+	// dispatch adds its own refusals. completeLoad reopens it. gate is
+	// mem's refusalGate view, nil when the port lacks one: the gate then
+	// never closes and replay walks every cycle.
+	gate    refusalGate
+	gated   bool
+	gateVer uint64
+	refused uint64
+	shadow  gateShadow
 
 	lsqInFlight int
 
@@ -199,16 +179,6 @@ type CPU struct {
 	// callbacks (the only external unblock events).
 	stalled bool
 
-	// prober is mem's WouldAllocate view, resolved once at construction so
-	// the load-issue path avoids a per-call interface assertion (nil when
-	// the port does not support the query).
-	prober allocProber
-	// lport is mem's fused load-access view (AccessLoad): one address
-	// decomposition and set probe decides both LSQ admission and the
-	// access itself. Nil when the port does not support it (simple test
-	// stubs); the issue path then falls back to WouldAllocate+Access.
-	lport loadPort
-
 	now          uint64                    // internal cycle clock (never reset)
 	totalRetired uint64                    // lifetime retirement count (never reset)
 	delayQ       deque.Deque[deferredDone] // L1-hit completions (constant latency FIFO)
@@ -232,29 +202,16 @@ func New(cfg Config, gen workload.Generator, mem Mem) (*CPU, error) {
 		gen:       gen,
 		mem:       mem,
 		rob:       make([]robEntry, cfg.ROBSize),
-		readyQ:    make([]int, 0, cfg.ROBSize),
-		blockedQ:  make([]int, 0, cfg.ROBSize),
-		lsqQ:      make([]int, 0, cfg.ROBSize),
-		depQ:      make([]int, 0, cfg.ROBSize),
-		scratchB:  make([]int, 0, cfg.ROBSize),
-		scratchL:  make([]int, 0, cfg.ROBSize),
-		scratchD:  make([]int, 0, cfg.ROBSize),
-		lsqOut:    make([]int, 0, cfg.ROBSize),
-		pstate:    make([]uint8, cfg.ROBSize),
-		depWaiter: make([]int, cfg.ROBSize),
+		pending:   make([]int, 0, cfg.ROBSize),
 		sb:        make([]storeSlot, cfg.StoreBufSize),
 		loadCB:    make([]func(), cfg.ROBSize),
 		sbFillCB:  make([]func(), cfg.StoreBufSize),
 		issuedSeq: make([]uint64, cfg.ROBSize),
 	}
-	c.prober, _ = mem.(allocProber)
-	c.lport, _ = mem.(loadPort)
+	c.gate, _ = mem.(refusalGate)
 	// L1-hit completions in flight are bounded by the LSQ; prewarm the
 	// ring so the steady-state loop never pays its doubling growth.
 	c.delayQ.Reserve(cfg.LSQSize)
-	for i := range c.depWaiter {
-		c.depWaiter[i] = -1
-	}
 	for i := range c.loadCB {
 		i := i
 		c.loadCB[i] = func() { c.loadReturned(i) }
@@ -277,12 +234,12 @@ func (c *CPU) Retired() uint64 { return c.totalRetired }
 func (c *CPU) Cycles() uint64 { return c.Stats.Cycles }
 
 // Tick advances one CPU cycle: drain the store buffer, fire L1-hit
-// completions, retire, replay blocked loads, dispatch.
+// completions, retire, replay pending loads, dispatch.
 //
 // While stalled (see the field comment), a full Tick provably performs
 // exactly the SkipCycles(1) accounting — fireDelayed has nothing queued,
 // drainStores has everything issued and no fill at the head, retire blocks
-// on the head, replay has no runnable queue, dispatch hits the full ROB —
+// on the head, replay has no walk to do, dispatch hits the full ROB —
 // so it short-circuits to that.
 //
 //burstmem:hotpath
@@ -311,10 +268,9 @@ func (c *CPU) fireDelayed() {
 	}
 }
 
-// completeLoad marks a load done, releases its LSQ slot, and wakes the
-// (at most one) load whose address depends on it: the dependent moves
-// from depQ to readyQ, so the next replay walk visits exactly it instead
-// of rediscovering it by scanning.
+// completeLoad marks a load done and releases its LSQ slot. Either can
+// change a pending load's answer (a dependent's address resolves, a load
+// parked on the LSQ finds a slot), so it reopens the replay gate.
 //
 //burstmem:hotpath
 func (c *CPU) completeLoad(idx int) {
@@ -326,26 +282,7 @@ func (c *CPU) completeLoad(idx int) {
 	if e.counted {
 		c.lsqInFlight--
 	}
-	if w := c.depWaiter[idx]; w >= 0 {
-		c.depWaiter[idx] = -1
-		c.pstate[w] = psReady
-		c.insertReady(w)
-	}
-}
-
-// insertReady inserts a woken load into readyQ keeping ascending seq
-// order (completions arrive out of order). The queue is near-empty in
-// practice, so the linear shift from the back is cheap.
-func (c *CPU) insertReady(idx int) {
-	s := c.rob[idx].seq
-	q := append(c.readyQ, 0)
-	i := len(q) - 1
-	for i > 0 && c.rob[q[i-1]].seq > s {
-		q[i] = q[i-1]
-		i--
-	}
-	q[i] = idx
-	c.readyQ = q
+	c.gated = false
 }
 
 // storeIssueWidth bounds store-buffer cache accesses per cycle. Store
@@ -426,235 +363,80 @@ func (c *CPU) retire() {
 	}
 }
 
-// walkNeeded reports whether a replay walk could have any observable
-// effect: a woken dependent, a cache-blocked load that must retry, or an
-// LSQ-parked load with a free slot. Dep-parked loads never require a walk
-// (completeLoad wakes them), and LSQ-parked loads behind a full LSQ would
-// only be skipped.
+// walkNeeded reports whether replay has anything to do: pending loads, and
+// either an open gate or refusals to charge. A closed gate with no
+// refusals means every pending load waits on an address dependence or a
+// full LSQ, and only completeLoad can change either.
 //
 //burstmem:hotpath
 func (c *CPU) walkNeeded() bool {
-	return len(c.readyQ) > 0 || len(c.blockedQ) > 0 ||
-		(len(c.lsqQ) > 0 && c.lsqInFlight < c.cfg.LSQSize)
+	return len(c.pending) > 0 && (!c.gated || c.refused > 0)
 }
 
-// replay retries loads that could not issue earlier. The walk is a
-// min-seq merge over the wakeup queues, reproducing exactly the visit
-// order (and the per-visit cache accesses) of a linear walk over all
-// pending loads in dispatch order, with two refinements that change no
-// observable behaviour:
+// replay retries pending loads in dispatch order. The walk's lsqFull latch
+// is bug-compatible with the original model: it starts from the live LSQ
+// count, sets at the first failed visit while the LSQ is full, and never
+// clears. Once it is set, loads parked on the LSQ are skipped; before
+// that, such a load can still issue mid-walk as a hit or merged miss.
 //
-//   - dep-parked loads are "visited" without an issue attempt (the
-//     attempt would fail at the dependence check with no side effect);
-//     the visit still updates the walk-local lsqFull flag, which controls
-//     which LSQ-parked loads downstream in seq order get skipped;
-//   - the walk runs only when walkNeeded: a skipped walk would have
-//     issued no cache access (every load parked on a dependence or a
-//     full LSQ, none cache-blocked, none woken).
-//
-// The lsqFull flag is bug-compatible with the original list walk: it
-// initializes from the live LSQ count, flips to true at the first failed
-// visit while the LSQ is full, and never flips back — so a load parked on
-// the LSQ can still issue mid-walk if its line is already present or in
-// flight (WouldAllocate false) and no earlier failure latched the flag.
+// The gate. A visit's answer depends on the load's dependence (changed
+// only by completeLoad), the LSQ count (changed by completeLoad, and by a
+// Miss, which allocates an MSHR) and the L1D's lines, MSHRs and writeback
+// queue (each change moves the L1D's Version). A walk that issued nothing
+// changed none of them, so while no load completes and the version stands
+// still, a repeat walk would visit the same loads and get the same
+// answers: the same refusals, and nothing issued. replay then charges
+// those refusals with one AddBlocked call instead of walking. Only a walk
+// that issued nothing may close the gate: an issue mid-walk (say, a Miss
+// that fills the LSQ) changes the answers a repeat walk would give the
+// loads visited before it.
 //
 //burstmem:hotpath
 func (c *CPU) replay() {
 	if !c.walkNeeded() {
 		return
 	}
+	holds := c.gated && c.gate.Version() == c.gateVer
+	if holds && !c.shadow.armed() {
+		c.gate.AddBlocked(c.refused)
+		return
+	}
+	issued, refused := 0, uint64(0)
 	lsqFull := c.lsqInFlight >= c.cfg.LSQSize
-	// Fast path: only cache-blocked loads are walkable — the typical
-	// streaming steady state, where the L1 MSHRs are saturated and every
-	// other queue is empty (or the LSQ-parked queue is wholesale skipped
-	// behind a full LSQ). The min-seq merge degenerates to a linear walk
-	// over blockedQ, which is already in seq order.
-	if len(c.readyQ) == 0 && len(c.depQ) == 0 && (lsqFull || len(c.lsqQ) == 0) {
-		newBlocked := c.scratchB[:0]
-		newLsq := c.scratchL[:0]
-		for _, idx := range c.blockedQ {
-			e := &c.rob[idx]
-			if c.tryIssueLoad(idx, e) {
-				c.pstate[idx] = psNone
-				continue
-			}
-			if c.lsqInFlight >= c.cfg.LSQSize {
-				lsqFull = true
-			}
-			if e.lsqWait {
-				// The LSQ filled mid-walk: the load re-parks there.
-				c.pstate[idx] = psLsq
-				//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
-				newLsq = append(newLsq, idx)
-				continue
-			}
-			//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
-			newBlocked = append(newBlocked, idx)
-		}
-		c.blockedQ, c.scratchB = newBlocked, c.blockedQ
-		c.commitLsq(0, newLsq)
-		return
-	}
-	ri, bi, li, di := 0, 0, 0, 0
-	newBlocked := c.scratchB[:0]
-	newLsq := c.scratchL[:0]
-	newDep := c.scratchD[:0]
-	// Cached head seqs, refreshed only when a cursor advances: the merge's
-	// per-iteration cost is register compares, not four ROB loads.
-	const noSeq = ^uint64(0)
-	rs, bs, ls, ds := noSeq, noSeq, noSeq, noSeq
-	if len(c.readyQ) > 0 {
-		rs = c.rob[c.readyQ[0]].seq
-	}
-	if len(c.blockedQ) > 0 {
-		bs = c.rob[c.blockedQ[0]].seq
-	}
-	if len(c.lsqQ) > 0 {
-		ls = c.rob[c.lsqQ[0]].seq
-	}
-	// Drop depQ entries already woken into readyQ (lazy deletion).
-	for di < len(c.depQ) && c.pstate[c.depQ[di]] != psDep {
-		di++
-	}
-	if di < len(c.depQ) {
-		ds = c.rob[c.depQ[di]].seq
-	}
-walk:
-	for {
-		best, src := rs, 0
-		if bs < best {
-			best, src = bs, 1
-		}
-		if !lsqFull && ls < best {
-			best, src = ls, 2
-		}
-		if ds < best {
-			best, src = ds, 3
-		}
-		if best == noSeq {
-			break
-		}
-		var idx int
-		switch src {
-		case 0:
-			idx = c.readyQ[ri]
-			ri++
-			rs = noSeq
-			if ri < len(c.readyQ) {
-				rs = c.rob[c.readyQ[ri]].seq
-			}
-		case 1:
-			idx = c.blockedQ[bi]
-			bi++
-			bs = noSeq
-			if bi < len(c.blockedQ) {
-				bs = c.rob[c.blockedQ[bi]].seq
-			}
-		case 2:
-			idx = c.lsqQ[li]
-			li++
-			ls = noSeq
-			if li < len(c.lsqQ) {
-				ls = c.rob[c.lsqQ[li]].seq
-			}
-		default:
-			// Dependence still unresolved: the issue attempt would fail
-			// with no side effect beyond latching the lsqFull flag.
-			if c.lsqInFlight >= c.cfg.LSQSize {
-				lsqFull = true
-			}
-			if rs == noSeq && bs == noSeq && (lsqFull || ls == noSeq) {
-				// Only dep-parked loads remain and the flag is settled:
-				// the rest of the walk is pure bookkeeping, so keep the
-				// tail in bulk (stale entries stay lazily deleted).
-				//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
-				newDep = append(newDep, c.depQ[di:]...)
-				di = len(c.depQ)
-				break walk
-			}
-			//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
-			newDep = append(newDep, c.depQ[di])
-			di++
-			for di < len(c.depQ) && c.pstate[c.depQ[di]] != psDep {
-				di++
-			}
-			ds = noSeq
-			if di < len(c.depQ) {
-				ds = c.rob[c.depQ[di]].seq
-			}
-			continue
-		}
+	n := 0
+	for _, idx := range c.pending {
 		e := &c.rob[idx]
-		if c.tryIssueLoad(idx, e) {
-			c.pstate[idx] = psNone
-			continue
-		}
-		if c.lsqInFlight >= c.cfg.LSQSize {
-			lsqFull = true
-		}
-		switch {
-		case e.lsqWait:
-			c.pstate[idx] = psLsq
-			//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
-			newLsq = append(newLsq, idx)
-		case e.depSeq != 0:
-			c.pstate[idx] = psDep
-			//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
-			newDep = append(newDep, idx)
-		default:
-			// Cache-blocked: must retry every cycle (the retry is what
-			// the cache's Blocked statistic counts).
-			c.pstate[idx] = psBlocked
-			//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
-			newBlocked = append(newBlocked, idx)
-		}
-	}
-	c.readyQ = c.readyQ[:0]
-	c.blockedQ, c.scratchB = newBlocked, c.blockedQ
-	c.depQ, c.scratchD = newDep, c.depQ
-	c.commitLsq(li, newLsq)
-}
-
-// commitLsq folds a replay walk's re-parked loads (newLsq, in seq order)
-// back into the LSQ-parked queue, given that the walk consumed the first
-// li entries of the old queue.
-func (c *CPU) commitLsq(li int, newLsq []int) {
-	if li == 0 && len(newLsq) == 0 {
-		// No LSQ-parked load was visited or re-parked (typical when the
-		// flag was latched from the start): the queue is unchanged.
-		return
-	}
-	switch {
-	case li >= len(c.lsqQ):
-		// Every entry was visited: the rebuilt queue replaces it.
-		c.lsqQ, c.scratchL = newLsq, c.lsqQ
-	case len(newLsq) == 0:
-		// Visited entries all issued; compact the unvisited tail in place.
-		n := copy(c.lsqQ, c.lsqQ[li:])
-		c.lsqQ = c.lsqQ[:n]
-	default:
-		// The lsqFull flag latched with entries still unvisited; later
-		// visits may have re-parked loads with larger seqs, so the two
-		// sorted runs must interleave by seq, not concatenate.
-		out := c.lsqOut[:0]
-		i := 0
-		for i < len(newLsq) && li < len(c.lsqQ) {
-			if c.rob[newLsq[i]].seq < c.rob[c.lsqQ[li]].seq {
-				out = append(out, newLsq[i])
-				i++
-			} else {
-				out = append(out, c.lsqQ[li])
-				li++
+		if !lsqFull || !e.lsqWait {
+			if c.tryIssueLoad(idx, e) {
+				issued++
+				continue
+			}
+			if c.lsqInFlight >= c.cfg.LSQSize {
+				lsqFull = true
+			}
+			if e.depSeq == 0 && !e.lsqWait {
+				refused++ // the cache refused it
 			}
 		}
-		out = append(out, newLsq[i:]...)
-		out = append(out, c.lsqQ[li:]...)
-		c.lsqQ, c.lsqOut = out, c.lsqQ
+		c.pending[n] = idx
+		n++
+	}
+	c.pending = c.pending[:n]
+	if holds {
+		c.shadow.check(c.now, c.refused, issued, refused)
+	}
+	c.refused = refused
+	c.gated = issued == 0 && c.gate != nil
+	if c.gated {
+		c.gateVer = c.gate.Version()
 	}
 }
 
 // tryIssueLoad attempts a load's cache access. Returns false if it must be
-// replayed later.
+// replayed later: its address dependence is unresolved, the cache refused
+// it (Blocked), or it would start a new line fetch with no LSQ slot free
+// (Parked, which sets lsqWait). The LSQ bounds distinct outstanding line
+// fetches; hits and merged misses ride existing entries.
 //
 //burstmem:hotpath
 func (c *CPU) tryIssueLoad(idx int, e *robEntry) bool {
@@ -664,70 +446,22 @@ func (c *CPU) tryIssueLoad(idx int, e *robEntry) bool {
 		}
 		e.depSeq = 0
 	}
-	// The LSQ bounds distinct outstanding line fetches; hits and merged
-	// misses ride existing entries. A load that may allocate a new fetch
-	// must find a free slot first. With a fused port both decisions take
-	// one probe: Parked is exactly the WouldAllocate-true park, with no
-	// access performed.
-	var res cache.Result
-	if c.lport != nil {
-		res = c.lport.AccessLoad(e.addr, c.lsqInFlight < c.cfg.LSQSize, c.loadCB[idx])
-		if res == cache.Parked {
-			e.lsqWait = true
-			return false
-		}
-	} else {
-		if c.lsqInFlight >= c.cfg.LSQSize && c.wouldAllocate(e.addr) {
-			e.lsqWait = true
-			return false
-		}
-		res = c.mem.Access(e.addr, false, c.loadCB[idx])
-	}
-	e.lsqWait = false
-	seq := e.seq
-	c.issuedSeq[idx] = seq
+	res := c.mem.AccessLoad(e.addr, c.lsqInFlight < c.cfg.LSQSize, c.loadCB[idx])
+	e.lsqWait = res == cache.Parked
 	switch res {
 	case cache.Hit:
-		e.issued = true
-		c.Stats.LoadsIssued++
 		c.delayQ.PushBack(deferredDone{
-			at: c.now + uint64(c.cfg.L1Latency), idx: idx, seq: seq,
+			at: c.now + uint64(c.cfg.L1Latency), idx: idx, seq: e.seq,
 		})
-		return true
 	case cache.Miss:
-		e.issued = true
 		e.counted = true
 		c.lsqInFlight++
-		c.Stats.LoadsIssued++
-		return true
 	case cache.MissMerged:
-		e.issued = true
-		c.Stats.LoadsIssued++
-		return true
 	default:
 		return false
 	}
-}
-
-// allocProber is the optional memory-port query wouldAllocate uses.
-type allocProber interface{ WouldAllocate(addr uint64) bool }
-
-// loadPort is the optional fused load-access port (the L1 cache): one
-// probe decides LSQ admission and performs the access, returning
-// cache.Parked — side-effect free — when the load must wait for a slot.
-type loadPort interface {
-	AccessLoad(addr uint64, mayAllocate bool, done func()) cache.Result
-}
-
-// wouldAllocate asks the memory port whether a load would start a new line
-// fetch, when the port supports the query (the L1 cache does; simple test
-// stubs need not).
-//
-//burstmem:hotpath
-func (c *CPU) wouldAllocate(addr uint64) bool {
-	if c.prober != nil {
-		return c.prober.WouldAllocate(addr)
-	}
+	c.issuedSeq[idx] = e.seq
+	c.Stats.LoadsIssued++
 	return true
 }
 
@@ -755,8 +489,6 @@ func (c *CPU) dispatch() {
 		idx := c.tail
 		e := &c.rob[idx]
 		*e = robEntry{typ: op.Type, addr: op.Addr, seq: c.seq}
-		c.pstate[idx] = psNone
-		c.depWaiter[idx] = -1
 		if c.tail++; c.tail == c.cfg.ROBSize {
 			c.tail = 0
 		}
@@ -777,20 +509,10 @@ func (c *CPU) dispatch() {
 			c.lastLoadIdx = idx
 			c.lastLoadSeq = c.seq
 			if !c.tryIssueLoad(idx, e) {
-				// Park by reason; appends keep seq order (new loads have
-				// the maximal seq).
-				switch {
-				case e.depSeq != 0:
-					c.depWaiter[e.depIdx] = idx
-					c.pstate[idx] = psDep
-					c.depQ = append(c.depQ, idx)
-				case e.lsqWait:
-					c.pstate[idx] = psLsq
-					c.lsqQ = append(c.lsqQ, idx)
-				default:
-					c.pstate[idx] = psBlocked
-					c.blockedQ = append(c.blockedQ, idx)
+				if e.depSeq == 0 && !e.lsqWait {
+					c.refused++ // the cache refused it
 				}
+				c.pending = append(c.pending, idx)
 			}
 		}
 	}
@@ -800,28 +522,7 @@ func (c *CPU) dispatch() {
 // input (a cache callback) arrives: nothing to fire, retire, issue or
 // dispatch. When true, each elapsed cycle would only bump the cycle count
 // and the stall counters that SkipCycles applies in bulk.
-//
-// The conditions mirror Tick stage by stage: no deferred L1-hit
-// completions; every buffered store already issued and the head slot's
-// fill not yet arrived (drainStores idles); the ROB head blocked — an
-// incomplete load, or a store facing a full buffer (retire idles; an
-// incomplete head is always a load, since non-memory ops and stores
-// dispatch completed); no wakeup queue runnable (replay idles); and the
-// ROB full (dispatch idles). All O(1) — the wakeup queues replace the
-// linear pending-load scan the check previously needed.
-func (c *CPU) SkipEligible() bool {
-	if c.delayQ.Len() != 0 || c.count < c.cfg.ROBSize {
-		return false
-	}
-	if c.sbIssued != c.sbLen || (c.sbLen > 0 && c.sb[c.sbHead].filled) {
-		return false
-	}
-	head := &c.rob[c.head]
-	if head.done && !(head.typ == workload.OpStore && c.sbLen >= c.cfg.StoreBufSize) {
-		return false
-	}
-	return !c.walkNeeded()
-}
+func (c *CPU) SkipEligible() bool { return c.NextEventCycle() == NoEvent }
 
 // NextEventCycle returns the next CPU cycle (on the CPU's own clock) at
 // which Tick could do anything beyond the bulk accounting SkipCycles
@@ -830,8 +531,9 @@ func (c *CPU) SkipEligible() bool {
 // cycle with one SkipCycles call; the result is bit-identical because in
 // that span every stage idles: nothing in delayQ is due, the store buffer
 // is fully issued with no fill at the head, the head is blocked (bumping
-// exactly the stall counter SkipCycles bumps), no wakeup queue is
-// runnable, and the ROB is full.
+// exactly the stall counter SkipCycles bumps; an incomplete head is
+// always a load, since non-memory ops and stores dispatch completed),
+// replay has no walk to do, and the ROB is full.
 func (c *CPU) NextEventCycle() uint64 {
 	if c.stalled {
 		// SkipEligible held at the last Tick and no callback has arrived

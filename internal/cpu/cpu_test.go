@@ -49,6 +49,15 @@ func (m *stubMem) Access(addr uint64, isWrite bool, done func()) cache.Result {
 	return cache.Miss
 }
 
+// AccessLoad treats every load as a new line fetch: it parks the load
+// when it may not allocate and otherwise performs it.
+func (m *stubMem) AccessLoad(addr uint64, mayAllocate bool, done func()) cache.Result {
+	if !mayAllocate {
+		return cache.Parked
+	}
+	return m.Access(addr, false, done)
+}
+
 func (m *stubMem) release() {
 	p := m.pending
 	m.pending = nil
@@ -57,6 +66,48 @@ func (m *stubMem) release() {
 			fn()
 		}
 	}
+}
+
+// gateMem is a stubMem with the refusal-gate port. It counts its load
+// probes and the refusals it charged, probed or in bulk; its version moves
+// only when a test bumps it.
+type gateMem struct {
+	stubMem
+	version  uint64
+	probes   int
+	refusals uint64
+}
+
+func (m *gateMem) AccessLoad(addr uint64, mayAllocate bool, done func()) cache.Result {
+	m.probes++
+	r := m.stubMem.AccessLoad(addr, mayAllocate, done)
+	if r == cache.Blocked {
+		m.refusals++
+	}
+	return r
+}
+
+func (m *gateMem) Version() uint64     { return m.version }
+func (m *gateMem) AddBlocked(n uint64) { m.refusals += n }
+
+// refusedLoads builds a CPU whose four independent loads the cache refuses,
+// ticked until a replay walk has issued nothing and closed the gate: the
+// first tick dispatches the loads, the second walks them.
+func refusedLoads(t *testing.T) (*CPU, *gateMem) {
+	t.Helper()
+	mem := &gateMem{stubMem: stubMem{blocked: true}}
+	var ops []workload.Op
+	for i := 0; i < 4; i++ {
+		ops = append(ops, workload.Op{Type: workload.OpLoad, Addr: uint64(i) << 12})
+	}
+	c := newCPU(t, testConfig(), &scriptGen{ops: ops}, mem)
+	c.Tick()
+	c.Tick()
+	if !c.gated || c.refused != 4 || mem.refusals != 8 {
+		t.Fatalf("after dispatch and one walk: gated %v, %d refusals recorded, %d charged; want true, 4, 8",
+			c.gated, c.refused, mem.refusals)
+	}
+	return c, mem
 }
 
 func testConfig() Config {
@@ -272,5 +323,36 @@ func TestQuiesced(t *testing.T) {
 	}
 	if !c.Quiesced() {
 		t.Fatal("CPU did not quiesce after fill")
+	}
+}
+
+// TestReplayGateChargesRefusals: while the gate is closed, each tick
+// charges the recorded refusals without probing the cache (the probe count
+// is asserted only when the invariants shadow check, which re-walks, is
+// off); a version bump makes the next tick probe again.
+func TestReplayGateChargesRefusals(t *testing.T) {
+	c, mem := refusedLoads(t)
+	for i := 0; i < 5; i++ {
+		probes, refusals := mem.probes, mem.refusals
+		c.Tick()
+		if got := mem.refusals - refusals; got != 4 {
+			t.Fatalf("closed gate charged %d refusals on tick %d, want 4", got, i)
+		}
+		if !c.shadow.armed() && mem.probes != probes {
+			t.Fatalf("closed gate probed the cache %d times on tick %d", mem.probes-probes, i)
+		}
+	}
+	mem.version++
+	probes, refusals := mem.probes, mem.refusals
+	c.Tick()
+	if mem.probes-probes != 4 || mem.refusals-refusals != 4 {
+		t.Fatalf("tick after a version bump: %d probes, %d refusals; want 4 and 4",
+			mem.probes-probes, mem.refusals-refusals)
+	}
+	mem.blocked = false
+	mem.version++
+	c.Tick()
+	if len(c.pending) != 0 || len(mem.pending) != 4 {
+		t.Fatalf("after the cache accepts: %d loads pending, %d misses; want 0 and 4", len(c.pending), len(mem.pending))
 	}
 }

@@ -1,0 +1,27 @@
+//go:build invariants
+
+package cpu
+
+import "fmt"
+
+// This file is the enabled build of the replay-gate shadow check (build
+// with -tags invariants). A closed gate does not charge its recorded
+// refusals: replay walks anyway, and the walk must issue nothing and be
+// refused exactly the predicted number of times. Otherwise a cache answer
+// changed while its Version stood still, and the default build would have
+// charged refusals for loads that could issue, so the check panics,
+// cycle-stamped. The walk's own probes count the refusals, so results
+// match the default build whenever the check passes.
+
+// gateShadow is the enabled replay-gate shadow check.
+type gateShadow struct{}
+
+func (gateShadow) armed() bool { return true }
+
+func (gateShadow) check(now, predicted uint64, issued int, refused uint64) {
+	if issued != 0 || refused != predicted {
+		panic(fmt.Sprintf(
+			"cpu sanitizer: cycle %d: closed replay gate predicted %d refusals and no issue, but the walk issued %d loads and was refused %d times (a cache answer changed while its Version stood still)",
+			now, predicted, issued, refused))
+	}
+}

@@ -1,0 +1,34 @@
+//go:build invariants
+
+package cpu
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// TestReplayGateShadowTrigger proves the -tags invariants replay-gate check
+// fires: once the gate has closed on four refused loads, the cache starts
+// accepting them without moving its version (the bug a missing Version
+// bump would be), and the next tick must panic, cycle-stamped.
+func TestReplayGateShadowTrigger(t *testing.T) {
+	c, mem := refusedLoads(t)
+	mem.blocked = false
+	mustPanicContaining(t, "cycle 3: closed replay gate predicted 4 refusals and no issue, but the walk issued 4 loads", c.Tick)
+}
+
+func mustPanicContaining(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic; want one containing %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not contain %q", msg, want)
+		}
+	}()
+	f()
+}

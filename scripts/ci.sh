@@ -30,14 +30,18 @@ echo "== go test -race (full tree; covers the sim/profiling/experiments concurre
 go test -race ./...
 
 echo "== go test -tags invariants (protocol sanitizer armed) =="
-go test -tags invariants ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/
+go test -tags invariants ./internal/cpu/ ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/
 
-echo "== next-event shadow check (hint-cache bound vs linear scan) =="
+echo "== shadow checks (next-event bound vs linear scan; replay gate vs re-walk) =="
 # The invariants build cross-checks the engine's next-event cycle, taken
 # from the hint cache's minimum issue bound, against the linear scan: first
 # on its trigger and clean-run tests, then on live simulations (an
-# over-estimate would let an idle skip jump a real event).
+# over-estimate would let an idle skip jump a real event). It also re-walks
+# every load the CPU's closed replay gate would charge without probing; the
+# trigger test proves a cache answer that changes behind a still version
+# panics.
 go test -count=1 -tags invariants -run 'TestEngineShadow' ./internal/memctrl/
+go test -count=1 -tags invariants -run 'TestReplayGateShadowTrigger' ./internal/cpu/
 go test -count=1 -tags invariants -run 'TestTraceSkipEquivalence' ./internal/sim/
 
 echo "== traced simulation (memsim -trace, exported JSON must parse) =="
