@@ -68,8 +68,6 @@ type (
 	Host = memctrl.Host
 	// Engine steps per-bank ongoing accesses through their transactions.
 	Engine = memctrl.Engine
-	// Candidate is a bank's next transaction.
-	Candidate = memctrl.Candidate
 	// Access is one main-memory read or write.
 	Access = memctrl.Access
 	// AccessKind distinguishes reads from writes.

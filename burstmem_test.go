@@ -2,6 +2,7 @@ package burstmem
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 
 	"burstmem/internal/workload"
@@ -57,15 +58,7 @@ func TestPublicSurface(t *testing.T) {
 // exported types only (mirrors examples/custom_mechanism).
 func TestCustomMechanismViaPublicAPI(t *testing.T) {
 	newFifo := MechanismFactory(func(h *Host) Mechanism {
-		m := &fifoMech{host: h}
-		m.engine = NewEngine(h, func(a *Access, now uint64) {
-			if a.Kind == KindRead {
-				m.r--
-			} else {
-				m.w--
-			}
-		})
-		return m
+		return &fifoMech{host: h, engine: NewEngine(h, nil)}
 	})
 	ctrl, err := NewController(DefaultControllerConfig(), newFifo)
 	if err != nil {
@@ -93,21 +86,12 @@ type fifoMech struct {
 	host   *Host
 	engine *Engine
 	q      []*Access
-	r, w   int
 }
 
-func (m *fifoMech) Name() string         { return "fifo" }
-func (m *fifoMech) ForwardsWrites() bool { return true }
-func (m *fifoMech) Pending() (int, int)  { return m.r, m.w }
-
-func (m *fifoMech) Enqueue(a *Access, now uint64) {
-	m.q = append(m.q, a)
-	if a.Kind == KindRead {
-		m.r++
-	} else {
-		m.w++
-	}
-}
+func (m *fifoMech) Name() string                  { return "fifo" }
+func (m *fifoMech) ForwardsWrites() bool          { return true }
+func (m *fifoMech) Pending() (int, int)           { return m.host.Pending() }
+func (m *fifoMech) Enqueue(a *Access, now uint64) { m.q = append(m.q, a) }
 
 func (m *fifoMech) Tick(now uint64) {
 	if len(m.q) > 0 {
@@ -120,9 +104,13 @@ func (m *fifoMech) Tick(now uint64) {
 	if !m.host.Channel().CommandSlotFree() {
 		return
 	}
-	for _, c := range m.engine.Candidates() {
-		if c.Unblocked {
-			m.engine.Issue(c, now)
+	cl, any := m.engine.Unblocked(now)
+	if !any {
+		return
+	}
+	for r := range cl.ColRead {
+		if mask := cl.Rank(r); mask != 0 {
+			m.engine.Issue(r, bits.TrailingZeros64(mask), now)
 			return
 		}
 	}

@@ -29,14 +29,12 @@ type oldestFirst struct {
 	engine *burstmem.Engine
 	queues map[[2]int][]*burstmem.Access
 	keys   [][2]int
-	reads  int
-	writes int
 }
 
 // newOldestFirst is the factory registered with the controller.
 func newOldestFirst(h *burstmem.Host) burstmem.Mechanism {
 	m := &oldestFirst{host: h, queues: make(map[[2]int][]*burstmem.Access)}
-	m.engine = burstmem.NewEngine(h, m.onColumn)
+	m.engine = burstmem.NewEngine(h, nil)
 	return m
 }
 
@@ -47,8 +45,8 @@ func (m *oldestFirst) Name() string { return "OldestFirst" }
 // writes, so matching reads must be forwarded from the write queue.
 func (m *oldestFirst) ForwardsWrites() bool { return true }
 
-// Pending implements burstmem.Mechanism.
-func (m *oldestFirst) Pending() (int, int) { return m.reads, m.writes }
+// Pending implements burstmem.Mechanism: the host counts pending accesses.
+func (m *oldestFirst) Pending() (int, int) { return m.host.Pending() }
 
 // Enqueue implements burstmem.Mechanism.
 func (m *oldestFirst) Enqueue(a *burstmem.Access, now uint64) {
@@ -63,19 +61,6 @@ func (m *oldestFirst) Enqueue(a *burstmem.Access, now uint64) {
 		m.keys[i] = key
 	}
 	m.queues[key] = append(m.queues[key], a)
-	if a.Kind == burstmem.KindRead {
-		m.reads++
-	} else {
-		m.writes++
-	}
-}
-
-func (m *oldestFirst) onColumn(a *burstmem.Access, now uint64) {
-	if a.Kind == burstmem.KindRead {
-		m.reads--
-	} else {
-		m.writes--
-	}
 }
 
 // Tick implements burstmem.Mechanism: refill every idle bank with its
@@ -90,22 +75,21 @@ func (m *oldestFirst) Tick(now uint64) {
 		m.engine.SetOngoing(key[0], key[1], q[0])
 		m.queues[key] = q[1:]
 	}
-	if !m.host.Channel().CommandSlotFree() {
+	ch := m.host.Channel()
+	if !ch.CommandSlotFree() {
 		return
 	}
-	best := -1
-	cands := m.engine.Candidates()
-	for i, c := range cands {
-		if !c.Unblocked {
-			continue
-		}
-		if best < 0 || c.Access.Arrival < cands[best].Access.Arrival {
-			best = i
-		}
+	// Unblocked masks, per rank, the banks whose next transaction can
+	// issue this cycle; fold them into the oldest access's bank.
+	cl, any := m.engine.Unblocked(now)
+	if !any {
+		return
 	}
-	if best >= 0 {
-		m.engine.Issue(cands[best], now)
+	rank, bank := -1, -1
+	for r := 0; r < ch.Ranks(); r++ {
+		rank, bank = m.engine.FoldOldest(r, cl.Rank(r), rank, bank)
 	}
+	m.engine.Issue(rank, bank, now)
 }
 
 func main() {

@@ -157,12 +157,6 @@ type bankState struct {
 	// partially drained burst, preserving its back-to-back row hits.
 	activeRow int64
 
-	// ongoingIsWrite / ongoingPiggyback describe the installed ongoing
-	// access so preemption and end-of-burst bookkeeping can tell reads,
-	// forced writes and piggybacked writes apart.
-	ongoingIsWrite   bool
-	ongoingPiggyback bool
-
 	// preemptPending is set when a read ARRIVES while a write is ongoing
 	// (paper Section 3.2: "read preemption allows a newly arrived read
 	// to interrupt an ongoing write"); the arbiter acts on it next
@@ -183,9 +177,6 @@ type burstSched struct {
 	burstsNE []uint64            // per-rank banks-with-bursts bitmaps
 
 	freeGroups []*burstGroup // burstGroup pool
-
-	pendingReads  int
-	pendingWrites int
 
 	lastBank int // flattened bank index of the last scheduled transaction
 	lastRank int
@@ -274,7 +265,7 @@ func (s *burstSched) Name() string { return s.name }
 func (s *burstSched) ForwardsWrites() bool { return true }
 
 // Pending implements memctrl.Mechanism.
-func (s *burstSched) Pending() (reads, writes int) { return s.pendingReads, s.pendingWrites }
+func (s *burstSched) Pending() (reads, writes int) { return s.host.Pending() }
 
 // Enqueue implements the access enter queue subroutine (paper Fig. 4).
 // Write-queue hits were already forwarded by the controller, so a read
@@ -288,14 +279,12 @@ func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
 	st := s.bank(r, b)
 	if a.Kind == memctrl.KindWrite {
 		s.writes.PushBack(a)
-		s.pendingWrites++
 		s.intervalWrites++
 		return
 	}
-	s.pendingReads++
 	s.intervalReads++
-	if s.opt.ReadPreemption && !st.preemptPending && st.ongoingIsWrite &&
-		s.engine.Ongoing(r, b) != nil && s.host.GlobalWrites() < s.opt.Threshold {
+	if s.opt.ReadPreemption && !st.preemptPending && s.ongoingWrite(r, b) &&
+		s.host.GlobalWrites() < s.opt.Threshold {
 		st.preemptPending = true
 		s.preemptCount++
 	}
@@ -322,6 +311,12 @@ func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
 }
 
 func (s *burstSched) bank(rank, bank int) *bankState { return s.banks[rank][bank] }
+
+// ongoingWrite reports whether the bank's ongoing access is a write.
+func (s *burstSched) ongoingWrite(rank, bank int) bool {
+	a := s.engine.Ongoing(rank, bank)
+	return a != nil && a.Kind == memctrl.KindWrite
+}
 
 // Tick implements memctrl.Mechanism: adapt the threshold if dynamic, run
 // every bank arbiter, then the global transaction scheduler.
@@ -381,6 +376,7 @@ func (s *burstSched) NextEventCycle(now uint64) uint64 {
 func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
 	st := s.bank(rank, bank)
 	occupancy := s.host.GlobalWrites()
+	reads, _ := s.host.Pending()
 	wq := s.writes.List(rank, bank)
 
 	// Evaluated once for both the piggyback guard and its body
@@ -401,7 +397,7 @@ func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
 		// if every write is behind a queued read, serve reads so
 		// the hazards clear.
 		if w := s.oldestSafeWrite(st, wq); w != nil {
-			s.installWrite(rank, bank, w, false)
+			s.installWrite(rank, bank, w)
 			s.Stats.ForcedWrites++
 			s.host.Tracer().Mark(now, trace.EvForcedWrite, s.host.ChannelIndex(),
 				rank, bank, w.Loc.Row, w.ID, 0)
@@ -412,18 +408,18 @@ func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
 		// Fig. 5 line 4: piggyback the oldest qualified write at
 		// the end of the burst.
 		w := piggyW
-		s.installWrite(rank, bank, w, true)
+		s.installWrite(rank, bank, w)
 		s.Stats.PiggybackedWrites++
 		s.host.Tracer().Mark(now, trace.EvPiggyback, s.host.ChannelIndex(),
 			rank, bank, w.Loc.Row, w.ID, 0)
-	case !wq.Empty() && s.pendingReads == 0 && len(st.bursts) == 0:
+	case !wq.Empty() && reads == 0 && len(st.bursts) == 0:
 		// Fig. 5 line 6: "write queue is not empty and read queue
 		// is empty" — reads are prioritized channel-wide, so
 		// writes drain only when no reads are outstanding at all.
 		// This aggressive read priority is what lets the write
 		// queue approach saturation (paper Section 5.1).
 		w := wq.Front()
-		s.installWrite(rank, bank, w, false)
+		s.installWrite(rank, bank, w)
 		s.Stats.IdleWrites++
 		s.host.Tracer().Mark(now, trace.EvIdleWrite, s.host.ChannelIndex(),
 			rank, bank, w.Loc.Row, w.ID, 0)
@@ -445,7 +441,7 @@ func (s *burstSched) arbitrateOngoing(rank, bank int, now uint64) {
 	if st.preemptPending {
 		st.preemptPending = false
 		s.preemptCount--
-		if st.ongoingIsWrite && len(st.bursts) > 0 && s.host.GlobalWrites() < s.opt.Threshold {
+		if s.ongoingWrite(rank, bank) && len(st.bursts) > 0 && s.host.GlobalWrites() < s.opt.Threshold {
 			s.preempt(rank, bank, s.engine.Ongoing(rank, bank), now)
 		}
 	}
@@ -455,11 +451,8 @@ func (s *burstSched) arbitrateOngoing(rank, bank int, now uint64) {
 // bank's ongoing access.
 //
 //burstmem:hotpath
-func (s *burstSched) installWrite(rank, bank int, w *memctrl.Access, piggyback bool) {
-	st := s.bank(rank, bank)
+func (s *burstSched) installWrite(rank, bank int, w *memctrl.Access) {
 	s.writes.Remove(w)
-	st.ongoingIsWrite = true
-	st.ongoingPiggyback = piggyback
 	s.engine.SetOngoing(rank, bank, w)
 }
 
@@ -474,8 +467,6 @@ func (s *burstSched) installRead(rank, bank int, now uint64) {
 	bg := s.selectBurst(st, now)
 	rd := bg.reads.PopFront()
 	st.activeRow = int64(bg.row)
-	st.ongoingIsWrite = false
-	st.ongoingPiggyback = false
 	// Leaving the burst in the queue lets newly arrived same-row reads
 	// keep joining it while it drains (paper Section 3).
 	s.engine.SetOngoing(rank, bank, rd)
@@ -528,15 +519,14 @@ func (s *burstSched) preempt(rank, bank int, w *memctrl.Access, now uint64) {
 	s.installRead(rank, bank, now)
 }
 
-// onColumn runs when an access's column transaction issues: maintain
-// pending counts and the end-of-burst piggyback window.
+// onColumn runs when an access's column transaction issues: maintain the
+// end-of-burst piggyback window.
 //
 //burstmem:hotpath
 func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
 	rank, bank := int(a.Loc.Rank), int(a.Loc.Bank)
 	st := s.bank(rank, bank)
 	if a.Kind == memctrl.KindWrite {
-		s.pendingWrites--
 		// Any completed write leaves its row open and opens a piggyback
 		// window on that row: queued same-row writes follow back to
 		// back, which is how piggybacking "exploits the locality of row
@@ -546,7 +536,6 @@ func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
 		st.lastRow = a.Loc.Row
 		return
 	}
-	s.pendingReads--
 	for i, bg := range st.bursts {
 		if bg.row != a.Loc.Row {
 			continue
@@ -626,7 +615,7 @@ func (s *burstSched) rowHitWrite(st *bankState, wq *memctrl.AccessList) *memctrl
 // the static priority of paper Table 2. The engine classifies every
 // unblocked bank into the four (column/row)×(read/write) masks; walking
 // them from priority 1 to 8 finds the winner without computing a priority
-// value per candidate — the first nonempty class holds it, and only the
+// value per bank — the first nonempty class holds it, and only the
 // oldest-arrival tie-break within that class needs per-bank work. When
 // nothing is unblocked, last bank/rank move to the bank holding the oldest
 // access so its burst starts next (Fig. 6 lines 14-15).
@@ -647,18 +636,17 @@ func (s *burstSched) schedule(now uint64) {
 	} else {
 		rank, bank, pri = s.pickTable2(cl)
 	}
-	c := s.engine.CandidateAt(rank, bank)
-	s.engine.Issue(c, now)
-	s.host.Tracer().SchedPick(now, s.host.ChannelIndex(), c.Rank, c.Bank,
-		c.Access.ID, pri, cmdEventKind(c.Cmd))
-	s.lastRank = c.Rank
-	s.lastBank = s.flatBank(c.Rank, c.Bank)
+	id := s.engine.Ongoing(rank, bank).ID
+	cmd := s.engine.Issue(rank, bank, now)
+	s.host.Tracer().SchedPick(now, s.host.ChannelIndex(), rank, bank, id, pri, cmdEventKind(cmd))
+	s.lastRank = rank
+	s.lastBank = s.flatBank(rank, bank)
 }
 
 // pickTable2 walks the Table 2 classes from priority 1 (column read, same
 // bank) to 8 (column write, other rank) and picks the first nonempty one's
-// oldest bank. Same-priority arrival ties resolve to the lowest rank/bank,
-// matching the rank-major candidate scan this replaces.
+// oldest bank. Same-priority arrival ties resolve to the lowest rank, then
+// bank (Engine.FoldOldest over ranks in ascending order).
 //
 //burstmem:hotpath
 func (s *burstSched) pickTable2(cl *memctrl.BankClasses) (rank, bank, pri int) {
@@ -668,13 +656,15 @@ func (s *burstSched) pickTable2(cl *memctrl.BankClasses) (rank, bank, pri int) {
 			return lr, bits.TrailingZeros64(lastBit), 1
 		}
 		if m := cl.ColRead[lr] &^ lastBit; m != 0 {
-			return lr, s.oldestInMask(lr, m), 2
+			rank, bank = s.engine.FoldOldest(lr, m, -1, -1)
+			return rank, bank, 2
 		}
 		if cl.ColWrite[lr]&lastBit != 0 {
 			return lr, bits.TrailingZeros64(lastBit), 3
 		}
 		if m := cl.ColWrite[lr] &^ lastBit; m != 0 {
-			return lr, s.oldestInMask(lr, m), 4
+			rank, bank = s.engine.FoldOldest(lr, m, -1, -1)
+			return rank, bank, 4
 		}
 	}
 	// Row transactions rank 5/6 wherever they are — precharge and
@@ -699,55 +689,26 @@ func (s *burstSched) pickTable2(cl *memctrl.BankClasses) (rank, bank, pri int) {
 // NaivePriority ablation).
 //
 //burstmem:hotpath
-func (s *burstSched) oldestUnblocked(cl *memctrl.BankClasses) (int, int) {
-	bestR, bestB := -1, -1
-	var bestArrival uint64
+func (s *burstSched) oldestUnblocked(cl *memctrl.BankClasses) (rank, bank int) {
+	rank, bank = -1, -1
 	for r := range cl.ColRead {
-		for m := cl.Rank(r); m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			if a := s.engine.Ongoing(r, b); bestR < 0 || a.Arrival < bestArrival {
-				bestR, bestB, bestArrival = r, b, a.Arrival
-			}
-		}
+		rank, bank = s.engine.FoldOldest(r, cl.Rank(r), rank, bank)
 	}
-	return bestR, bestB
-}
-
-// oldestInMask returns the rank's bank with the oldest ongoing access among
-// the mask's banks (the mask must be nonempty).
-//
-//burstmem:hotpath
-func (s *burstSched) oldestInMask(rank int, mask uint64) int {
-	best := -1
-	var bestArrival uint64
-	for m := mask; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		if a := s.engine.Ongoing(rank, b); best < 0 || a.Arrival < bestArrival {
-			best, bestArrival = b, a.Arrival
-		}
-	}
-	return best
+	return rank, bank
 }
 
 // oldestInClass returns the class's oldest bank across ranks (skipRank
 // excluded; pass -1 to scan every rank).
 //
 //burstmem:hotpath
-func (s *burstSched) oldestInClass(masks []uint64, skipRank int) (int, int, bool) {
-	bestR, bestB := -1, -1
-	var bestArrival uint64
+func (s *burstSched) oldestInClass(masks []uint64, skipRank int) (rank, bank int, ok bool) {
+	rank, bank = -1, -1
 	for r, mask := range masks {
-		if r == skipRank {
-			continue
-		}
-		for m := mask; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			if a := s.engine.Ongoing(r, b); bestR < 0 || a.Arrival < bestArrival {
-				bestR, bestB, bestArrival = r, b, a.Arrival
-			}
+		if r != skipRank {
+			rank, bank = s.engine.FoldOldest(r, mask, rank, bank)
 		}
 	}
-	return bestR, bestB, bestR >= 0
+	return rank, bank, rank >= 0
 }
 
 // cmdEventKind maps a DRAM command to its trace event kind.

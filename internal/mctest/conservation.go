@@ -20,7 +20,8 @@ import (
 //   - every access stays on the channel it was enqueued to: starts and
 //     completions carry the same channel index as the enqueue;
 //   - the controller's aggregate statistics agree with the stream, and the
-//     per-channel device statistics sum to the stream's command counts.
+//     per-channel device statistics sum to the stream's command counts;
+//   - every channel's mechanism reports nothing pending.
 //
 // The controller must be drained and its stats must cover the whole traced
 // run (no ResetStats in between).
@@ -207,6 +208,11 @@ func CheckConservation(tr *trace.Tracer, ctrl *memctrl.Controller) error {
 	}
 	if devWrites != st.AcceptedWrites {
 		return fmt.Errorf("conservation: %d device writes vs %d pool writes", devWrites, st.AcceptedWrites)
+	}
+	for i := 0; i < ctrl.Channels(); i++ {
+		if r, w := ctrl.Mechanism(i).Pending(); r != 0 || w != 0 {
+			return fmt.Errorf("conservation: channel %d drained with %d reads and %d writes pending", i, r, w)
+		}
 	}
 	return nil
 }

@@ -200,7 +200,9 @@ type Mechanism interface {
 	// Tick lets the mechanism refill bank arbiters and issue at most one
 	// transaction.
 	Tick(now uint64)
-	// Pending returns the number of queued-or-ongoing reads and writes.
+	// Pending returns the channel's pending reads and writes. Every
+	// mechanism answers Host.Pending; the method remains because the
+	// benchmark harness under bench/ still forwards it.
 	Pending() (reads, writes int)
 	// ForwardsWrites reports whether reads should be satisfied from the
 	// pending-write pool (paper Fig. 4). In-order mechanisms that never

@@ -281,7 +281,6 @@ func (c *Controller) SetTracer(tr *trace.Tracer) {
 	c.tracer = tr
 	for i, ch := range c.channels {
 		ch.SetTracer(tr, i)
-		c.hosts[i].tr = tr
 	}
 }
 
@@ -372,9 +371,11 @@ func (c *Controller) Submit(kind Kind, addr uint64, onComplete func(*Access, uin
 	a.OnComplete = onComplete
 	if kind == KindRead {
 		c.poolReads++
+		c.hosts[chIdx].reads++
 		c.Stats.AcceptedReads++
 	} else {
 		c.poolWrites++
+		c.hosts[chIdx].writes++
 		c.Stats.AcceptedWrites++
 		c.pendingWriteLines[chIdx].Put(line, a)
 	}
@@ -606,8 +607,8 @@ type Host struct {
 	chIdx int
 	ch    *dram.Channel
 
-	// tr is the tracer mechanisms emit through (set by SetTracer).
-	tr *trace.Tracer
+	// reads/writes count the channel's pending accesses (see Pending).
+	reads, writes int
 }
 
 // Channel returns the host channel device.
@@ -621,7 +622,13 @@ func (h *Host) Config() Config { return h.ctrl.cfg }
 
 // Tracer returns the controller's tracer (nil when tracing is off). The
 // nil tracer is safe to emit on, so mechanisms never check.
-func (h *Host) Tracer() *trace.Tracer { return h.tr }
+func (h *Host) Tracer() *trace.Tracer { return h.ctrl.tracer }
+
+// Pending returns the channel's pending reads and writes: accesses that
+// Submit admitted (forwarded reads excluded) and whose column transaction
+// has not issued yet (CompleteAt not yet called). A preempted access stays
+// pending.
+func (h *Host) Pending() (reads, writes int) { return h.reads, h.writes }
 
 // GlobalWrites returns the controller-wide pending write count, the
 // occupancy the paper's threshold compares against.
@@ -649,16 +656,21 @@ func (h *Host) StartAccess(a *Access, now uint64) {
 	a.Start = now
 	a.Outcome = h.ch.Classify(a.Target())
 	h.ch.RecordOutcome(a.Outcome)
-	h.tr.Start(now, h.chIdx, int(a.Loc.Rank), int(a.Loc.Bank), a.Loc.Row,
+	h.ctrl.tracer.Start(now, h.chIdx, int(a.Loc.Rank), int(a.Loc.Bank), a.Loc.Row,
 		a.ID, int(a.Outcome), a.Kind == KindWrite)
 }
 
 // CompleteAt schedules the access-finished event for the given cycle (the
-// access's data end).
+// access's data end); the access stops counting as pending.
 //
 //burstmem:hotpath
 func (h *Host) CompleteAt(a *Access, dataEnd uint64) {
 	a.san.checkLive(a, "CompleteAt")
+	if a.Kind == KindRead {
+		h.reads--
+	} else {
+		h.writes--
+	}
 	a.DataEnd = dataEnd
 	h.ctrl.completions.push(completion{at: dataEnd, access: a})
 }

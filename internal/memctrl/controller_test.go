@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -14,35 +15,16 @@ type fifoMech struct {
 	host   *Host
 	engine *Engine
 	queue  []*Access
-	reads  int
-	writes int
 }
 
 func newFifo(h *Host) Mechanism {
-	m := &fifoMech{host: h}
-	m.engine = NewEngine(h, m.onColumn)
-	return m
+	return &fifoMech{host: h, engine: NewEngine(h, nil)}
 }
 
-func (m *fifoMech) Name() string         { return "fifo" }
-func (m *fifoMech) ForwardsWrites() bool { return true }
-func (m *fifoMech) Pending() (int, int)  { return m.reads, m.writes }
-func (m *fifoMech) Enqueue(a *Access, now uint64) {
-	m.queue = append(m.queue, a)
-	if a.Kind == KindRead {
-		m.reads++
-	} else {
-		m.writes++
-	}
-}
-
-func (m *fifoMech) onColumn(a *Access, now uint64) {
-	if a.Kind == KindRead {
-		m.reads--
-	} else {
-		m.writes--
-	}
-}
+func (m *fifoMech) Name() string                  { return "fifo" }
+func (m *fifoMech) ForwardsWrites() bool          { return true }
+func (m *fifoMech) Pending() (int, int)           { return m.host.Pending() }
+func (m *fifoMech) Enqueue(a *Access, now uint64) { m.queue = append(m.queue, a) }
 
 func (m *fifoMech) Tick(now uint64) {
 	if len(m.queue) > 0 {
@@ -56,9 +38,13 @@ func (m *fifoMech) Tick(now uint64) {
 	if !m.host.Channel().CommandSlotFree() {
 		return
 	}
-	for _, c := range m.engine.Candidates() {
-		if c.Unblocked {
-			m.engine.Issue(c, now)
+	cl, any := m.engine.Unblocked(now)
+	if !any {
+		return
+	}
+	for r := range cl.ColRead {
+		if mask := cl.Rank(r); mask != 0 {
+			m.engine.Issue(r, bits.TrailingZeros64(mask), now)
 			return
 		}
 	}

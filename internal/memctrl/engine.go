@@ -10,12 +10,13 @@ import (
 // are currently being scheduled (paper Section 3.2) — and steps accesses
 // through their precharge/activate/column transaction sequences against the
 // device state. Every mechanism reuses it; policies differ only in how they
-// pick ongoing accesses and order candidate transactions.
+// pick ongoing accesses and which unblocked transaction they issue.
 //
-// Occupied banks are tracked in one uint64 bitmap per rank, so candidate
-// collection visits only banks that actually hold an ongoing access
-// (bits.TrailingZeros64 per occupied bank) instead of scanning the whole
-// rank×bank grid.
+// Mechanisms see issuable transactions only through Unblocked's class
+// masks and issue one only through Issue. Occupied banks are tracked in
+// one uint64 bitmap per rank, so the masks are built by visiting only
+// banks that actually hold an ongoing access (bits.TrailingZeros64 per
+// occupied bank) instead of scanning the whole rank×bank grid.
 //
 // On top of the bitmaps sits a version-guarded hint cache: for every
 // occupied bank the engine remembers the next transaction and the earliest
@@ -23,9 +24,9 @@ import (
 // counters. The channel state a hint depends on is time-independent (the
 // timers are absolute cycles; only comparisons against "now" move), so a
 // hint stays exact until one of its counters advances — most cycles nothing
-// does, and the whole candidate/next-event machinery reduces to a few
-// version compares. The sync that revalidates the hints also takes their
-// minimum issue bound, which is the engine's next-event answer.
+// does, and the whole mask/next-event machinery reduces to a few version
+// compares. The sync that revalidates the hints also takes their minimum
+// issue bound, which is the engine's next-event answer.
 type Engine struct {
 	host    *Host
 	banks   int
@@ -34,7 +35,6 @@ type Engine struct {
 	// onColumn runs after an access's column transaction issues, before
 	// the bank's ongoing slot clears.
 	onColumn func(a *Access, now uint64)
-	scratch  []Candidate
 
 	// hints holds one cached (command, earliest-issue) pair per flattened
 	// bank.
@@ -52,11 +52,11 @@ type Engine struct {
 	// construction outright on such cycles; NextEventCycle answers from
 	// it directly.
 	minFull uint64
-	// oldestRank/oldestBank/oldestOK cache OldestOngoing, invalidated
-	// whenever an ongoing slot changes (arrival stamps are immutable).
+	// oldestRank/oldestBank cache OldestOngoing (oldestRank < 0: no
+	// ongoing access), invalidated whenever an ongoing slot changes
+	// (arrival stamps are immutable).
 	oldestRank  int
 	oldestBank  int
-	oldestOK    bool
 	oldestValid bool
 	shadow      engineShadow
 }
@@ -79,8 +79,8 @@ type bankHint struct {
 // BankClasses holds, per rank, masks of banks whose next transaction is
 // unblocked this cycle, split by transaction type (column vs row) and
 // access kind (read vs write) — the four groups the paper's Table 2
-// priority ranks. Refresh never appears: it is channel-internal and is not
-// a candidate transaction.
+// priority ranks. Refresh never appears: it is channel-internal, never a
+// mechanism's transaction.
 type BankClasses struct {
 	ColRead  []uint64
 	ColWrite []uint64
@@ -196,58 +196,6 @@ func (e *Engine) syncBank(ch *dram.Channel, r, b int) {
 	h.valid = true
 }
 
-// Candidate is a bank's next transaction, with its unblocked status this
-// cycle.
-type Candidate struct {
-	Rank, Bank int
-	Access     *Access
-	Cmd        dram.Cmd
-	Unblocked  bool
-}
-
-// IsColumn reports whether the candidate transaction transfers data.
-func (c Candidate) IsColumn() bool { return c.Cmd == dram.CmdRead || c.Cmd == dram.CmdWrite }
-
-// Candidates returns the next transaction of every bank with an ongoing
-// access. Blocked transactions are included (Unblocked=false) so policies
-// that need "oldest access" context (paper Fig. 6 lines 14-15) can see
-// them. The returned slice is reused across calls.
-//
-//burstmem:hotpath
-func (e *Engine) Candidates() []Candidate {
-	e.scratch = e.collectCandidates(e.scratch[:0])
-	return e.scratch
-}
-
-// collectCandidates fills dst with the per-bank next transactions, walking
-// the occupied bitmaps in (rank, bank) order. Commands come from the hint
-// cache; the full CanIssue re-check runs only for banks whose cached issue
-// bound has arrived (CanIssue implies the bound has passed, so the filter
-// loses nothing).
-//
-//burstmem:hotpath
-func (e *Engine) collectCandidates(dst []Candidate) []Candidate {
-	e.sync()
-	ch := e.host.Channel()
-	now := ch.Now()
-	for r := range e.occ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			a := e.ongoing[r][b]
-			h := &e.hints[r*e.banks+b]
-			//lint:ignore hotalloc appends into the caller's scratch slice, whose capacity is retained
-			dst = append(dst, Candidate{
-				Rank:      r,
-				Bank:      b,
-				Access:    a,
-				Cmd:       h.cmd,
-				Unblocked: h.full <= now && ch.CanIssue(h.cmd, a.Target()),
-			})
-		}
-	}
-	return dst
-}
-
 // Unblocked classifies every occupied bank whose next transaction can issue
 // this cycle into the four Table 2 class masks, returning whether any bank
 // qualified. The masks are reused across calls and valid until the next
@@ -297,40 +245,38 @@ func (e *Engine) Unblocked(now uint64) (*BankClasses, bool) {
 	return cl, any
 }
 
-// CandidateAt builds the candidate for an occupied bank from its hint. Only
-// meaningful immediately after Unblocked (or Candidates) on a bank one of
-// the class masks reported, so Unblocked is true by construction.
+// FoldOldest folds the rank's banks in mask into a running oldest-arrival
+// pick (bestRank < 0: nothing picked yet) and returns the new pick. Every
+// bank in mask must hold an ongoing access. A strictly older arrival
+// replaces the pick, so when callers fold ranks in ascending order, arrival
+// ties go to the lowest rank, then the lowest bank.
 //
 //burstmem:hotpath
-func (e *Engine) CandidateAt(rank, bank int) Candidate {
-	h := &e.hints[rank*e.banks+bank]
-	return Candidate{Rank: rank, Bank: bank, Access: e.ongoing[rank][bank], Cmd: h.cmd, Unblocked: true}
+func (e *Engine) FoldOldest(rank int, mask uint64, bestRank, bestBank int) (int, int) {
+	for ; mask != 0; mask &= mask - 1 {
+		b := bits.TrailingZeros64(mask)
+		if bestRank < 0 || e.ongoing[rank][b].Arrival < e.ongoing[bestRank][bestBank].Arrival {
+			bestRank, bestBank = rank, b
+		}
+	}
+	return bestRank, bestBank
 }
 
 // OldestOngoing returns the occupied bank holding the oldest ongoing access
-// (rank-major scan order, strict comparison — ties go to the lowest
-// rank/bank, matching the candidate-slice scan it replaces). Arrival stamps
-// are immutable, so the answer only changes when a bank's ongoing slot
-// does; the scan result is cached until then.
+// (arrival ties go to the lowest rank, then bank). Arrival stamps are
+// immutable, so the answer only changes when a bank's ongoing slot does;
+// it is cached until then.
 //
 //burstmem:hotpath
 func (e *Engine) OldestOngoing() (rank, bank int, ok bool) {
-	if e.oldestValid {
-		return e.oldestRank, e.oldestBank, e.oldestOK
-	}
-	var best *Access
-	for r := range e.occ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			a := e.ongoing[r][b]
-			if best == nil || a.Arrival < best.Arrival {
-				best, rank, bank, ok = a, r, b, true
-			}
+	if !e.oldestValid {
+		e.oldestRank, e.oldestBank = -1, -1
+		for r, mask := range e.occ {
+			e.oldestRank, e.oldestBank = e.FoldOldest(r, mask, e.oldestRank, e.oldestBank)
 		}
+		e.oldestValid = true
 	}
-	e.oldestRank, e.oldestBank, e.oldestOK = rank, bank, ok
-	e.oldestValid = true
-	return rank, bank, ok
+	return e.oldestRank, e.oldestBank, e.oldestRank >= 0
 }
 
 // NextEventCycle returns the earliest cycle any occupied bank's next
@@ -353,24 +299,31 @@ func (e *Engine) NextEventCycle(now uint64) uint64 {
 	return next
 }
 
-// Issue executes the candidate's transaction. For a column transaction the
-// access completes: the completion is scheduled at its data end, the
-// onColumn hook runs, and the bank's ongoing slot clears. Issue records the
-// access start/outcome on its first transaction.
+// Issue executes the next transaction of the bank's ongoing access and
+// returns its command. The command is derived from the device state, so a
+// preceding Unblocked is not required; dram.Channel.Issue panics if the
+// command is blocked this cycle. For a column transaction the access
+// completes: the completion is scheduled at its data end, the onColumn
+// hook runs, and the bank's ongoing slot clears. Issue records the access
+// start/outcome on its first transaction.
 //
 //burstmem:hotpath
-func (e *Engine) Issue(c Candidate, now uint64) {
+func (e *Engine) Issue(rank, bank int, now uint64) dram.Cmd {
 	ch := e.host.Channel()
-	a := c.Access
+	a := e.ongoing[rank][bank]
+	t := a.Target()
+	cmd := ch.NextCommand(t, a.Kind == KindRead)
+	col := cmd == dram.CmdRead || cmd == dram.CmdWrite
 	e.host.StartAccess(a, now)
-	res := ch.Issue(c.Cmd, a.Target(), c.IsColumn() && e.host.AutoPrecharge())
-	if c.IsColumn() {
+	res := ch.Issue(cmd, t, col && e.host.AutoPrecharge())
+	if col {
 		e.host.CompleteAt(a, res.DataEnd)
 		if e.onColumn != nil {
 			e.onColumn(a, now)
 		}
-		e.ClearOngoing(c.Rank, c.Bank)
+		e.ClearOngoing(rank, bank)
 	}
+	return cmd
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -47,11 +47,8 @@ func TestEngineShadowCleanRun(t *testing.T) {
 	for now := uint64(1); now < 64 && m.engine.Ongoing(0, 0) != nil; now++ {
 		c.Tick(now)
 		m.engine.NextEventCycle(now)
-		for _, cand := range m.engine.Candidates() {
-			if cand.Unblocked {
-				m.engine.Issue(cand, now)
-				break
-			}
+		if _, any := m.engine.Unblocked(now); any {
+			m.engine.Issue(0, 0, now)
 		}
 		m.engine.NextEventCycle(now)
 	}

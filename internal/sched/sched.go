@@ -77,22 +77,19 @@ type bankInOrder struct {
 	ranks     int
 	banks     int
 	pipelined bool
-	rr        *roundRobin
-	rrNext    int // flattened bank index after the last served bank (serial mode)
+	// next is the round-robin cursor: the flattened bank index after the
+	// last bank served (issued to when pipelined, installed when serial).
+	next int
 
-	current                     *memctrl.Access // serial mode: the single in-service access
-	curRank                     int
-	curBank                     int
-	pendingReads, pendingWrites int
+	curRank, curBank int // serial mode: the bank of the single in-service access
 }
 
 func newBankInOrder(h *memctrl.Host, pipelined bool) *bankInOrder {
 	s := &bankInOrder{host: h, pipelined: pipelined}
-	s.engine = memctrl.NewEngine(h, s.onColumn)
+	s.engine = memctrl.NewEngine(h, nil)
 	ch := h.Channel()
 	s.ranks, s.banks = ch.Ranks(), ch.Banks()
 	s.queues = memctrl.NewBankQueues(s.ranks, s.banks)
-	s.rr = newRoundRobin(ch.Ranks(), ch.Banks())
 	return s
 }
 
@@ -109,33 +106,17 @@ func (s *bankInOrder) Name() string {
 func (s *bankInOrder) ForwardsWrites() bool { return false }
 
 // Pending implements memctrl.Mechanism.
-func (s *bankInOrder) Pending() (int, int) { return s.pendingReads, s.pendingWrites }
+func (s *bankInOrder) Pending() (int, int) { return s.host.Pending() }
 
 // Enqueue implements memctrl.Mechanism.
-func (s *bankInOrder) Enqueue(a *memctrl.Access, now uint64) {
-	s.queues.PushBack(a)
-	if a.Kind == memctrl.KindRead {
-		s.pendingReads++
-	} else {
-		s.pendingWrites++
-	}
-}
-
-//burstmem:hotpath
-func (s *bankInOrder) onColumn(a *memctrl.Access, now uint64) {
-	if a.Kind == memctrl.KindRead {
-		s.pendingReads--
-	} else {
-		s.pendingWrites--
-	}
-	s.current = nil
-}
+func (s *bankInOrder) Enqueue(a *memctrl.Access, now uint64) { s.queues.PushBack(a) }
 
 // Tick implements memctrl.Mechanism.
 //
 //burstmem:hotpath
 func (s *bankInOrder) Tick(now uint64) {
 	ch := s.host.Channel()
+	total := s.ranks * s.banks
 	if s.pipelined {
 		for r := 0; r < s.ranks; r++ {
 			// Banks with queued work and a free ongoing slot.
@@ -144,38 +125,48 @@ func (s *bankInOrder) Tick(now uint64) {
 				s.engine.SetOngoing(r, b, s.queues.PopFront(r, b))
 			}
 		}
-		if ch.CommandSlotFree() {
-			s.rr.issue(s.engine, now)
+		if !ch.CommandSlotFree() {
+			return
+		}
+		// Issue one unblocked transaction, visiting banks in rotating
+		// order so every bank gets an equal share of the command bus.
+		cl, any := s.engine.Unblocked(now)
+		if !any {
+			return
+		}
+		for i := 0; i < total; i++ {
+			idx := (s.next + i) % total
+			r, b := idx/s.banks, idx%s.banks
+			if cl.Rank(r)&(1<<uint(b)) != 0 {
+				s.engine.Issue(r, b, now)
+				s.next = idx + 1
+				return
+			}
 		}
 		return
 	}
-	if s.current == nil {
+	if s.engine.Ongoing(s.curRank, s.curBank) == nil {
 		// Round-robin bank selection, FIFO within the bank.
-		total := s.ranks * s.banks
 		for i := 0; i < total; i++ {
-			idx := (s.rrNext + i) % total
+			idx := (s.next + i) % total
 			r, b := idx/s.banks, idx%s.banks
 			if s.queues.List(r, b).Empty() {
 				continue
 			}
-			s.current = s.queues.PopFront(r, b)
 			s.curRank, s.curBank = r, b
-			s.engine.SetOngoing(r, b, s.current)
-			s.rrNext = idx + 1
+			s.engine.SetOngoing(r, b, s.queues.PopFront(r, b))
+			s.next = idx + 1
 			break
 		}
-		if s.current == nil {
+		if s.engine.Ongoing(s.curRank, s.curBank) == nil {
 			return
 		}
 	}
 	if !ch.CommandSlotFree() {
 		return
 	}
-	for _, c := range s.engine.Candidates() {
-		if c.Rank == s.curRank && c.Bank == s.curBank && c.Unblocked {
-			s.engine.Issue(c, now)
-			return
-		}
+	if cl, any := s.engine.Unblocked(now); any && cl.Rank(s.curRank)&(1<<uint(s.curBank)) != 0 {
+		s.engine.Issue(s.curRank, s.curBank, now)
 	}
 }
 
@@ -186,13 +177,11 @@ type rowHit struct {
 	engine *memctrl.Engine
 	queues *memctrl.BankQueues
 	ranks  int
-
-	pendingReads, pendingWrites int
 }
 
 func newRowHit(h *memctrl.Host) *rowHit {
 	s := &rowHit{host: h}
-	s.engine = memctrl.NewEngine(h, s.onColumn)
+	s.engine = memctrl.NewEngine(h, nil)
 	ch := h.Channel()
 	s.ranks = ch.Ranks()
 	s.queues = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
@@ -209,32 +198,16 @@ func (s *rowHit) Name() string { return "RowHit" }
 func (s *rowHit) ForwardsWrites() bool { return false }
 
 // Pending implements memctrl.Mechanism.
-func (s *rowHit) Pending() (int, int) { return s.pendingReads, s.pendingWrites }
+func (s *rowHit) Pending() (int, int) { return s.host.Pending() }
 
 // Enqueue implements memctrl.Mechanism.
-func (s *rowHit) Enqueue(a *memctrl.Access, now uint64) {
-	s.queues.PushBack(a)
-	if a.Kind == memctrl.KindRead {
-		s.pendingReads++
-	} else {
-		s.pendingWrites++
-	}
-}
-
-//burstmem:hotpath
-func (s *rowHit) onColumn(a *memctrl.Access, now uint64) {
-	if a.Kind == memctrl.KindRead {
-		s.pendingReads--
-	} else {
-		s.pendingWrites--
-	}
-}
+func (s *rowHit) Enqueue(a *memctrl.Access, now uint64) { s.queues.PushBack(a) }
 
 // Tick implements memctrl.Mechanism. Transaction selection follows
 // Rixner's column/precharge/activate manager precedence: among unblocked
-// transactions, column accesses go first (oldest first, round-robin across
-// banks at equal age), then precharges and activates — keeping the data
-// bus busy while row operations overlap underneath.
+// transactions, column accesses go first (oldest first), then precharges
+// and activates — keeping the data bus busy while row operations overlap
+// underneath.
 //
 //burstmem:hotpath
 func (s *rowHit) Tick(now uint64) {
@@ -259,36 +232,23 @@ func (s *rowHit) Tick(now uint64) {
 	if !ch.CommandSlotFree() {
 		return
 	}
-	// Column transactions beat row transactions; oldest access breaks
-	// ties. The engine's class masks hand both categories over directly.
 	cl, any := s.engine.Unblocked(now)
 	if !any {
 		return
 	}
-	r, b, ok := oldestInMasks(s.engine, cl.ColRead, cl.ColWrite)
-	if !ok {
-		r, b, _ = oldestInMasks(s.engine, cl.RowRead, cl.RowWrite)
+	// Column transactions beat row transactions; oldest access breaks
+	// ties. The row classes are folded only when no column is unblocked,
+	// and then over every rank.
+	rank, bank := -1, -1
+	for r := 0; r < s.ranks; r++ {
+		rank, bank = s.engine.FoldOldest(r, cl.ColRead[r]|cl.ColWrite[r], rank, bank)
 	}
-	s.engine.Issue(s.engine.CandidateAt(r, b), now)
-}
-
-// oldestInMasks returns the bank holding the oldest ongoing access among
-// the union of the two per-rank class masks (rank-major scan; arrival ties
-// go to the lowest rank/bank, like the candidate scan it replaces).
-//
-//burstmem:hotpath
-func oldestInMasks(e *memctrl.Engine, a, b []uint64) (int, int, bool) {
-	bestR, bestB := -1, -1
-	var bestArrival uint64
-	for r := range a {
-		for m := a[r] | b[r]; m != 0; m &= m - 1 {
-			bk := bits.TrailingZeros64(m)
-			if acc := e.Ongoing(r, bk); bestR < 0 || acc.Arrival < bestArrival {
-				bestR, bestB, bestArrival = r, bk, acc.Arrival
-			}
+	if rank < 0 {
+		for r := 0; r < s.ranks; r++ {
+			rank, bank = s.engine.FoldOldest(r, cl.RowRead[r]|cl.RowWrite[r], rank, bank)
 		}
 	}
-	return bestR, bestB, bestR >= 0
+	s.engine.Issue(rank, bank, now)
 }
 
 // intel: per-bank read queues (row-hit read first, else oldest), one write
@@ -302,22 +262,15 @@ type intel struct {
 	writes     *memctrl.BankQueues
 	ranks      int
 	preemption bool
-
-	pendingReads, pendingWrites int
-	ongoingIsWrite              [][]bool
 }
 
 func newIntel(h *memctrl.Host, preemption bool) *intel {
 	s := &intel{host: h, preemption: preemption}
-	s.engine = memctrl.NewEngine(h, s.onColumn)
+	s.engine = memctrl.NewEngine(h, nil)
 	ch := h.Channel()
 	s.ranks = ch.Ranks()
 	s.reads = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
 	s.writes = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
-	s.ongoingIsWrite = make([][]bool, ch.Ranks())
-	for r := range s.ongoingIsWrite {
-		s.ongoingIsWrite[r] = make([]bool, ch.Banks())
-	}
 	return s
 }
 
@@ -334,25 +287,14 @@ func (s *intel) Name() string {
 func (s *intel) ForwardsWrites() bool { return true }
 
 // Pending implements memctrl.Mechanism.
-func (s *intel) Pending() (int, int) { return s.pendingReads, s.pendingWrites }
+func (s *intel) Pending() (int, int) { return s.host.Pending() }
 
 // Enqueue implements memctrl.Mechanism.
 func (s *intel) Enqueue(a *memctrl.Access, now uint64) {
 	if a.Kind == memctrl.KindRead {
 		s.reads.PushBack(a)
-		s.pendingReads++
 	} else {
 		s.writes.PushBack(a)
-		s.pendingWrites++
-	}
-}
-
-//burstmem:hotpath
-func (s *intel) onColumn(a *memctrl.Access, now uint64) {
-	if a.Kind == memctrl.KindRead {
-		s.pendingReads--
-	} else {
-		s.pendingWrites--
 	}
 }
 
@@ -379,30 +321,29 @@ func (s *intel) Tick(now uint64) {
 	if !ch.CommandSlotFree() {
 		return
 	}
+	cl, any := s.engine.Unblocked(now)
+	if !any {
+		return
+	}
 	// Transaction selection: started accesses first (oldest first), then
 	// unstarted (oldest first). No bus-timing awareness — the "best
 	// effort" behaviour the paper contrasts with Table 2.
-	cands := s.engine.Candidates()
-	best := -1
-	for i, c := range cands {
-		if !c.Unblocked {
-			continue
+	sr, sb, ur, ub := -1, -1, -1, -1
+	for r := 0; r < s.ranks; r++ {
+		all := cl.Rank(r)
+		var started uint64
+		for m := all; m != 0; m &= m - 1 {
+			if b := bits.TrailingZeros64(m); s.engine.Ongoing(r, b).Started() {
+				started |= 1 << uint(b)
+			}
 		}
-		if best < 0 || betterIntel(c, cands[best]) {
-			best = i
-		}
+		sr, sb = s.engine.FoldOldest(r, started, sr, sb)
+		ur, ub = s.engine.FoldOldest(r, all&^started, ur, ub)
 	}
-	if best >= 0 {
-		s.engine.Issue(cands[best], now)
+	if sr >= 0 {
+		ur, ub = sr, sb
 	}
-}
-
-//burstmem:hotpath
-func betterIntel(a, b memctrl.Candidate) bool {
-	if a.Access.Started() != b.Access.Started() {
-		return a.Access.Started()
-	}
-	return a.Access.Arrival < b.Access.Arrival
+	s.engine.Issue(ur, ub, now)
 }
 
 // arbitrateVacant picks the bank's next ongoing access when no access is
@@ -410,7 +351,7 @@ func betterIntel(a, b memctrl.Candidate) bool {
 //
 //burstmem:hotpath
 func (s *intel) arbitrateVacant(r, b int) {
-	switch {
+	switch reads, _ := s.host.Pending(); {
 	case s.host.WriteQueueFull() && !s.writes.List(r, b).Empty():
 		// Drain the oldest write that no queued read still wants
 		// (WAR guard; younger same-line reads were forwarded).
@@ -422,7 +363,7 @@ func (s *intel) arbitrateVacant(r, b int) {
 		}
 	case !s.reads.List(r, b).Empty():
 		s.installRead(r, b)
-	case !s.writes.List(r, b).Empty() && s.pendingReads == 0:
+	case !s.writes.List(r, b).Empty() && reads == 0:
 		// Writes are postponed until the channel has no reads
 		// at all (minimizing read latency, per the patent).
 		s.installWrite(r, b, s.writes.List(r, b).Front())
@@ -434,7 +375,7 @@ func (s *intel) arbitrateVacant(r, b int) {
 //burstmem:hotpath
 func (s *intel) arbitrateOngoing(r, b int, now uint64) {
 	ongoing := s.engine.Ongoing(r, b)
-	if s.ongoingIsWrite[r][b] && !s.reads.List(r, b).Empty() && !s.host.WriteQueueFull() {
+	if ongoing.Kind == memctrl.KindWrite && !s.reads.List(r, b).Empty() && !s.host.WriteQueueFull() {
 		// Read preemption: push the write back and start the read.
 		s.engine.ClearOngoing(r, b)
 		s.writes.PushFront(ongoing)
@@ -461,14 +402,12 @@ func (s *intel) installRead(r, b int) {
 	}
 	s.reads.Remove(pick)
 	s.engine.SetOngoing(r, b, pick)
-	s.ongoingIsWrite[r][b] = false
 }
 
 //burstmem:hotpath
 func (s *intel) installWrite(r, b int, w *memctrl.Access) {
 	s.writes.Remove(w)
 	s.engine.SetOngoing(r, b, w)
-	s.ongoingIsWrite[r][b] = true
 }
 
 // oldestSafeWrite returns the oldest write whose line no queued read
@@ -491,35 +430,6 @@ func (s *intel) oldestSafeWrite(r, b int) *memctrl.Access {
 		}
 	}
 	return nil
-}
-
-// roundRobin issues one unblocked transaction per cycle, visiting banks in
-// rotating order so every bank gets an equal share of the command bus.
-type roundRobin struct {
-	ranks, banks int
-	next         int
-}
-
-func newRoundRobin(ranks, banks int) *roundRobin {
-	return &roundRobin{ranks: ranks, banks: banks}
-}
-
-//burstmem:hotpath
-func (rr *roundRobin) issue(e *memctrl.Engine, now uint64) {
-	cl, any := e.Unblocked(now)
-	if !any {
-		return
-	}
-	total := rr.ranks * rr.banks
-	for i := 0; i < total; i++ {
-		idx := (rr.next + i) % total
-		r, b := idx/rr.banks, idx%rr.banks
-		if cl.Rank(r)&(1<<uint(b)) != 0 {
-			e.Issue(e.CandidateAt(r, b), now)
-			rr.next = idx + 1
-			return
-		}
-	}
 }
 
 // NextEventCycle implements memctrl.EventHinter. None of the baseline

@@ -12,7 +12,7 @@ import (
 // TestSchedulerSteadyStateAllocs asserts that the controller + mechanism
 // hot path — Submit, bank arbitration, transaction scheduling, completion
 // — performs zero heap allocations once warm. The access pool, intrusive
-// per-bank lists and reused candidate scratch exist precisely for this;
+// per-bank lists and reused class masks exist precisely for this;
 // a regression here silently costs ~1M allocs/s of simulation throughput.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	for _, mech := range []string{"BkInOrder", "RowHit", "Intel", "Intel_RP", "Burst", "Burst_TH"} {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"burstmem/internal/addrmap"
@@ -25,6 +26,8 @@ func conservationMechanisms() []string {
 // enqueued access completes exactly once, completion timestamps are
 // monotone, reconstructed pool/write-queue occupancy stays within
 // capacity, and controller totals agree with per-channel device counts.
+// Every burst scheduling run must also have reached the tracer through its
+// Host: it records scheduler picks and burst formations.
 // Subtests are named <mech>/workers0: the serial controller, which is the
 // only engine, under the name its leg had when a sharded one ran beside it.
 func TestAccessConservation(t *testing.T) {
@@ -85,6 +88,13 @@ func TestAccessConservation(t *testing.T) {
 			if tr.Count(trace.EvEnqueue) != uint64(submitted) {
 				t.Fatalf("%s: %d submitted but %d enqueue events",
 					mech, submitted, tr.Count(trace.EvEnqueue))
+			}
+			if strings.HasPrefix(mech, "Burst") {
+				for _, k := range []trace.Kind{trace.EvSchedPick, trace.EvBurstForm} {
+					if tr.Count(k) == 0 {
+						t.Fatalf("%s: no %v events reached the tracer", mech, k)
+					}
+				}
 			}
 		})
 	}

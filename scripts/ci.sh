@@ -51,6 +51,12 @@ go run ./cmd/memsim -bench swim -mech Burst_TH -n 50000 -warmup 20000 \
     -trace "$tracetmp/trace.json" -trace-interval 500 >/dev/null
 go run ./scripts/jsoncheck "$tracetmp/trace.json"
 
+echo "== examples that drive the controller and engine by hand =="
+# go build only compiles them; running them catches a runtime panic in the
+# public-API demos (a custom mechanism, the Figure 1 controller trace).
+go run ./examples/controller_trace >/dev/null
+go run ./examples/custom_mechanism >/dev/null
+
 echo "== benchmark module tests =="
 (cd bench && go test ./...)
 
