@@ -275,37 +275,6 @@ func BenchmarkAblationTransactionPriority(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRAWForwarding measures write-queue forwarding on/off.
-func BenchmarkAblationRAWForwarding(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "forwarding"
-		if disable {
-			name = "no-forwarding"
-		}
-		b.Run(name, func(b *testing.B) {
-			var res sim.Result
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				cfg.Mem.NoForwarding = disable
-				prof, err := workload.ByName("gcc")
-				if err != nil {
-					b.Fatal(err)
-				}
-				factory, err := sim.MechanismByName("Burst_TH")
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err = sim.Run(cfg, prof, factory)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.CPUCycles), "cpu-cycles")
-			b.ReportMetric(float64(res.ForwardedReads), "forwarded-reads")
-		})
-	}
-}
-
 // BenchmarkAblationRowPolicy compares Open Page against Close Page
 // Autoprecharge (paper Table 1's two static policies).
 func BenchmarkAblationRowPolicy(b *testing.B) {

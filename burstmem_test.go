@@ -101,9 +101,6 @@ func (m *fifoMech) Tick(now uint64) {
 			m.q = m.q[1:]
 		}
 	}
-	if !m.host.Channel().CommandSlotFree() {
-		return
-	}
 	cl, any := m.engine.Unblocked(now)
 	if !any {
 		return

@@ -75,18 +75,15 @@ func (m *oldestFirst) Tick(now uint64) {
 		m.engine.SetOngoing(key[0], key[1], q[0])
 		m.queues[key] = q[1:]
 	}
-	ch := m.host.Channel()
-	if !ch.CommandSlotFree() {
-		return
-	}
 	// Unblocked masks, per rank, the banks whose next transaction can
-	// issue this cycle; fold them into the oldest access's bank.
+	// issue this cycle (none while the refresh engine holds the command
+	// slot); fold them into the oldest access's bank.
 	cl, any := m.engine.Unblocked(now)
 	if !any {
 		return
 	}
 	rank, bank := -1, -1
-	for r := 0; r < ch.Ranks(); r++ {
+	for r := 0; r < m.host.Channel().Ranks(); r++ {
 		rank, bank = m.engine.FoldOldest(r, cl.Rank(r), rank, bank)
 	}
 	m.engine.Issue(rank, bank, now)

@@ -9,11 +9,11 @@ var m = map[string]int{"a": 1}
 
 // tick crosses the scope boundary in every forbidden way.
 func tick() int64 {
-	t := helpers.Stamp()       // want `call of helpers.Stamp reaches wall-clock time`
-	_ = helpers.Pick(m)        // want `call of helpers.Pick reaches map iteration`
-	_ = helpers.Roll()         // want `call of helpers.Roll reaches process-seeded rand`
-	helpers.Fire(func() {})    // want `call of helpers.Fire reaches goroutine spawn`
-	t += helpers.DeepClock()   // want `call of helpers.DeepClock reaches wall-clock time \(helpers.DeepClock -> helpers.Stamp\)`
+	t := helpers.Stamp()     // want `call of helpers.Stamp reaches wall-clock time`
+	_ = helpers.Pick(m)      // want `call of helpers.Pick reaches map iteration`
+	_ = helpers.Roll()       // want `call of helpers.Roll reaches process-seeded rand`
+	helpers.Fire(func() {})  // want `call of helpers.Fire reaches goroutine spawn`
+	t += helpers.DeepClock() // want `call of helpers.DeepClock reaches wall-clock time \(helpers.DeepClock -> helpers.Stamp\)`
 	return t + int64(helpers.Pure(3))
 }
 

@@ -7,12 +7,12 @@ import (
 	"os"
 )
 
-func open() (*os.File, error)  { return nil, nil }
-func flush() error             { return nil }
-func parse(f *os.File) error   { return nil }
-func count() (int, error)      { return 0, nil }
-func sink(err error)           { _ = err }
-func fatal(err error)          { os.Exit(1) }
+func open() (*os.File, error) { return nil, nil }
+func flush() error            { return nil }
+func parse(f *os.File) error  { return nil }
+func count() (int, error)     { return 0, nil }
+func sink(err error)          { _ = err }
+func fatal(err error)         { os.Exit(1) }
 
 // dropped: bare statement call with an error result.
 func dropped(f *os.File) {

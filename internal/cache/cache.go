@@ -100,13 +100,14 @@ func (c Config) Validate() error {
 // Result is the outcome of a cache access attempt.
 type Result int
 
-// Access outcomes. Hit completes at the cache's latency; Miss means a new
-// MSHR was allocated and a line fetch starts; MissMerged means the access
-// joined an MSHR whose fetch was already in flight (both fire the done
-// callback when the fill arrives); Blocked means nothing was done and the
-// caller must retry next cycle; Parked (AccessLoad only) means the access
-// would allocate a new line fetch but the caller forbade allocation — no
-// state was touched and no statistic counted.
+// Access outcomes. Hit means the line is present (a load's done fires after
+// the cache's latency, a store completes at once); Miss means a new MSHR
+// was allocated and a line fetch starts; MissMerged means the access joined
+// an MSHR whose fetch was already in flight (both fire the done callback
+// the cache's latency after the fill arrives); Blocked means nothing was
+// done and the caller must retry next cycle; Parked (AccessLoad only)
+// means the access would allocate a new line fetch but the caller forbade
+// allocation — no state was touched and no statistic counted.
 const (
 	Hit Result = iota
 	Miss
@@ -181,8 +182,8 @@ type Cache struct {
 	lines   []line
 	ways    int
 	numSets int
-	// mru remembers each set's most recently hit way. Temporal locality
-	// makes it the overwhelmingly likely hit, so Access probes it before
+	// mru remembers each set's most recently found way. Temporal locality
+	// makes it the overwhelmingly likely hit, so lookup probes it before
 	// scanning the set; purely an ordering shortcut over an equality
 	// scan, invisible in results.
 	mru     []uint8
@@ -193,7 +194,7 @@ type Cache struct {
 	mshrFree []*mshr            // recycled mshr objects
 	mshrQ    deque.Deque[*mshr] // MSHRs not yet issued to the backend
 	wbQ      deque.Deque[uint64]
-	tick     uint64 // LRU touch counter
+	tick     uint64 // LRU touch counter, advanced on hits and fills
 	// version moves on every event after which a refused access could get
 	// another answer (see Version).
 	version uint64
@@ -211,8 +212,9 @@ type deferred struct {
 	fn func()
 }
 
-// deferResponse schedules fn after the cache's service latency. With a constant
-// delay the queue stays sorted, so a FIFO suffices.
+// deferResponse schedules fn after the cache's service latency; with zero
+// latency fn runs at once, inside the caller. With a constant delay the
+// queue stays sorted, so a FIFO suffices.
 func (c *Cache) deferResponse(fn func()) {
 	if c.cfg.LatencyCycles == 0 {
 		fn()
@@ -291,95 +293,50 @@ func (c *Cache) lineAddr(addr uint64) uint64 {
 }
 
 // Access performs a load (isWrite=false) or store (isWrite=true) with
-// write-allocate semantics. On Miss, done fires when the fill completes.
-// done may be nil for callers that do not need notification.
+// write-allocate semantics. A load's done fires when its data is ready:
+// LatencyCycles after a hit, or after the fill plus LatencyCycles on a
+// miss. A store hit completes at once and fires nothing; a store miss
+// fires done after its fill plus LatencyCycles. done may be nil for
+// callers that do not need notification.
 func (c *Cache) Access(addr uint64, isWrite bool, done func()) Result {
-	c.tick++
-	set, tag := c.index(addr)
-	ways := c.lines[int(set)*c.ways : int(set)*c.ways+c.ways]
-	if ln := &ways[c.mru[set]]; ln.valid && ln.tag == tag {
-		ln.lru = c.tick
-		if isWrite {
-			ln.dirty = true
-		}
-		c.Stats.Hits++
-		return Hit
-	}
-	for i := range ways {
-		ln := &ways[i]
-		if ln.valid && ln.tag == tag {
-			ln.lru = c.tick
-			if isWrite {
-				ln.dirty = true
-			}
-			c.mru[set] = uint8(i)
-			c.Stats.Hits++
-			return Hit
-		}
-	}
-	// Miss. Coalesce into an existing MSHR if one covers the line.
-	la := c.lineAddr(addr)
-	if m, ok := c.mshrs.Get(la); ok {
-		if done != nil {
-			m.waiters = append(m.waiters, done)
-		}
-		m.isWrite = m.isWrite || isWrite
-		c.Stats.Coalesced++
-		return MissMerged
-	}
-	if c.mshrs.Len() >= c.cfg.MSHRs || c.wbQ.Len() >= c.cfg.WritebackBuf {
-		// No MSHR, or fills might have nowhere to push victims.
-		c.Stats.Blocked++
-		return Blocked
-	}
-	m := c.acquireMSHR(la, isWrite)
-	if done != nil {
-		m.waiters = append(m.waiters, done)
-	}
-	c.mshrs.Put(la, m)
-	c.mshrQ.PushBack(m)
-	c.version++
-	c.Stats.Misses++
-	return Miss
+	return c.access(addr, isWrite, true, done)
 }
 
-// AccessLoad performs a load access whose LSQ-slot admission is decided by
-// the cache in the same pass: with mayAllocate false, an access that would
-// start a new line fetch returns Parked with zero side effects (the CPU
-// parks the load until an LSQ slot frees). One address decomposition and
-// set probe answers both questions.
-//
-// The outcome and every observable side effect (LRU/MRU touches, statistic
-// counters, MSHR state) are identical to WouldAllocate followed by Access:
-// hits and coalesced misses proceed regardless of mayAllocate.
+// AccessLoad performs a load whose LSQ-slot admission is decided in the
+// same probe: with mayAllocate false, a load that would start a new line
+// fetch returns Parked with zero side effects (the CPU parks the load until
+// an LSQ slot frees). Hits and coalesced misses proceed regardless, exactly
+// as Access(addr, false, done).
 //
 //burstmem:hotpath
 func (c *Cache) AccessLoad(addr uint64, mayAllocate bool, done func()) Result {
+	return c.access(addr, false, mayAllocate, done)
+}
+
+// access is the one access routine behind Access and AccessLoad.
+//
+//burstmem:hotpath
+func (c *Cache) access(addr uint64, isWrite, mayAllocate bool, done func()) Result {
 	set, tag := c.index(addr)
-	base := int(set) * c.ways
-	ways := c.lines[base : base+c.ways]
-	if ln := &ways[c.mru[set]]; ln.valid && ln.tag == tag {
+	if ln := c.lookup(set, tag); ln != nil {
 		c.tick++
 		ln.lru = c.tick
+		if isWrite {
+			ln.dirty = true
+		} else if done != nil {
+			c.deferResponse(done)
+		}
 		c.Stats.Hits++
 		return Hit
 	}
-	for i := range ways {
-		ln := &ways[i]
-		if ln.valid && ln.tag == tag {
-			c.tick++
-			ln.lru = c.tick
-			c.mru[set] = uint8(i)
-			c.Stats.Hits++
-			return Hit
-		}
-	}
+	// Miss. Coalesce into an existing MSHR if one covers the line.
 	la := tag << c.offBits
 	if m, ok := c.mshrs.Get(la); ok {
 		if done != nil {
 			//lint:ignore hotalloc waiter slice capacity is retained across MSHR pool reuse
 			m.waiters = append(m.waiters, done)
 		}
+		m.isWrite = m.isWrite || isWrite
 		c.Stats.Coalesced++
 		return MissMerged
 	}
@@ -391,7 +348,7 @@ func (c *Cache) AccessLoad(addr uint64, mayAllocate bool, done func()) Result {
 		c.Stats.Blocked++
 		return Blocked
 	}
-	m := c.acquireMSHR(la, false)
+	m := c.acquireMSHR(la, isWrite)
 	if done != nil {
 		//lint:ignore hotalloc waiter slice capacity is retained across MSHR pool reuse
 		m.waiters = append(m.waiters, done)
@@ -401,6 +358,25 @@ func (c *Cache) AccessLoad(addr uint64, mayAllocate bool, done func()) Result {
 	c.version++
 	c.Stats.Misses++
 	return Miss
+}
+
+// lookup returns the way of the set that holds tag, or nil. It checks the
+// set's MRU way first and then scans the set, making a found way the MRU.
+// The hint only orders an equality scan, so it is invisible in results.
+//
+//burstmem:hotpath
+func (c *Cache) lookup(set, tag uint64) *line {
+	ways := c.lines[int(set)*c.ways : int(set)*c.ways+c.ways]
+	if ln := &ways[c.mru[set]]; ln.valid && ln.tag == tag {
+		return ln
+	}
+	for i := range ways {
+		if ln := &ways[i]; ln.valid && ln.tag == tag {
+			c.mru[set] = uint8(i)
+			return ln
+		}
+	}
+	return nil
 }
 
 // WouldAllocate reports whether an access to addr would start a new line
@@ -416,21 +392,8 @@ func (c *Cache) WouldAllocate(addr uint64) bool {
 }
 
 // Probe reports whether the line is present without touching LRU state.
-// The MRU hint is checked first — same shortcut as Access, equally
-// invisible in results (a pure ordering change over an equality scan).
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	ways := c.lines[int(set)*c.ways : int(set)*c.ways+c.ways]
-	if ln := &ways[c.mru[set]]; ln.valid && ln.tag == tag {
-		return true
-	}
-	for i := range ways {
-		ln := &ways[i]
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.lookup(c.index(addr)) != nil
 }
 
 // Tick advances one cycle of the cache's clock domain: latency-deferred
@@ -592,29 +555,14 @@ func (c *Cache) AsBackend() Backend { return (*levelBackend)(c) }
 
 type levelBackend Cache
 
-// ReadLine implements Backend for an upper cache level. Hits respond after
-// this cache's service latency; misses respond after the fill returns plus
-// the latency.
+// ReadLine implements Backend for an upper cache level. done fires after
+// this cache's service latency on a hit, or after the fill plus the
+// latency on a miss.
 func (b *levelBackend) ReadLine(addr uint64, done func()) bool {
-	c := (*Cache)(b)
-	switch c.Access(addr, false, done) {
-	case Hit:
-		c.deferResponse(done)
-		return true
-	case Miss, MissMerged:
-		return true
-	default:
-		return false
-	}
+	return (*Cache)(b).Access(addr, false, done) != Blocked
 }
 
 // WriteLine implements Backend for an upper cache level.
 func (b *levelBackend) WriteLine(addr uint64) bool {
-	c := (*Cache)(b)
-	switch c.Access(addr, true, nil) {
-	case Hit, Miss, MissMerged:
-		return true
-	default:
-		return false
-	}
+	return (*Cache)(b).Access(addr, true, nil) != Blocked
 }

@@ -307,6 +307,60 @@ func TestLatencyDefersResponses(t *testing.T) {
 	}
 }
 
+// TestDoneFiresWhenDataReady pins the completion contract: a load hit
+// fires done after exactly LatencyCycles Ticks, a store hit completes at
+// once and never fires it, and a miss fires after its fill plus
+// LatencyCycles.
+func TestDoneFiresWhenDataReady(t *testing.T) {
+	m := &memStub{}
+	cfg := smallConfig()
+	cfg.LatencyCycles = 3
+	c := mustCache(t, cfg, m)
+	fires := 0
+	done := func() { fires++ }
+	// waitFire ticks the cache and requires done to fire on exactly the
+	// third Tick.
+	waitFire := func(what string) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if fires != 0 {
+				t.Fatalf("%s: done fired after %d Ticks, want 3", what, i)
+			}
+			c.Tick()
+		}
+		if fires != 1 {
+			t.Fatalf("%s: done fired %d times after 3 Ticks, want once", what, fires)
+		}
+		fires = 0
+	}
+
+	if r := c.Access(0x1000, false, done); r != Miss {
+		t.Fatalf("cold load = %v, want miss", r)
+	}
+	c.Tick() // the miss goes to the backend
+	m.deliver()
+	waitFire("load miss")
+
+	if r := c.AccessLoad(0x1000, true, done); r != Hit {
+		t.Fatalf("AccessLoad of a present line = %v, want hit", r)
+	}
+	waitFire("AccessLoad hit")
+	if r := c.Access(0x1008, false, done); r != Hit {
+		t.Fatalf("load of a present line = %v, want hit", r)
+	}
+	waitFire("load hit")
+
+	if r := c.Access(0x1000, true, done); r != Hit {
+		t.Fatalf("store to a present line = %v, want hit", r)
+	}
+	for i := 0; i < 10; i++ {
+		c.Tick()
+	}
+	if fires != 0 {
+		t.Fatalf("store hit fired done %d times, want never", fires)
+	}
+}
+
 func TestAsBackendChainsLevels(t *testing.T) {
 	m := &memStub{}
 	l2 := mustCache(t, smallConfig(), m)

@@ -29,14 +29,16 @@ import (
 	"fmt"
 
 	"burstmem/internal/cache"
-	"burstmem/internal/deque"
 	"burstmem/internal/workload"
 )
 
 // Mem is the CPU's data-memory port (normally the L1 data cache). Stores
 // use Access. Loads use AccessLoad, which also decides LSQ admission: with
 // mayAllocate false, a load that would start a new line fetch returns
-// cache.Parked and touches nothing.
+// cache.Parked and touches nothing. A load's done fires when its data is
+// ready, after the port's hit latency on a hit (at once, inside AccessLoad,
+// when that latency is zero); a store hit completes at once and fires
+// nothing.
 type Mem interface {
 	Access(addr uint64, isWrite bool, done func()) cache.Result
 	AccessLoad(addr uint64, mayAllocate bool, done func()) cache.Result
@@ -57,21 +59,17 @@ type Config struct {
 	ROBSize      int
 	LSQSize      int // outstanding issued-and-incomplete loads
 	StoreBufSize int
-	L1Latency    int // CPU cycles charged for an L1 hit
 }
 
 // DefaultConfig returns the Table 3 core: 4 GHz, 8-way, 196 ROB, 32 LSQ.
 func DefaultConfig() Config {
-	return Config{Width: 8, ROBSize: 196, LSQSize: 32, StoreBufSize: 32, L1Latency: 3}
+	return Config{Width: 8, ROBSize: 196, LSQSize: 32, StoreBufSize: 32}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Width < 1 || c.ROBSize < 1 || c.LSQSize < 1 || c.StoreBufSize < 1 {
 		return fmt.Errorf("cpu: width/ROB/LSQ/store buffer must be positive: %+v", c)
-	}
-	if c.L1Latency < 0 {
-		return fmt.Errorf("cpu: negative L1 latency")
 	}
 	return nil
 }
@@ -179,17 +177,10 @@ type CPU struct {
 	// callbacks (the only external unblock events).
 	stalled bool
 
-	now          uint64                    // internal cycle clock (never reset)
-	totalRetired uint64                    // lifetime retirement count (never reset)
-	delayQ       deque.Deque[deferredDone] // L1-hit completions (constant latency FIFO)
+	now          uint64 // internal cycle clock (never reset)
+	totalRetired uint64 // lifetime retirement count (never reset)
 
 	Stats Stats
-}
-
-type deferredDone struct {
-	at  uint64
-	idx int
-	seq uint64
 }
 
 // New builds a CPU over a workload generator and a memory port.
@@ -209,9 +200,6 @@ func New(cfg Config, gen workload.Generator, mem Mem) (*CPU, error) {
 		issuedSeq: make([]uint64, cfg.ROBSize),
 	}
 	c.gate, _ = mem.(refusalGate)
-	// L1-hit completions in flight are bounded by the LSQ; prewarm the
-	// ring so the steady-state loop never pays its doubling growth.
-	c.delayQ.Reserve(cfg.LSQSize)
 	for i := range c.loadCB {
 		i := i
 		c.loadCB[i] = func() { c.loadReturned(i) }
@@ -233,14 +221,14 @@ func (c *CPU) Retired() uint64 { return c.totalRetired }
 // Cycles returns elapsed CPU cycles.
 func (c *CPU) Cycles() uint64 { return c.Stats.Cycles }
 
-// Tick advances one CPU cycle: drain the store buffer, fire L1-hit
-// completions, retire, replay pending loads, dispatch.
+// Tick advances one CPU cycle: drain the store buffer, retire, replay
+// pending loads, dispatch. Loads complete through their cache callbacks,
+// which the L1D's Tick fires before this one.
 //
 // While stalled (see the field comment), a full Tick provably performs
-// exactly the SkipCycles(1) accounting — fireDelayed has nothing queued,
-// drainStores has everything issued and no fill at the head, retire blocks
-// on the head, replay has no walk to do, dispatch hits the full ROB —
-// so it short-circuits to that.
+// exactly the SkipCycles(1) accounting — drainStores has everything issued
+// and no fill at the head, retire blocks on the head, replay has no walk to
+// do, dispatch hits the full ROB — so it short-circuits to that.
 //
 //burstmem:hotpath
 func (c *CPU) Tick() {
@@ -250,22 +238,11 @@ func (c *CPU) Tick() {
 	}
 	c.now++
 	c.Stats.Cycles++
-	c.fireDelayed()
 	c.drainStores()
 	c.retire()
 	c.replay()
 	c.dispatch()
 	c.stalled = c.SkipEligible()
-}
-
-//burstmem:hotpath
-func (c *CPU) fireDelayed() {
-	for c.delayQ.Len() > 0 && c.delayQ.Front().at <= c.now {
-		d := c.delayQ.PopFront()
-		if c.rob[d.idx].seq == d.seq {
-			c.completeLoad(d.idx)
-		}
-	}
 }
 
 // completeLoad marks a load done and releases its LSQ slot. Either can
@@ -446,30 +423,29 @@ func (c *CPU) tryIssueLoad(idx int, e *robEntry) bool {
 		}
 		e.depSeq = 0
 	}
+	// Record the issue before the probe: a zero-latency port fires a hit's
+	// done inside AccessLoad, and loadReturned must not take that firing
+	// for a stale one.
+	c.issuedSeq[idx] = e.seq
 	res := c.mem.AccessLoad(e.addr, c.lsqInFlight < c.cfg.LSQSize, c.loadCB[idx])
 	e.lsqWait = res == cache.Parked
 	switch res {
-	case cache.Hit:
-		c.delayQ.PushBack(deferredDone{
-			at: c.now + uint64(c.cfg.L1Latency), idx: idx, seq: e.seq,
-		})
 	case cache.Miss:
 		e.counted = true
 		c.lsqInFlight++
-	case cache.MissMerged:
+	case cache.Hit, cache.MissMerged:
 	default:
 		return false
 	}
-	c.issuedSeq[idx] = e.seq
 	c.Stats.LoadsIssued++
 	return true
 }
 
-// loadReturned is the miss-path completion callback. The slot's rob
-// generation must still match the generation at issue; a mismatch means
-// the slot was recycled, which is only possible after the prior occupant
-// completed, so stale firings are impossible in practice but guarded
-// anyway.
+// loadReturned is a load's completion callback, fired by the cache when
+// the data is ready (hit or miss). The slot's rob generation must still
+// match the generation at issue; a mismatch means the slot was recycled,
+// which is only possible after the prior occupant completed, so stale
+// firings are impossible in practice but guarded anyway.
 func (c *CPU) loadReturned(idx int) {
 	c.stalled = false
 	if c.rob[idx].seq == c.issuedSeq[idx] {
@@ -519,38 +495,29 @@ func (c *CPU) dispatch() {
 }
 
 // SkipEligible reports whether Tick is a guaranteed stall until external
-// input (a cache callback) arrives: nothing to fire, retire, issue or
-// dispatch. When true, each elapsed cycle would only bump the cycle count
+// input (a cache callback) arrives: nothing to retire, issue or dispatch. When true, each elapsed cycle would only bump the cycle count
 // and the stall counters that SkipCycles applies in bulk.
 func (c *CPU) SkipEligible() bool { return c.NextEventCycle() == NoEvent }
 
-// NextEventCycle returns the next CPU cycle (on the CPU's own clock) at
-// which Tick could do anything beyond the bulk accounting SkipCycles
-// performs, or NoEvent when only an external cache callback can change
-// state. The caller may replace the Ticks strictly before the returned
-// cycle with one SkipCycles call; the result is bit-identical because in
-// that span every stage idles: nothing in delayQ is due, the store buffer
-// is fully issued with no fill at the head, the head is blocked (bumping
-// exactly the stall counter SkipCycles bumps; an incomplete head is
-// always a load, since non-memory ops and stores dispatch completed),
-// replay has no walk to do, and the ROB is full.
+// NextEventCycle returns NoEvent when only an external cache callback can
+// change the CPU's state, and otherwise the next CPU cycle (on the CPU's
+// own clock). It depends on CPU state alone: pending load completions,
+// hits included, are the caches' events. While it returns NoEvent, each
+// Tick is bit-identical to SkipCycles(1) because every stage idles: the
+// store buffer is fully issued with no fill at the head, the head is
+// blocked (bumping exactly the stall counter SkipCycles bumps; an
+// incomplete head is always a load, since non-memory ops and stores
+// dispatch completed), replay has no walk to do, and the ROB is full.
 func (c *CPU) NextEventCycle() uint64 {
 	if c.stalled {
 		// SkipEligible held at the last Tick and no callback has arrived
-		// since: delayQ is empty, so nothing internal is scheduled.
+		// since.
 		return NoEvent
 	}
 	if c.count >= c.cfg.ROBSize && !c.walkNeeded() &&
 		c.sbIssued == c.sbLen && !(c.sbLen > 0 && c.sb[c.sbHead].filled) {
 		head := &c.rob[c.head]
 		if !head.done || (head.typ == workload.OpStore && c.sbLen >= c.cfg.StoreBufSize) {
-			// Active-quiet: identical to the stalled state except for
-			// pending L1-hit completions, the earliest of which is the
-			// next state change (the delay queue is a constant-latency
-			// FIFO, so the front is the minimum).
-			if c.delayQ.Len() > 0 {
-				return c.delayQ.Front().at
-			}
 			return NoEvent
 		}
 	}
@@ -584,8 +551,9 @@ func (c *CPU) SkipCycles(n uint64) {
 // warmup.
 func (c *CPU) ResetStats() { c.Stats = Stats{} }
 
-// Quiesced reports whether the CPU has no in-flight memory activity
-// (used to drain simulations cleanly).
+// Quiesced reports whether the CPU has no in-flight line fetch and an empty
+// store buffer. A load hit still in the L1D's latency is the cache's work
+// (cache.Busy).
 func (c *CPU) Quiesced() bool {
-	return c.lsqInFlight == 0 && c.sbLen == 0 && c.delayQ.Len() == 0
+	return c.lsqInFlight == 0 && c.sbLen == 0
 }

@@ -24,7 +24,8 @@ func (g *scriptGen) Next() workload.Op {
 }
 
 // stubMem is a scriptable memory port: every access misses and completes
-// when the test calls release (or hits immediately when latency == 0).
+// when the test calls release, or, with hitAll, hits a zero-latency cache
+// (a load's done fires inside the access).
 type stubMem struct {
 	pending []func()
 	blocked bool
@@ -43,6 +44,9 @@ func (m *stubMem) Access(addr uint64, isWrite bool, done func()) cache.Result {
 		m.loads++
 	}
 	if m.hitAll {
+		if !isWrite && done != nil {
+			done()
+		}
 		return cache.Hit
 	}
 	m.pending = append(m.pending, done)
@@ -100,7 +104,7 @@ func refusedLoads(t *testing.T) (*CPU, *gateMem) {
 	for i := 0; i < 4; i++ {
 		ops = append(ops, workload.Op{Type: workload.OpLoad, Addr: uint64(i) << 12})
 	}
-	c := newCPU(t, testConfig(), &scriptGen{ops: ops}, mem)
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: ops}, mem)
 	c.Tick()
 	c.Tick()
 	if !c.gated || c.refused != 4 || mem.refusals != 8 {
@@ -108,12 +112,6 @@ func refusedLoads(t *testing.T) (*CPU, *gateMem) {
 			c.gated, c.refused, mem.refusals)
 	}
 	return c, mem
-}
-
-func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.L1Latency = 0
-	return cfg
 }
 
 func newCPU(t *testing.T, cfg Config, gen workload.Generator, mem Mem) *CPU {
@@ -141,7 +139,7 @@ func TestConfigValidate(t *testing.T) {
 
 // TestNonMemThroughput: pure compute retires at full width.
 func TestNonMemThroughput(t *testing.T) {
-	c := newCPU(t, testConfig(), &scriptGen{}, &stubMem{hitAll: true})
+	c := newCPU(t, DefaultConfig(), &scriptGen{}, &stubMem{hitAll: true})
 	for i := 0; i < 100; i++ {
 		c.Tick()
 	}
@@ -159,7 +157,7 @@ func TestNonMemThroughput(t *testing.T) {
 func TestLoadMissBlocksRetirement(t *testing.T) {
 	mem := &stubMem{}
 	gen := &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 0x1000}}}
-	c := newCPU(t, testConfig(), gen, mem)
+	c := newCPU(t, DefaultConfig(), gen, mem)
 	for i := 0; i < 50; i++ {
 		c.Tick()
 	}
@@ -188,7 +186,7 @@ func TestMLP(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		ops = append(ops, workload.Op{Type: workload.OpLoad, Addr: uint64(i) << 12})
 	}
-	c := newCPU(t, testConfig(), &scriptGen{ops: ops}, mem)
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: ops}, mem)
 	for i := 0; i < 10; i++ {
 		c.Tick()
 	}
@@ -205,7 +203,7 @@ func TestDependentLoadsSerialize(t *testing.T) {
 		{Type: workload.OpLoad, Addr: 0x2000, DepOnPrevLoad: true},
 		{Type: workload.OpLoad, Addr: 0x3000, DepOnPrevLoad: true},
 	}
-	c := newCPU(t, testConfig(), &scriptGen{ops: ops}, mem)
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: ops}, mem)
 	for i := 0; i < 20; i++ {
 		c.Tick()
 	}
@@ -225,7 +223,7 @@ func TestDependentLoadsSerialize(t *testing.T) {
 // by LSQSize.
 func TestLSQBoundsOutstandingFetches(t *testing.T) {
 	mem := &stubMem{}
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.LSQSize = 4
 	cfg.ROBSize = 64
 	var ops []workload.Op
@@ -245,7 +243,7 @@ func TestLSQBoundsOutstandingFetches(t *testing.T) {
 // store buffer fills and retirement of stores stalls.
 func TestStoreBufferBackpressure(t *testing.T) {
 	mem := &stubMem{hitAll: true}
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.StoreBufSize = 2
 	var ops []workload.Op
 	for i := 0; i < 32; i++ {
@@ -275,7 +273,7 @@ func TestStoreBufferBackpressure(t *testing.T) {
 func TestROBFullStalls(t *testing.T) {
 	mem := &stubMem{}
 	gen := &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 0x1000}}}
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.ROBSize = 16
 	c := newCPU(t, cfg, gen, mem)
 	for i := 0; i < 50; i++ {
@@ -287,15 +285,19 @@ func TestROBFullStalls(t *testing.T) {
 }
 
 // TestResetStatsKeepsTiming: resetting statistics does not disturb
-// in-flight timing.
+// in-flight timing. The load hits a real L1D with latency 3, so its
+// completion is still pending in the cache when the window opens.
 func TestResetStatsKeepsTiming(t *testing.T) {
-	mem := &stubMem{hitAll: true}
-	cfg := testConfig()
-	cfg.L1Latency = 3
-	c := newCPU(t, cfg, &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 64}}}, mem)
-	c.Tick() // load issues; completion deferred 3 cycles
+	l1 := warmL1D(t, 3, 64)
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 64}}}, l1)
+	l1.Tick()
+	c.Tick() // the load hits; its completion is due 3 cycles later
+	if l1.Stats.Hits != 1 || c.rob[0].done {
+		t.Fatalf("after the first tick: %d L1D hits, load done %v; want 1 hit, not done", l1.Stats.Hits, c.rob[0].done)
+	}
 	c.ResetStats()
 	for i := 0; i < 10; i++ {
+		l1.Tick()
 		c.Tick()
 	}
 	if c.Retired() == 0 {
@@ -306,10 +308,62 @@ func TestResetStatsKeepsTiming(t *testing.T) {
 	}
 }
 
+// TestZeroLatencyHitRetires: a zero-latency L1D fires a hit's done inside
+// AccessLoad, before the access returns. The CPU records the issue first,
+// so the firing completes the load; recorded afterwards, loadReturned
+// would take it for a stale firing and the load would never retire.
+func TestZeroLatencyHitRetires(t *testing.T) {
+	l1 := warmL1D(t, 0, 64)
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 64}}}, l1)
+	for i := 0; i < 4; i++ {
+		l1.Tick()
+		c.Tick()
+	}
+	if l1.Stats.Hits != 1 {
+		t.Fatalf("%d L1D hits, want 1", l1.Stats.Hits)
+	}
+	if c.Retired() == 0 {
+		t.Fatal("the load that hit never retired")
+	}
+}
+
+// fillMem is a cache backend that holds line fills until deliver.
+type fillMem struct{ fills []func() }
+
+func (m *fillMem) ReadLine(addr uint64, done func()) bool {
+	m.fills = append(m.fills, done)
+	return true
+}
+
+func (m *fillMem) WriteLine(addr uint64) bool { return true }
+
+// warmL1D builds a Table 3 L1D with the given hit latency whose line at
+// addr is already present.
+func warmL1D(t *testing.T, latency int, addr uint64) *cache.Cache {
+	t.Helper()
+	cfg := cache.L1Config("L1D")
+	cfg.LatencyCycles = latency
+	mem := &fillMem{}
+	l1, err := cache.New(cfg, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1.Access(addr, false, nil)
+	l1.Tick() // the miss goes to the backend
+	for _, fill := range mem.fills {
+		fill()
+	}
+	if !l1.Probe(addr) {
+		t.Fatalf("line %#x not present after its fill", addr)
+	}
+	l1.ResetStats()
+	return l1
+}
+
 // TestQuiesced reports in-flight state correctly.
 func TestQuiesced(t *testing.T) {
 	mem := &stubMem{}
-	c := newCPU(t, testConfig(), &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 64}}}, mem)
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 64}}}, mem)
 	if !c.Quiesced() {
 		t.Fatal("fresh CPU should be quiesced")
 	}

@@ -4,8 +4,8 @@
 // the ring has grown to the high-water mark.
 package deque
 
-// Deque is a double-ended queue over a ring buffer. The zero value is
-// ready to use.
+// Deque is a FIFO queue over a ring buffer. The zero value is ready to
+// use.
 type Deque[T any] struct {
 	buf  []T
 	head int
@@ -53,16 +53,6 @@ func (d *Deque[T]) PushBack(v T) {
 	d.n++
 }
 
-// PushFront prepends v at the head.
-func (d *Deque[T]) PushFront(v T) {
-	if d.n == len(d.buf) {
-		d.grow()
-	}
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
-	d.buf[d.head] = v
-	d.n++
-}
-
 // Front returns a pointer to the head element. It panics on an empty
 // deque, like indexing an empty slice.
 func (d *Deque[T]) Front() *T {
@@ -70,14 +60,6 @@ func (d *Deque[T]) Front() *T {
 		panic("deque: Front on empty deque")
 	}
 	return &d.buf[d.head]
-}
-
-// At returns a pointer to the i-th element from the head.
-func (d *Deque[T]) At(i int) *T {
-	if i < 0 || i >= d.n {
-		panic("deque: index out of range")
-	}
-	return &d.buf[(d.head+i)%len(d.buf)]
 }
 
 // PopFront removes and returns the head element.

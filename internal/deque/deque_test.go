@@ -71,54 +71,31 @@ func TestGrowRelinearizes(t *testing.T) {
 	}
 }
 
-// TestPushFront checks the double-ended path, including pushing onto a
-// fresh deque (head wraps backward from 0) and mixing with PushBack.
-func TestPushFront(t *testing.T) {
-	var d Deque[int]
-	for i := 0; i < 20; i++ {
-		d.PushFront(i)
-	}
-	for i := 19; i >= 0; i-- {
-		if got := d.PopFront(); got != i {
-			t.Fatalf("PopFront = %d, want %d", got, i)
-		}
-	}
-	d.PushFront(1)
-	d.PushBack(2)
-	d.PushFront(0)
-	for want := 0; want <= 2; want++ {
-		if got := d.PopFront(); got != want {
-			t.Fatalf("mixed: PopFront = %d, want %d", got, want)
-		}
-	}
-}
-
-// TestFrontAndAt checks the pointer accessors against the logical order,
-// and that writes through them are visible to later pops.
+// TestFrontAndAt checks Front against the logical order while the head
+// crosses the ring's wrap point, and that a write through it is visible to
+// the next pop.
 func TestFrontAndAt(t *testing.T) {
 	var d Deque[int]
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 8; i++ { // fills the initial ring
 		d.PushBack(i)
 	}
-	for i := 0; i < 4; i++ { // move head so At spans the wrap point
+	for i := 0; i < 6; i++ { // the head moves near the ring's end
 		d.PopFront()
 	}
-	for i := 12; i < 16; i++ {
+	for i := 8; i < 14; i++ { // the tail wraps to the ring's start
 		d.PushBack(i)
 	}
-	if got := *d.Front(); got != 4 {
-		t.Fatalf("Front = %d, want 4", got)
+	if len(d.buf) != 8 {
+		t.Fatalf("ring grew to %d slots; the test needs 8 to wrap", len(d.buf))
 	}
-	for i := 0; i < d.Len(); i++ {
-		if got := *d.At(i); got != 4+i {
-			t.Fatalf("At(%d) = %d, want %d", i, got, 4+i)
+	for want := 6; want < 14; want++ {
+		if got := *d.Front(); got != want {
+			t.Fatalf("Front = %d, want %d", got, want)
 		}
-	}
-	*d.At(2) = 99
-	d.PopFront()
-	d.PopFront()
-	if got := d.PopFront(); got != 99 {
-		t.Fatalf("write through At not observed: got %d", got)
+		*d.Front() = -want
+		if got := d.PopFront(); got != -want {
+			t.Fatalf("write through Front not observed: PopFront = %d, want %d", got, -want)
+		}
 	}
 }
 
@@ -128,8 +105,6 @@ func TestEmptyPanics(t *testing.T) {
 	for name, f := range map[string]func(d *Deque[int]){
 		"Front":    func(d *Deque[int]) { d.Front() },
 		"PopFront": func(d *Deque[int]) { d.PopFront() },
-		"At":       func(d *Deque[int]) { d.At(0) },
-		"AtNeg":    func(d *Deque[int]) { d.PushBack(1); d.At(-1) },
 	} {
 		func() {
 			defer func() {

@@ -150,8 +150,9 @@ type Channel struct {
 	// maintained), so per-cycle background-power sampling is O(1).
 	openRanks int
 
-	// refreshWake is a lower bound on the next cycle the refresh engine
-	// could act; Tick skips the per-rank refresh scan before it.
+	// refreshWake is the next cycle the refresh engine could act, as of
+	// the last Tick; Tick skips the per-rank refresh scan before it, and
+	// NextEventCycle returns it.
 	refreshWake uint64
 
 	// san is the build-tag-gated protocol sanitizer (see sanitize_on.go);
@@ -283,29 +284,15 @@ func (c *Channel) CommandSlotFree() bool { return !c.cmdThisCycle }
 const NoEvent = ^uint64(0)
 
 // NextEventCycle returns the next cycle at which the channel's refresh
-// engine will act on its own (close banks or start a refresh), or NoEvent.
-// It returns now+1 while a refresh is due and draining, because the engine
-// may issue a precharge on any coming cycle; command-blocking effects of an
-// in-progress refresh (refreshUntil) are accounted per command by
-// EarliestIssue instead.
+// engine will act on its own (close banks or start a refresh), or NoEvent:
+// the wake bound the last Tick recomputed. That is the Tick's cycle+1 while
+// a refresh is due and not started (the engine may issue a precharge on
+// any coming cycle), otherwise the earliest tREFI deadline. Command-blocking
+// effects of an in-progress refresh (refreshUntil) are accounted per
+// command by EarliestIssue instead.
 //
 //burstmem:hotpath
-func (c *Channel) NextEventCycle(now uint64) uint64 {
-	if c.T.TREFI == 0 {
-		return NoEvent
-	}
-	next := NoEvent
-	for r := range c.ranks {
-		rk := &c.ranks[r]
-		if rk.refreshUntil <= now && rk.nextRefresh <= now {
-			return now + 1 // refresh due: the engine is actively draining
-		}
-		if rk.nextRefresh > now && rk.nextRefresh < next {
-			next = rk.nextRefresh
-		}
-	}
-	return next
-}
+func (c *Channel) NextEventCycle() uint64 { return c.refreshWake }
 
 // EarliestIssue returns the earliest cycle >= now+1 at which the command
 // could satisfy CanIssue, assuming device state stays frozen until then (no
@@ -336,7 +323,8 @@ func (c *Channel) EarliestReady(cmd Cmd, t Target) uint64 {
 	case CmdActivate:
 		at = maxU64(at, bk.nextActivate)
 		if c.T.TRRD > 0 && rk.lastActivate > 0 {
-			// CanIssue at cycle x requires x+1 >= lastActivate+tRRD.
+			// lastActivate is stored as cycle+1: tRRD counts from the
+			// previous activate's cycle.
 			at = maxU64(at, rk.lastActivate+uint64(c.T.TRRD)-1)
 		}
 		if c.T.TFAW > 0 {
@@ -474,25 +462,22 @@ func (c *Channel) NextCommand(t Target, read bool) Cmd {
 	panic("dram: unreachable row outcome in NextCommand")
 }
 
-// refreshBlocked reports whether commands to the rank are blocked by an
-// in-progress or pending refresh. Precharges stay allowed while a refresh
-// is pending so the rank can drain.
+// RefreshDue reports whether the rank's refresh deadline has passed. From
+// then until the refresh starts, the refresh engine is closing the rank's
+// banks and the rank accepts no activate.
 //
 //burstmem:hotpath
-func (c *Channel) refreshBlocked(rankIdx int, cmd Cmd) bool {
-	rk := &c.ranks[rankIdx]
-	if rk.refreshUntil > c.now {
-		return true
-	}
-	if c.T.TREFI > 0 && c.now >= rk.nextRefresh && cmd == CmdActivate {
-		return true
-	}
-	return false
+func (c *Channel) RefreshDue(rankIdx int) bool {
+	return c.T.TREFI > 0 && c.now >= c.ranks[rankIdx].nextRefresh
 }
 
-// CanIssue reports whether the command is unblocked at the current cycle:
-// all bank, rank and bus timing constraints are met and the command slot is
-// free.
+// CanIssue reports whether the command is legal at the current cycle: the
+// command slot is free, the bank is in the state the command needs (a
+// precharge needs an open bank, an activate a closed bank on a rank with no
+// due refresh, a column command the target row open), and the cycle has
+// reached the command's issue bounds, EarliestReady (which covers an
+// in-progress refresh) and ColumnBusReady. Refresh is never legal here:
+// only the channel's refresh engine issues it.
 //
 //burstmem:hotpath
 func (c *Channel) CanIssue(cmd Cmd, t Target) bool {
@@ -502,67 +487,19 @@ func (c *Channel) CanIssue(cmd Cmd, t Target) bool {
 	if t.Rank < 0 || t.Rank >= len(c.ranks) || t.Bank < 0 || t.Bank >= len(c.ranks[t.Rank].banks) {
 		return false
 	}
-	if c.refreshBlocked(t.Rank, cmd) {
-		return false
-	}
-	rk := &c.ranks[t.Rank]
-	bk := &rk.banks[t.Bank]
-	now := c.now
+	bk := &c.ranks[t.Rank].banks[t.Bank]
+	state := false
 	switch cmd {
 	case CmdPrecharge:
-		return bk.open && now >= bk.nextPrecharge
+		state = bk.open
 	case CmdActivate:
-		if bk.open || now < bk.nextActivate {
-			return false
-		}
-		if c.T.TRRD > 0 && rk.lastActivate > 0 && now+1 < rk.lastActivate+uint64(c.T.TRRD) {
-			return false
-		}
-		if c.T.TFAW > 0 {
-			oldest := rk.actWindow[rk.actIdx]
-			if oldest > 0 && now+1 < oldest+uint64(c.T.TFAW) {
-				return false
-			}
-		}
-		return true
-	case CmdRead:
-		if !bk.open || bk.row != t.Row || now < bk.nextRead {
-			return false
-		}
-		// Same-rank write-to-read turnaround (tWTR) is measured from
-		// the last write data beat to the read command.
-		if c.T.TWTR > 0 && rk.writeDataEnd > 0 && now < rk.writeDataEnd+uint64(c.T.TWTR) {
-			return false
-		}
-		return c.busAvailable(t.Rank, false, now+uint64(c.T.TCL))
-	case CmdWrite:
-		if !bk.open || bk.row != t.Row || now < bk.nextWrite {
-			return false
-		}
-		return c.busAvailable(t.Rank, true, now+uint64(c.T.TCWD))
+		state = !bk.open && !c.RefreshDue(t.Rank)
+	case CmdRead, CmdWrite:
+		state = bk.open && bk.row == t.Row
 	case CmdRefresh:
-		// Only the channel's refresh engine issues refreshes.
-		return false
+		// Never: only the refresh engine issues refreshes.
 	}
-	return false
-}
-
-// busAvailable checks data-bus occupancy and turnaround gaps for a transfer
-// that would start at dataStart.
-//
-//burstmem:hotpath
-func (c *Channel) busAvailable(rankIdx int, isWrite bool, dataStart uint64) bool {
-	if !c.busUsed {
-		return true
-	}
-	need := c.busBusyUntil
-	if rankIdx != c.busLastRank {
-		need += uint64(c.T.TRTRS)
-	} else if !c.busLastWrite && isWrite {
-		// read -> write on the same rank still turns the bus around
-		need += uint64(c.T.TRTW)
-	}
-	return dataStart >= need
+	return state && c.now >= c.EarliestReady(cmd, t) && c.now >= c.ColumnBusReady(cmd, t.Rank)
 }
 
 // IssueResult describes the effect of an issued command.
@@ -573,8 +510,8 @@ type IssueResult struct {
 	Outcome   RowOutcome
 }
 
-// Issue executes an unblocked command, updating all device state. It
-// panics if the command is blocked: the controller must gate on CanIssue.
+// Issue executes a legal command (see CanIssue), updating all device state.
+// It panics if the command is not legal this cycle.
 // For column commands, autoPrecharge closes the bank automatically after
 // the access (the Close Page Autoprecharge controller policy).
 //

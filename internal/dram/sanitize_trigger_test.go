@@ -143,7 +143,7 @@ func TestSanitizerTriggers(t *testing.T) {
 				c.ranks[0].banks[0].open = false
 				c.ranks[0].nextRefresh = 11
 				c.refreshWake = 11 // keep the wake cache consistent with the poke
-				c.Tick(11) // engine starts the refresh immediately
+				c.Tick(11)         // engine starts the refresh immediately
 			},
 		},
 		{

@@ -3,10 +3,11 @@
 // legality checks, data-bus contention (including DDR2 rank-to-rank
 // turnaround), auto-refresh, and bus-utilization accounting.
 //
-// The model is command-driven: a memory controller asks CanIssue whether a
-// command is unblocked this cycle and then Issue-s it. All times are in
-// memory (command clock) cycles; for DDR2-800 one cycle is 2.5 ns and the
-// data bus moves two beats per cycle.
+// The model is command-driven: a memory controller asks whether a command
+// is legal this cycle (CanIssue, or the issue bounds EarliestReady and
+// ColumnBusReady that CanIssue is derived from) and then Issue-s it. All
+// times are in memory (command clock) cycles; for DDR2-800 one cycle is
+// 2.5 ns and the data bus moves two beats per cycle.
 package dram
 
 import "fmt"

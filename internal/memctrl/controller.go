@@ -36,9 +36,6 @@ type Config struct {
 	// ForwardLatency is the controller-internal latency, in memory
 	// cycles, of returning write-queue data to a forwarded read.
 	ForwardLatency int
-	// NoForwarding disables write-queue RAW forwarding even for
-	// mechanisms that request it (ablation).
-	NoForwarding bool
 }
 
 // DefaultConfig returns the paper's Table 3 baseline: DDR2 PC2-6400 5-5-5,
@@ -334,7 +331,7 @@ func (c *Controller) Submit(kind Kind, addr uint64, onComplete func(*Access, uin
 	mech := c.mechs[chIdx]
 	line := addr &^ uint64(c.cfg.Geometry.LineBytes-1)
 
-	if kind == KindRead && mech.ForwardsWrites() && !c.cfg.NoForwarding {
+	if kind == KindRead && mech.ForwardsWrites() {
 		if _, hit := c.pendingWriteLines[chIdx].Get(line); hit {
 			// Paper Fig. 4: forward the latest write's data; the read
 			// completes immediately and never enters the queues.
@@ -459,7 +456,7 @@ func (c *Controller) NextEventCycle(now uint64) uint64 {
 		if v := h.NextEventCycle(now); v < next {
 			next = v
 		}
-		if v := ch.NextEventCycle(now); v < next {
+		if v := ch.NextEventCycle(); v < next {
 			next = v
 		}
 	}

@@ -35,9 +35,6 @@ func (m *fifoMech) Tick(now uint64) {
 			m.queue = m.queue[1:]
 		}
 	}
-	if !m.host.Channel().CommandSlotFree() {
-		return
-	}
 	cl, any := m.engine.Unblocked(now)
 	if !any {
 		return

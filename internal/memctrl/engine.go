@@ -198,35 +198,49 @@ func (e *Engine) syncBank(ch *dram.Channel, r, b int) {
 
 // Unblocked classifies every occupied bank whose next transaction can issue
 // this cycle into the four Table 2 class masks, returning whether any bank
-// qualified. The masks are reused across calls and valid until the next
-// Unblocked or state change.
+// qualified. A bank qualifies when its hint's issue bound has passed,
+// unless its next command is an activate and the rank's refresh is due; no
+// bank qualifies while the refresh engine holds the command slot. The
+// version guards keep every hint's command and bound exact, so this is
+// dram.Channel.CanIssue read from the cache (the invariants build checks
+// it against CanIssue). The masks are reused across calls and valid until
+// the next Unblocked or state change; on a false return they are stale and
+// must not be read.
 //
 //burstmem:hotpath
 func (e *Engine) Unblocked(now uint64) (*BankClasses, bool) {
+	any := e.classify(now)
+	e.shadow.checkUnblocked(e, now, any)
+	return &e.classes, any
+}
+
+// classify builds Unblocked's masks and reports whether any bank qualified.
+//
+//burstmem:hotpath
+func (e *Engine) classify(now uint64) bool {
+	ch := e.host.Channel()
+	if !ch.CommandSlotFree() {
+		return false
+	}
 	e.sync()
 	if e.minFull > now {
 		// Every issue bound lies in the future: no bank can qualify.
-		// The stale masks are never read on the !any return.
-		return &e.classes, false
+		return false
 	}
-	ch := e.host.Channel()
 	cl := &e.classes
 	any := false
 	for r := range e.occ {
+		refreshDue := ch.RefreshDue(r)
 		var colRead, colWrite, rowRead, rowWrite uint64
 		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
 			b := bits.TrailingZeros64(mask)
 			h := &e.hints[r*e.banks+b]
-			if h.full > now {
-				continue
-			}
-			a := e.ongoing[r][b]
-			if !ch.CanIssue(h.cmd, a.Target()) {
+			if h.full > now || refreshDue && h.cmd == dram.CmdActivate {
 				continue
 			}
 			bit := uint64(1) << uint(b)
 			col := h.cmd == dram.CmdRead || h.cmd == dram.CmdWrite
-			read := a.Kind == KindRead
+			read := e.ongoing[r][b].Kind == KindRead
 			switch {
 			case col && read:
 				colRead |= bit
@@ -242,7 +256,7 @@ func (e *Engine) Unblocked(now uint64) (*BankClasses, bool) {
 		cl.ColRead[r], cl.ColWrite[r] = colRead, colWrite
 		cl.RowRead[r], cl.RowWrite[r] = rowRead, rowWrite
 	}
-	return cl, any
+	return any
 }
 
 // FoldOldest folds the rank's banks in mask into a running oldest-arrival

@@ -56,3 +56,32 @@ func TestEngineShadowCleanRun(t *testing.T) {
 		t.Fatal("access never completed its transaction sequence")
 	}
 }
+
+// TestEngineShadowUnblockedTrigger proves the -tags invariants
+// Unblocked-vs-CanIssue cross-check fires: once the activate has issued and
+// the read waits on tRCD, it simulates a stale hint by setting the bank's
+// cached issue bound (and the cached minimum) to 0 without any channel
+// state change, and asserts Unblocked panics, cycle-stamped.
+func TestEngineShadowUnblockedTrigger(t *testing.T) {
+	c, m := newEngineHarness(t)
+	a, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 0, Bank: 0, Row: 2}), nil)
+	m.engine.SetOngoing(0, 0, a)
+	c.Tick(1)
+	if _, any := m.engine.Unblocked(1); !any {
+		t.Fatal("the activate is not unblocked at cycle 1")
+	}
+	m.engine.Issue(0, 0, 1)
+	c.Tick(2)
+	if _, any := m.engine.Unblocked(2); any {
+		t.Fatal("the read is unblocked before tRCD")
+	}
+
+	// Bug: the hint forgets tRCD. No channel counter moved, so sync()
+	// keeps it, and Unblocked would hand the blocked read to a mechanism.
+	m.engine.hints[0].full = 0
+	m.engine.minFull = 0
+
+	mustPanicContaining(t, "cycle 2: Unblocked gives rank 0 class masks col-read 0x1", func() {
+		m.engine.Unblocked(2)
+	})
+}

@@ -115,7 +115,6 @@ func (s *bankInOrder) Enqueue(a *memctrl.Access, now uint64) { s.queues.PushBack
 //
 //burstmem:hotpath
 func (s *bankInOrder) Tick(now uint64) {
-	ch := s.host.Channel()
 	total := s.ranks * s.banks
 	if s.pipelined {
 		for r := 0; r < s.ranks; r++ {
@@ -124,9 +123,6 @@ func (s *bankInOrder) Tick(now uint64) {
 				b := bits.TrailingZeros64(m)
 				s.engine.SetOngoing(r, b, s.queues.PopFront(r, b))
 			}
-		}
-		if !ch.CommandSlotFree() {
-			return
 		}
 		// Issue one unblocked transaction, visiting banks in rotating
 		// order so every bank gets an equal share of the command bus.
@@ -161,9 +157,6 @@ func (s *bankInOrder) Tick(now uint64) {
 		if s.engine.Ongoing(s.curRank, s.curBank) == nil {
 			return
 		}
-	}
-	if !ch.CommandSlotFree() {
-		return
 	}
 	if cl, any := s.engine.Unblocked(now); any && cl.Rank(s.curRank)&(1<<uint(s.curBank)) != 0 {
 		s.engine.Issue(s.curRank, s.curBank, now)
@@ -228,9 +221,6 @@ func (s *rowHit) Tick(now uint64) {
 			s.queues.Remove(pick)
 			s.engine.SetOngoing(r, b, pick)
 		}
-	}
-	if !ch.CommandSlotFree() {
-		return
 	}
 	cl, any := s.engine.Unblocked(now)
 	if !any {
@@ -302,7 +292,6 @@ func (s *intel) Enqueue(a *memctrl.Access, now uint64) {
 //
 //burstmem:hotpath
 func (s *intel) Tick(now uint64) {
-	ch := s.host.Channel()
 	for r := 0; r < s.ranks; r++ {
 		// Snapshot the occupied mask before installing: a bank gets
 		// exactly one arbitration visit per tick (vacant banks install,
@@ -317,9 +306,6 @@ func (s *intel) Tick(now uint64) {
 				s.arbitrateOngoing(r, bits.TrailingZeros64(m), now)
 			}
 		}
-	}
-	if !ch.CommandSlotFree() {
-		return
 	}
 	cl, any := s.engine.Unblocked(now)
 	if !any {

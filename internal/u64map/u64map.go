@@ -1,9 +1,15 @@
 // Package u64map provides a small open-addressed hash table from uint64
-// keys to arbitrary values, replacing Go maps on simulator hot paths. The
-// runtime map's hashed access (mapaccess/mapassign/mapdelete) dominated the
-// cache MSHR, FSB in-flight, and write-forwarding lookups in profiles; this
-// table does the same job with one multiply and a short linear probe, and
-// never allocates once warmed to its working size.
+// keys to arbitrary values, replacing Go maps on simulator hot paths: the
+// cache MSHR, FSB in-flight, and write-forwarding lookups. It does the job
+// with one multiply and a short linear probe, and never allocates once
+// warmed to its working size.
+//
+// The runtime map's hashed access (mapaccess/mapassign/mapdelete) dominated
+// those lookups in profiles taken before Go 1.24's Swiss-table maps. On Go
+// 1.24, a copy of the simulator backed by the built-in map still ran a
+// Figure 10 subset (5 profiles x 8 mechanisms at 100k+100k instructions)
+// about 10% slower in user time than this table: median 5.48 s against
+// 4.98 s, slower in all 4 interleaved pairs on a 2-CPU host.
 //
 // The table is deterministic: no per-process hash seed, no iteration order
 // (iteration is deliberately not offered — detlint bans map iteration in

@@ -5,6 +5,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== gofmt =="
+# .bench_build holds bench/ab.sh's exports of other revisions; skip it.
+unformatted=$(gofmt -l . | grep -v '^\.bench_build/' || true)
+if [[ -n $unformatted ]]; then
+    echo "gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -30,7 +39,8 @@ echo "== go test -race (full tree; covers the sim/profiling/experiments concurre
 go test -race ./...
 
 echo "== go test -tags invariants (protocol sanitizer armed) =="
-go test -tags invariants ./internal/cpu/ ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/
+go test -tags invariants ./internal/cpu/ ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/ \
+    ./internal/core/ ./internal/sched/
 
 echo "== shadow checks (next-event bound vs linear scan; replay gate vs re-walk) =="
 # The invariants build cross-checks the engine's next-event cycle, taken
