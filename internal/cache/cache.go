@@ -533,19 +533,8 @@ func (c *Cache) Version() uint64 { return c.version }
 // the CPU's replay gate calls it for loads a repeat probe would refuse.
 func (c *Cache) AddBlocked(n uint64) { c.Stats.Blocked += n }
 
-// OutstandingMisses returns the number of allocated MSHRs.
-func (c *Cache) OutstandingMisses() int { return c.mshrs.Len() }
-
-// PendingWritebacks returns queued dirty evictions.
-func (c *Cache) PendingWritebacks() int { return c.wbQ.Len() }
-
 // ResetStats zeroes the statistics counters.
 func (c *Cache) ResetStats() { c.Stats = Stats{} }
-
-// Busy reports whether the cache still has in-flight work.
-func (c *Cache) Busy() bool {
-	return c.mshrs.Len() > 0 || c.wbQ.Len() > 0 || c.mshrQ.Len() > 0 || c.delayQ.Len() > 0
-}
 
 // AsBackend adapts this cache as the backend of an upper level: upper-level
 // fills become accesses here, upper-level writebacks become stores

@@ -11,6 +11,7 @@ type memStub struct {
 	writes   []uint64
 	deferred []func()
 	busy     bool // when true, refuse everything
+	wbBusy   bool // when true, refuse writebacks
 }
 
 func (m *memStub) ReadLine(addr uint64, done func()) bool {
@@ -23,7 +24,7 @@ func (m *memStub) ReadLine(addr uint64, done func()) bool {
 }
 
 func (m *memStub) WriteLine(addr uint64) bool {
-	if m.busy {
+	if m.busy || m.wbBusy {
 		return false
 	}
 	m.writes = append(m.writes, addr)
@@ -137,8 +138,8 @@ func TestMSHRLimit(t *testing.T) {
 	if r := c.Access(99<<12, false, nil); r != Blocked {
 		t.Fatalf("5th distinct miss = %v, want blocked (4 MSHRs)", r)
 	}
-	if c.OutstandingMisses() != 4 {
-		t.Fatalf("outstanding = %d", c.OutstandingMisses())
+	if c.Stats.Misses != 4 || c.Stats.Blocked != 1 {
+		t.Fatalf("stats %+v, want 4 misses and 1 blocked", c.Stats)
 	}
 }
 
@@ -217,53 +218,52 @@ func TestLRUVictimSelection(t *testing.T) {
 	}
 }
 
+// TestWritebackBackpressure: a full writeback queue blocks new misses even
+// with every MSHR free, and a drain moves Version, after which the same
+// access misses. The CPU's replay gate relies on both.
 func TestWritebackBackpressure(t *testing.T) {
-	m := &memStub{busy: true}
+	m := &memStub{}
 	cfg := smallConfig()
 	cfg.WritebackBuf = 2
 	c := mustCache(t, cfg, m)
-	// Manually stuff the writeback queue via dirty evictions with a busy
-	// backend: first allow fills, then make the backend busy.
-	m.busy = false
 	fill := func(addr uint64, write bool) {
-		c.Access(addr, write, nil)
-		c.Tick()
+		t.Helper()
+		if r := c.Access(addr, write, nil); r != Miss {
+			t.Fatalf("access %#x = %v, want miss", addr, r)
+		}
+		c.Tick() // the miss goes to the backend
 		m.deliver()
-		c.Tick()
 	}
+	// Dirty both ways of set 0, then evict them with two loads to the same
+	// set while the backend refuses writebacks: the queue holds two lines.
 	fill(0x0000, true)
 	fill(0x1000, true)
-	m.busy = true // backend refuses writebacks now
-	// Evict both dirty lines: their writebacks queue up.
-	c.Access(0x2000, false, nil)
-	c.Access(0x3000, false, nil)
+	m.wbBusy = true
+	fill(0x2000, false)
+	fill(0x3000, false)
 	c.Tick()
-	m.busy = false
-	c.Tick()
-	m.deliver()
-	c.Tick()
-	m.busy = true
-	// Force two more dirty evictions so the WB queue fills.
-	c.Access(0x2000, true, nil)
-	c.Access(0x3000, true, nil)
-	c.Access(0x4000, false, nil)
-	c.Access(0x5000, false, nil)
-	c.Tick()
-	m.deliver()
-	c.Tick()
-	if c.PendingWritebacks() == 0 {
-		t.Skip("scenario did not fill the writeback queue; covered by integration tests")
+	if c.Stats.Evictions != 2 || c.Stats.Writebacks != 0 || len(m.writes) != 0 {
+		t.Fatalf("after two dirty evictions: stats %+v, %d writes; want 2 evictions queued, none written", c.Stats, len(m.writes))
 	}
-	// With the WB queue occupied and backend refusing, new misses must
-	// eventually block.
-	blocked := false
-	for i := 0; i < 8 && !blocked; i++ {
-		if c.Access(uint64(0x100000+i*0x1000), false, nil) == Blocked {
-			blocked = true
-		}
+
+	const next = 0x40 // another set, no MSHR in use
+	if r := c.Access(next, false, nil); r != Blocked {
+		t.Fatalf("miss with a full writeback queue = %v, want blocked", r)
 	}
-	if !blocked && c.PendingWritebacks() >= cfg.WritebackBuf {
-		t.Fatal("full writeback queue did not block new misses")
+	if c.Stats.Blocked != 1 {
+		t.Fatalf("Stats.Blocked = %d, want 1", c.Stats.Blocked)
+	}
+	version := c.Version()
+	m.wbBusy = false
+	c.Tick()
+	if c.Stats.Writebacks != 2 || len(m.writes) != 2 || m.writes[0] != 0x0000 || m.writes[1] != 0x1000 {
+		t.Fatalf("after the drain: %d writebacks, writes %#x; want 2: 0x0, 0x1000", c.Stats.Writebacks, m.writes)
+	}
+	if c.Version() == version {
+		t.Fatal("draining the writeback queue did not move Version")
+	}
+	if r := c.Access(next, false, nil); r != Miss {
+		t.Fatalf("the same access after the drain = %v, want miss", r)
 	}
 }
 

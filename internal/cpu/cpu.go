@@ -19,14 +19,17 @@
 //
 // Pending loads (dispatched, not yet issued) wait on one list in dispatch
 // order, which replay retries every cycle behind a gate: once a walk issues
-// nothing, a repeat walk would get the same answers until a load completes
-// or the L1D's state moves, so replay charges the cache's refusals in bulk
-// instead of re-probing them. The gate also tells SkipEligible and
-// NextEventCycle when the replay stage is idle.
+// nothing, a repeat walk would get the same answers until a completion
+// frees a slot of a full LSQ or the L1D's state moves, so replay charges
+// the cache's refusals in bulk instead of re-probing them. A completion
+// that resolves a pending load's address wakes that one load, which replay
+// visits alone. The gate also tells SkipEligible and NextEventCycle when
+// the replay stage is idle.
 package cpu
 
 import (
 	"fmt"
+	"sort"
 
 	"burstmem/internal/cache"
 	"burstmem/internal/workload"
@@ -106,7 +109,11 @@ type robEntry struct {
 	// depIdx/depSeq identify the load this load's address depends on (a
 	// ROB slot plus its generation); it may not issue until that load
 	// completes or its slot is recycled (which implies retirement).
-	depIdx int
+	depIdx int32
+	// link is the ROB slot of this load's dependent, the next load, while
+	// rob[link].depSeq == seq: only that load depends on this one. int32
+	// indices keep the entry at 48 bytes.
+	link   int32
 	depSeq uint64
 }
 
@@ -143,13 +150,16 @@ type CPU struct {
 
 	// The replay gate (see replay). A walk that issues nothing closes it,
 	// recording the L1D's version and how many loads the cache refused;
-	// dispatch adds its own refusals. completeLoad reopens it. gate is
-	// mem's refusalGate view, nil when the port lacks one: the gate then
-	// never closes and replay walks every cycle.
+	// dispatch adds its own refusals. completeLoad reopens it, or, while it
+	// is closed, wakes the one load whose address it resolved: woken is that
+	// load's ROB slot, -1 when none. gate is mem's refusalGate view, nil
+	// when the port lacks one: the gate then never closes and replay walks
+	// every cycle.
 	gate    refusalGate
 	gated   bool
 	gateVer uint64
 	refused uint64
+	woken   int
 	shadow  gateShadow
 
 	lsqInFlight int
@@ -198,6 +208,7 @@ func New(cfg Config, gen workload.Generator, mem Mem) (*CPU, error) {
 		loadCB:    make([]func(), cfg.ROBSize),
 		sbFillCB:  make([]func(), cfg.StoreBufSize),
 		issuedSeq: make([]uint64, cfg.ROBSize),
+		woken:     -1,
 	}
 	c.gate, _ = mem.(refusalGate)
 	for i := range c.loadCB {
@@ -245,9 +256,13 @@ func (c *CPU) Tick() {
 	c.stalled = c.SkipEligible()
 }
 
-// completeLoad marks a load done and releases its LSQ slot. Either can
-// change a pending load's answer (a dependent's address resolves, a load
-// parked on the LSQ finds a slot), so it reopens the replay gate.
+// completeLoad marks a load done and releases its LSQ slot. Freeing a slot
+// of a full LSQ changes every pending load's mayAllocate and the walk's
+// lsqFull latch, so it reopens the replay gate. Otherwise the completion
+// changes at most one pending load's answer, its dependent's, whose address
+// it resolves: with the gate closed and no load woken yet, it wakes that
+// load and keeps the gate closed; a second wake reopens it. A completion
+// with neither effect leaves the gate as it is.
 //
 //burstmem:hotpath
 func (c *CPU) completeLoad(idx int) {
@@ -256,10 +271,21 @@ func (c *CPU) completeLoad(idx int) {
 		return
 	}
 	e.done = true
+	reopen := false
 	if e.counted {
+		reopen = c.lsqInFlight == c.cfg.LSQSize
 		c.lsqInFlight--
 	}
-	c.gated = false
+	if c.rob[e.link].depSeq == e.seq {
+		if !reopen && c.gated && c.woken < 0 {
+			c.woken = int(e.link)
+			return
+		}
+		reopen = true
+	}
+	if reopen {
+		c.gated = false
+	}
 }
 
 // storeIssueWidth bounds store-buffer cache accesses per cycle. Store
@@ -341,13 +367,13 @@ func (c *CPU) retire() {
 }
 
 // walkNeeded reports whether replay has anything to do: pending loads, and
-// either an open gate or refusals to charge. A closed gate with no
-// refusals means every pending load waits on an address dependence or a
-// full LSQ, and only completeLoad can change either.
+// an open gate, refusals to charge or a woken load. A closed gate with no
+// refusals and no woken load means every pending load waits on an address
+// dependence or a full LSQ, and only completeLoad can change either.
 //
 //burstmem:hotpath
 func (c *CPU) walkNeeded() bool {
-	return len(c.pending) > 0 && (!c.gated || c.refused > 0)
+	return len(c.pending) > 0 && (!c.gated || c.refused > 0 || c.woken >= 0)
 }
 
 // replay retries pending loads in dispatch order. The walk's lsqFull latch
@@ -368,24 +394,47 @@ func (c *CPU) walkNeeded() bool {
 // that fills the LSQ) changes the answers a repeat walk would give the
 // loads visited before it.
 //
+// A woken load. The gate also holds, with no refusals recorded, whatever
+// the version: every pending load then waits on a dependence or on a full
+// LSQ. A completion that wakes a load leaves every other pending load's
+// answer as recorded, so replay charges the recorded refusals, visits the
+// woken load as the walk would, and keeps the gate closed (DESIGN §13
+// says why the walk would issue nothing else).
+//
 //burstmem:hotpath
 func (c *CPU) replay() {
 	if !c.walkNeeded() {
 		return
 	}
-	holds := c.gated && c.gate.Version() == c.gateVer
+	holds := c.gated && (c.refused == 0 || c.gate.Version() == c.gateVer)
 	if holds && !c.shadow.armed() {
 		c.gate.AddBlocked(c.refused)
+		if c.woken >= 0 {
+			c.visitWoken()
+			c.gateVer = c.gate.Version()
+		}
 		return
 	}
-	issued, refused := 0, uint64(0)
+	// woke* count the woken loads' own issues and refusals, which the
+	// shadow check sets aside.
+	issued, wokeIssued := 0, 0
+	refused, wokeRefused := uint64(0), uint64(0)
 	lsqFull := c.lsqInFlight >= c.cfg.LSQSize
 	n := 0
 	for _, idx := range c.pending {
 		e := &c.rob[idx]
 		if !lsqFull || !e.lsqWait {
+			// A woken load's zero-latency hit wakes the next link inside
+			// the visit, which comes next in the walk.
+			woke := idx == c.woken
+			if woke {
+				c.woken = -1
+			}
 			if c.tryIssueLoad(idx, e) {
 				issued++
+				if woke {
+					wokeIssued++
+				}
 				continue
 			}
 			if c.lsqInFlight >= c.cfg.LSQSize {
@@ -393,6 +442,9 @@ func (c *CPU) replay() {
 			}
 			if e.depSeq == 0 && !e.lsqWait {
 				refused++ // the cache refused it
+				if woke {
+					wokeRefused++
+				}
 			}
 		}
 		c.pending[n] = idx
@@ -400,13 +452,40 @@ func (c *CPU) replay() {
 	}
 	c.pending = c.pending[:n]
 	if holds {
-		c.shadow.check(c.now, c.refused, issued, refused)
+		c.shadow.check(c.now, c.refused, issued-wokeIssued, refused-wokeRefused)
 	}
 	c.refused = refused
-	c.gated = issued == 0 && c.gate != nil
+	c.woken = -1
+	// A holding gate stays closed, as the default build keeps it.
+	c.gated = holds || (issued == 0 && c.gate != nil)
 	if c.gated {
 		c.gateVer = c.gate.Version()
 	}
+}
+
+// visitWoken visits the woken load as the walk would, and then each load
+// that visit wakes: a zero-latency L1D fires a hit's done inside
+// AccessLoad, waking the next link, which the walk would visit next. An
+// issued load leaves pending; a refused one counts in refused.
+func (c *CPU) visitWoken() {
+	for c.woken >= 0 {
+		idx := c.woken
+		c.woken = -1
+		e := &c.rob[idx]
+		if c.tryIssueLoad(idx, e) {
+			c.dropPending(e.seq)
+		} else if e.depSeq == 0 && !e.lsqWait {
+			c.refused++ // the cache refused it
+		}
+	}
+}
+
+// dropPending removes the load with dispatch number seq from pending,
+// which is in dispatch order.
+func (c *CPU) dropPending(seq uint64) {
+	p := c.pending
+	i := sort.Search(len(p), func(i int) bool { return c.rob[p[i]].seq >= seq })
+	c.pending = p[:i+copy(p[i:], p[i+1:])]
 }
 
 // tryIssueLoad attempts a load's cache access. Returns false if it must be
@@ -478,8 +557,9 @@ func (c *CPU) dispatch() {
 		case workload.OpLoad:
 			if op.DepOnPrevLoad && c.lastLoadSeq != 0 {
 				if dep := &c.rob[c.lastLoadIdx]; dep.seq == c.lastLoadSeq && !dep.done {
-					e.depIdx = c.lastLoadIdx
+					e.depIdx = int32(c.lastLoadIdx)
 					e.depSeq = c.lastLoadSeq
+					dep.link = int32(idx)
 				}
 			}
 			c.lastLoadIdx = idx
@@ -550,10 +630,3 @@ func (c *CPU) SkipCycles(n uint64) {
 // architectural or timing state, opening a measurement window after cache
 // warmup.
 func (c *CPU) ResetStats() { c.Stats = Stats{} }
-
-// Quiesced reports whether the CPU has no in-flight line fetch and an empty
-// store buffer. A load hit still in the L1D's latency is the cache's work
-// (cache.Busy).
-func (c *CPU) Quiesced() bool {
-	return c.lsqInFlight == 0 && c.sbLen == 0
-}

@@ -114,6 +114,35 @@ func refusedLoads(t *testing.T) (*CPU, *gateMem) {
 	return c, mem
 }
 
+// chainThenRefused builds a CPU whose chain head misses, whose next load
+// depends on the head, and whose four independent loads after them the
+// cache refuses, ticked until the gate has closed on those four refusals:
+// the first tick dispatches the head and its dependent, the second walks
+// the dependent and dispatches the refused loads.
+func chainThenRefused(t *testing.T) (*CPU, *gateMem) {
+	t.Helper()
+	ops := []workload.Op{
+		{Type: workload.OpLoad, Addr: 0x1000},
+		{Type: workload.OpLoad, Addr: 0x2000, DepOnPrevLoad: true},
+	}
+	for len(ops) < DefaultConfig().Width {
+		ops = append(ops, workload.Op{Type: workload.OpNonMem})
+	}
+	for i := 0; i < 4; i++ {
+		ops = append(ops, workload.Op{Type: workload.OpLoad, Addr: uint64(0x10+i) << 12})
+	}
+	mem := &gateMem{}
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: ops}, mem)
+	c.Tick()
+	mem.blocked = true
+	c.Tick()
+	if !c.gated || c.refused != 4 || len(c.pending) != 5 || len(mem.pending) != 1 {
+		t.Fatalf("after two ticks: gated %v, %d refusals recorded, %d loads pending, %d misses; want true, 4, 5, 1",
+			c.gated, c.refused, len(c.pending), len(mem.pending))
+	}
+	return c, mem
+}
+
 func newCPU(t *testing.T, cfg Config, gen workload.Generator, mem Mem) *CPU {
 	t.Helper()
 	c, err := New(cfg, gen, mem)
@@ -288,7 +317,7 @@ func TestROBFullStalls(t *testing.T) {
 // in-flight timing. The load hits a real L1D with latency 3, so its
 // completion is still pending in the cache when the window opens.
 func TestResetStatsKeepsTiming(t *testing.T) {
-	l1 := warmL1D(t, 3, 64)
+	l1, _ := warmL1D(t, 3, 64)
 	c := newCPU(t, DefaultConfig(), &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 64}}}, l1)
 	l1.Tick()
 	c.Tick() // the load hits; its completion is due 3 cycles later
@@ -313,7 +342,7 @@ func TestResetStatsKeepsTiming(t *testing.T) {
 // so the firing completes the load; recorded afterwards, loadReturned
 // would take it for a stale firing and the load would never retire.
 func TestZeroLatencyHitRetires(t *testing.T) {
-	l1 := warmL1D(t, 0, 64)
+	l1, _ := warmL1D(t, 0, 64)
 	c := newCPU(t, DefaultConfig(), &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 64}}}, l1)
 	for i := 0; i < 4; i++ {
 		l1.Tick()
@@ -337,9 +366,18 @@ func (m *fillMem) ReadLine(addr uint64, done func()) bool {
 
 func (m *fillMem) WriteLine(addr uint64) bool { return true }
 
-// warmL1D builds a Table 3 L1D with the given hit latency whose line at
-// addr is already present.
-func warmL1D(t *testing.T, latency int, addr uint64) *cache.Cache {
+func (m *fillMem) deliver() {
+	fills := m.fills
+	m.fills = nil
+	for _, fill := range fills {
+		fill()
+	}
+}
+
+// warmL1D builds a Table 3 L1D with the given hit latency whose lines at
+// addrs are already present, over a backend that holds later fills until
+// the test delivers them.
+func warmL1D(t *testing.T, latency int, addrs ...uint64) (*cache.Cache, *fillMem) {
 	t.Helper()
 	cfg := cache.L1Config("L1D")
 	cfg.LatencyCycles = latency
@@ -348,36 +386,18 @@ func warmL1D(t *testing.T, latency int, addr uint64) *cache.Cache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1.Access(addr, false, nil)
-	l1.Tick() // the miss goes to the backend
-	for _, fill := range mem.fills {
-		fill()
+	for _, addr := range addrs {
+		l1.Access(addr, false, nil)
 	}
-	if !l1.Probe(addr) {
-		t.Fatalf("line %#x not present after its fill", addr)
+	l1.Tick() // the misses go to the backend
+	mem.deliver()
+	for _, addr := range addrs {
+		if !l1.Probe(addr) {
+			t.Fatalf("line %#x not present after its fill", addr)
+		}
 	}
 	l1.ResetStats()
-	return l1
-}
-
-// TestQuiesced reports in-flight state correctly.
-func TestQuiesced(t *testing.T) {
-	mem := &stubMem{}
-	c := newCPU(t, DefaultConfig(), &scriptGen{ops: []workload.Op{{Type: workload.OpLoad, Addr: 64}}}, mem)
-	if !c.Quiesced() {
-		t.Fatal("fresh CPU should be quiesced")
-	}
-	c.Tick()
-	if c.Quiesced() {
-		t.Fatal("CPU with outstanding miss reported quiesced")
-	}
-	mem.release()
-	for i := 0; i < 5; i++ {
-		c.Tick()
-	}
-	if !c.Quiesced() {
-		t.Fatal("CPU did not quiesce after fill")
-	}
+	return l1, mem
 }
 
 // TestReplayGateChargesRefusals: while the gate is closed, each tick
@@ -408,5 +428,58 @@ func TestReplayGateChargesRefusals(t *testing.T) {
 	c.Tick()
 	if len(c.pending) != 0 || len(mem.pending) != 4 {
 		t.Fatalf("after the cache accepts: %d loads pending, %d misses; want 0 and 4", len(c.pending), len(mem.pending))
+	}
+}
+
+// TestReplayGateWakesDependent: a completion that resolves one load's
+// address wakes only that load. Releasing the chain head probes the cache
+// once, for its dependent, and charges the refusals a walk would have:
+// the four recorded ones and the dependent's own. A reopened gate would
+// re-probe all five loads (the probe count is asserted only when the
+// invariants shadow check, which re-walks, is off).
+func TestReplayGateWakesDependent(t *testing.T) {
+	c, mem := chainThenRefused(t)
+	mem.release()
+	probes, refusals := mem.probes, mem.refusals
+	c.Tick()
+	if !c.shadow.armed() && mem.probes-probes != 1 {
+		t.Fatalf("replay after the head completed probed the cache %d times, want 1 (the dependent)", mem.probes-probes)
+	}
+	if got := mem.refusals - refusals; got != 5 {
+		t.Fatalf("replay after the head completed charged %d refusals, want 5", got)
+	}
+	if !c.gated || c.refused != 5 || len(c.pending) != 5 {
+		t.Fatalf("after that replay: gated %v, %d refusals recorded, %d loads pending; want true, 5, 5",
+			c.gated, c.refused, len(c.pending))
+	}
+}
+
+// TestReplayGateZeroLatencyChain: a chain of dependent loads that all hit a
+// zero-latency L1D issues whole in the replay where its head completes, as
+// a walk would: each hit fires done inside AccessLoad, waking the next link
+// the walk visits next.
+func TestReplayGateZeroLatencyChain(t *testing.T) {
+	l1, backend := warmL1D(t, 0, 0x40, 0x80, 0xc0)
+	ops := []workload.Op{{Type: workload.OpLoad, Addr: 0x10000}}
+	for _, addr := range []uint64{0x40, 0x80, 0xc0} {
+		ops = append(ops, workload.Op{Type: workload.OpLoad, Addr: addr, DepOnPrevLoad: true})
+	}
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: ops}, l1)
+	for i := 0; i < 2; i++ {
+		l1.Tick()
+		c.Tick()
+	}
+	if !c.gated || len(c.pending) != 3 || len(backend.fills) != 1 {
+		t.Fatalf("before the head's fill: gated %v, %d loads pending, %d fills; want true, 3, 1", c.gated, len(c.pending), len(backend.fills))
+	}
+	backend.deliver()
+	l1.Tick()
+	c.Tick()
+	if l1.Stats.Hits != 3 || len(c.pending) != 0 || c.Stats.LoadsIssued != 4 {
+		t.Fatalf("replay after the head completed: %d L1D hits, %d loads pending, %d issued; want 3, 0, 4",
+			l1.Stats.Hits, len(c.pending), c.Stats.LoadsIssued)
+	}
+	if !c.gated {
+		t.Fatal("the woken chain reopened the gate")
 	}
 }

@@ -5,13 +5,15 @@ package cpu
 import "fmt"
 
 // This file is the enabled build of the replay-gate shadow check (build
-// with -tags invariants). A closed gate does not charge its recorded
-// refusals: replay walks anyway, and the walk must issue nothing and be
-// refused exactly the predicted number of times. Otherwise a cache answer
-// changed while its Version stood still, and the default build would have
-// charged refusals for loads that could issue, so the check panics,
-// cycle-stamped. The walk's own probes count the refusals, so results
-// match the default build whenever the check passes.
+// with -tags invariants). A holding gate does not charge its recorded
+// refusals or visit its woken load alone: replay walks anyway, and the
+// walk, setting aside the woken loads' own visits, must issue nothing and
+// be refused exactly the predicted number of times. Otherwise a cache
+// answer changed while its Version stood still, or a woken load's visit
+// changed another load's answer, and the default build would have charged
+// refusals for loads that could issue, so the check panics, cycle-stamped.
+// The walk's own probes count the refusals, so results match the default
+// build whenever the check passes.
 
 // gateShadow is the enabled replay-gate shadow check.
 type gateShadow struct{}
@@ -21,7 +23,7 @@ func (gateShadow) armed() bool { return true }
 func (gateShadow) check(now, predicted uint64, issued int, refused uint64) {
 	if issued != 0 || refused != predicted {
 		panic(fmt.Sprintf(
-			"cpu sanitizer: cycle %d: closed replay gate predicted %d refusals and no issue, but the walk issued %d loads and was refused %d times (a cache answer changed while its Version stood still)",
+			"cpu sanitizer: cycle %d: closed replay gate predicted %d refusals and no issue, but the walk issued %d loads and was refused %d times, woken loads aside (a cache answer changed while its Version stood still, or a woken load's visit changed another load's answer)",
 			now, predicted, issued, refused))
 	}
 }

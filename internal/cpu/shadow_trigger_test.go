@@ -18,6 +18,16 @@ func TestReplayGateShadowTrigger(t *testing.T) {
 	mustPanicContaining(t, "cycle 3: closed replay gate predicted 4 refusals and no issue, but the walk issued 4 loads", c.Tick)
 }
 
+// TestReplayGateWokenShadowTrigger: with the chain head's dependent woken,
+// the cache starts accepting the other loads without moving its version.
+// The walk then issues more than the woken load, and the tick must panic.
+func TestReplayGateWokenShadowTrigger(t *testing.T) {
+	c, mem := chainThenRefused(t)
+	mem.release()
+	mem.blocked = false
+	mustPanicContaining(t, "cycle 3: closed replay gate predicted 4 refusals and no issue, but the walk issued 4 loads and was refused 0 times", c.Tick)
+}
+
 func mustPanicContaining(t *testing.T, want string, f func()) {
 	t.Helper()
 	defer func() {

@@ -47,11 +47,12 @@ echo "== shadow checks (next-event bound vs linear scan; replay gate vs re-walk)
 # from the hint cache's minimum issue bound, against the linear scan: first
 # on its trigger and clean-run tests, then on live simulations (an
 # over-estimate would let an idle skip jump a real event). It also re-walks
-# every load the CPU's closed replay gate would charge without probing; the
-# trigger test proves a cache answer that changes behind a still version
-# panics.
+# every load the CPU's closed replay gate would charge without probing, and
+# every pending load when the gate visits a woken load alone; the trigger
+# tests prove that a cache answer changing behind a still version panics,
+# with and without a woken load.
 go test -count=1 -tags invariants -run 'TestEngineShadow' ./internal/memctrl/
-go test -count=1 -tags invariants -run 'TestReplayGateShadowTrigger' ./internal/cpu/
+go test -count=1 -tags invariants -run 'TestReplayGate' ./internal/cpu/
 go test -count=1 -tags invariants -run 'TestTraceSkipEquivalence' ./internal/sim/
 
 echo "== traced simulation (memsim -trace, exported JSON must parse) =="
