@@ -167,13 +167,15 @@ func NewSystem(cfg Config, prof Profile, factory MechanismFactory) (*System, err
 	return sim.NewSystem(cfg, prof, factory)
 }
 
-// MechanismNames lists the paper's Table 4 mechanisms in its order, plus
-// the serial "InOrder" reference of Figure 1(a).
+// MechanismNames lists the eight mechanisms of the paper's Table 4 in its
+// order.
 func MechanismNames() []string { return sim.MechanismNames() }
 
-// MechanismByName resolves a Table 4 mechanism name ("BkInOrder",
-// "RowHit", "Intel", "Intel_RP", "Burst", "Burst_RP", "Burst_WP",
-// "Burst_TH", "Burst_TH<n>", or "InOrder") to its factory.
+// MechanismByName resolves a mechanism name to its factory: a Table 4 name
+// ("BkInOrder", "RowHit", "Intel", "Intel_RP", "Burst", "Burst_RP",
+// "Burst_WP", "Burst_TH"), "Burst_TH<n>" for threshold n, the serial
+// "InOrder" scheduler, or one of the burst variants "Burst_Naive",
+// "Burst_DYN" and "Burst_SZ".
 func MechanismByName(name string) (MechanismFactory, error) { return sim.MechanismByName(name) }
 
 // Benchmarks returns the 16 built-in synthetic benchmark profiles in the

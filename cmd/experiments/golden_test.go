@@ -7,16 +7,19 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"burstmem/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden experiment output")
 
-// TestGoldenSmallSlice re-runs a small slice of the experiment suite and
-// diffs the output byte-for-byte against a committed golden file, so
-// bit-identity of the harness no longer depends on manually eyeballing
-// experiments_output.txt. The slice covers the pure timing-model tables
-// (table1, fig1) and a real simulation matrix (fig10 over two benchmarks),
-// which exercises every mechanism end to end.
+// TestGoldenSmallSlice re-runs the whole experiment table over two
+// benchmarks and diffs the output byte-for-byte against a committed golden
+// file, so bit-identity of the harness no longer depends on manually
+// eyeballing experiments_output.txt. Running every experiment in one
+// harness also reads back the jobs they share through the memo: the
+// Figure 11/12 sweep endpoints are Figure 7's Burst_WP, Burst_TH and
+// Burst_RP runs, and scaling's DDR2-800 rows are Figure 7's default machine.
 //
 // Regenerate after an intentional model change with:
 //
@@ -33,20 +36,20 @@ func TestGoldenSmallSlice(t *testing.T) {
 	}()
 	*flagN = 30_000
 	*flagWarmup = 30_000
-	// One worker per Figure 10 job (2 benchmarks x 8 mechanisms), not the
+	// One worker per Figure 7 job (2 benchmarks x 8 mechanisms), not the
 	// host's CPU count: every job then holds the pool at once, so -race
 	// sees a worker that touches shared harness state (such as the
-	// h.cache memo map) race with all the others. With fewer workers the
+	// h.memo job map) race with all the others. With fewer workers the
 	// racing accesses lie whole jobs apart, and the detector, which keeps
 	// only recent history, mostly misses them (DESIGN.md §8).
 	*flagParallel = 16
 	*flagCSV = ""
 
-	h := &harness{benches: []string{"swim", "mcf"}}
+	h := &harness{benches: []string{"swim", "mcf"}, memo: make(map[job]sim.Result)}
 	got := captureStdout(t, func() {
-		h.table1()
-		h.fig1()
-		h.fig10()
+		for _, e := range experiments {
+			e.run(h)
+		}
 	})
 
 	golden := filepath.Join("testdata", "golden_small.txt")

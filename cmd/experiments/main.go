@@ -1,14 +1,18 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Sections 4-5) on the synthetic-workload reproduction:
 //
-//	table1 — possible SDRAM access latencies (Table 1)
-//	fig1   — in-order vs out-of-order scheduling example (Figure 1)
-//	fig7   — average read/write latency per mechanism (Figure 7)
-//	fig8   — outstanding-access distribution for swim (Figure 8)
-//	fig9   — row hit/conflict/empty rates and bus utilization (Figure 9)
-//	fig10  — normalized execution time per benchmark (Figure 10)
-//	fig11  — outstanding accesses under thresholds, swim (Figure 11)
-//	fig12  — latency and execution time vs threshold (Figure 12)
+//	table1  — possible SDRAM access latencies (Table 1)
+//	fig1    — in-order vs out-of-order scheduling example (Figure 1)
+//	fig7    — average read/write latency per mechanism (Figure 7)
+//	fig8    — outstanding-access distribution for swim (Figure 8)
+//	fig9    — row hit/conflict/empty rates and bus utilization (Figure 9)
+//	fig10   — normalized execution time per benchmark (Figure 10)
+//	fig11   — outstanding accesses under thresholds, swim (Figure 11)
+//	fig12   — latency and execution time vs threshold (Figure 12)
+//	scaling — scheduling benefit across DRAM generations (Section 6)
+//	cmp     — scheduling benefit vs core count (Section 6)
+//	dynth   — dynamic vs static threshold (Section 7)
+//	power   — DRAM energy per mechanism (extension)
 //
 // Each experiment prints a text table whose rows correspond to the paper's
 // series. Absolute values differ from the paper (different substrate), but
@@ -39,7 +43,7 @@ import (
 )
 
 var (
-	flagExp      = flag.String("exp", "all", "experiment: all, table1, fig1, fig7, fig8, fig9, fig10, fig11, fig12")
+	flagExp      = flag.String("exp", "all", "experiment: all, table1, fig1, fig7, fig8, fig9, fig10, fig11, fig12, scaling, cmp, dynth, power")
 	flagN        = flag.Uint64("n", 300_000, "measured instructions per run")
 	flagWarmup   = flag.Uint64("warmup", 300_000, "warmup instructions per run")
 	flagParallel = flag.Int("parallel", runtime.NumCPU(), "concurrent simulations")
@@ -49,6 +53,26 @@ var (
 	flagMemProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 )
 
+// experiments states each experiment once, in the order -exp all runs
+// them.
+var experiments = []struct {
+	name string
+	run  func(*harness)
+}{
+	{"table1", (*harness).table1},
+	{"fig1", (*harness).fig1},
+	{"fig7", (*harness).fig7},
+	{"fig8", (*harness).fig8},
+	{"fig9", (*harness).fig9},
+	{"fig10", (*harness).fig10},
+	{"fig11", (*harness).fig11},
+	{"fig12", (*harness).fig12},
+	{"scaling", (*harness).scaling},
+	{"cmp", (*harness).cmp},
+	{"dynth", (*harness).dynth},
+	{"power", (*harness).power},
+}
+
 func main() {
 	flag.Parse()
 	defer profiling.Start(*flagCPUProf, *flagMemProf)()
@@ -56,40 +80,31 @@ func main() {
 	if *flagBench != "" {
 		benches = strings.Split(*flagBench, ",")
 	}
-	h := &harness{benches: benches}
-
-	exps := map[string]func(){
-		"table1":  h.table1,
-		"fig1":    h.fig1,
-		"fig7":    h.fig7,
-		"fig8":    h.fig8,
-		"fig9":    h.fig9,
-		"fig10":   h.fig10,
-		"fig11":   h.fig11,
-		"fig12":   h.fig12,
-		"scaling": h.scaling,
-		"cmp":     h.cmp,
-		"dynth":   h.dynth,
-		"power":   h.power,
-	}
-	if *flagExp == "all" {
-		for _, name := range []string{"table1", "fig1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "scaling", "cmp", "dynth", "power"} {
-			exps[name]()
+	h := &harness{benches: benches, memo: make(map[job]sim.Result)}
+	found := false
+	for _, e := range experiments {
+		if *flagExp == "all" || *flagExp == e.name {
+			e.run(h)
+			found = true
 		}
-		return
 	}
-	run, ok := exps[*flagExp]
-	if !ok {
+	if !found {
 		fatal(fmt.Errorf("unknown experiment %q", *flagExp))
 	}
-	run()
 }
 
-// harness caches simulation results so experiments sharing runs (fig7, 9,
-// 10) simulate each (benchmark, mechanism) pair once.
+// harness holds the job memo: a job that several experiments, or several
+// mechanism names, denote is simulated once.
 type harness struct {
 	benches []string
-	cache   map[string]sim.Result
+	memo    map[job]sim.Result
+}
+
+// job is one simulation: a benchmark under a mechanism on a machine.
+// sim.Config is comparable, so the job itself is the memo key.
+type job struct {
+	bench, mech string
+	cfg         sim.Config
 }
 
 func simConfig() sim.Config {
@@ -99,36 +114,49 @@ func simConfig() sim.Config {
 	return cfg
 }
 
-type job struct{ bench, mech string }
-
-// matrix runs all (bench, mech) pairs, memoized, in parallel.
-func (h *harness) matrix(benches, mechs []string) map[job]sim.Result {
-	if h.cache == nil {
-		h.cache = make(map[string]sim.Result)
-	}
+// run simulates, on the -parallel pool, the jobs the memo lacks. Workers
+// write only their own result slot; the memo is filled after the pool
+// returns, so no worker touches it.
+func (h *harness) run(jobs []job) {
 	var todo []job
-	for _, b := range benches {
-		for _, m := range mechs {
-			if _, done := h.cache[b+"/"+m]; !done {
-				todo = append(todo, job{b, m})
-			}
+	for _, j := range jobs {
+		if _, done := h.memo[j]; !done {
+			todo = append(todo, j)
 		}
 	}
 	res := make([]sim.Result, len(todo))
 	parallelDo(len(todo), func(i int) {
-		res[i] = h.runOne(todo[i].bench, todo[i].mech)
+		prof, err := workload.ByName(todo[i].bench)
+		fatal(err)
+		factory, err := sim.MechanismByName(todo[i].mech)
+		fatal(err)
+		res[i], err = sim.Run(todo[i].cfg, prof, factory)
+		fatal(err)
 	})
 	for i, j := range todo {
-		h.cache[j.bench+"/"+j.mech] = res[i]
+		h.memo[j] = res[i]
 	}
+}
 
-	out := make(map[job]sim.Result)
-	for _, b := range benches {
-		for _, m := range mechs {
-			out[job{b, m}] = h.cache[b+"/"+m]
+// grid lists every benchmark under every mechanism on every machine.
+func grid(benches, mechs []string, cfgs ...sim.Config) []job {
+	var jobs []job
+	for _, cfg := range cfgs {
+		for _, b := range benches {
+			for _, m := range mechs {
+				jobs = append(jobs, job{b, m, cfg})
+			}
 		}
 	}
-	return out
+	return jobs
+}
+
+// matrix runs every benchmark under every mechanism on the default machine
+// and returns a lookup of the results.
+func (h *harness) matrix(benches, mechs []string) func(bench, mech string) sim.Result {
+	cfg := simConfig()
+	h.run(grid(benches, mechs, cfg))
+	return func(bench, mech string) sim.Result { return h.memo[job{bench, mech, cfg}] }
 }
 
 // parallelDo runs f(0..n-1) across a worker pool bounded by -parallel.
@@ -147,16 +175,6 @@ func parallelDo(n int, f func(i int)) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func (h *harness) runOne(bench, mech string) sim.Result {
-	prof, err := workload.ByName(bench)
-	fatal(err)
-	factory, err := sim.MechanismByName(mech)
-	fatal(err)
-	res, err := sim.Run(simConfig(), prof, factory)
-	fatal(err)
-	return res
 }
 
 func header(title string) {
@@ -192,11 +210,9 @@ func (h *harness) table1() {
 // 2-2-2/BL4 device, in order without interleaving vs burst scheduling.
 func (h *harness) fig1() {
 	header("Figure 1: memory access scheduling example (2-2-2 device, BL4)")
-	inOrder := fig1InOrder()
-	outOfOrder := fig1Burst()
 	t := stats.NewTable("schedule", "completion (cycles)")
-	t.AddRow("(a) in order, no interleaving", inOrder)
-	t.AddRow("(b) burst scheduling (out of order)", outOfOrder)
+	t.AddRow("(a) in order, no interleaving", fig1InOrder())
+	t.AddRow("(b) burst scheduling (out of order)", fig1Burst())
 	emit("fig1", t)
 	fmt.Printf("\npaper: 28 vs 16 cycles; access3 reordered before access2 and turned into a row hit\n")
 }
@@ -246,11 +262,7 @@ func fig1Burst() uint64 {
 	ctrl, err := memctrl.New(cfg, factory)
 	fatal(err)
 	var end uint64
-	done := func(a *memctrl.Access, now uint64) {
-		if now > end {
-			end = now
-		}
-	}
+	done := func(a *memctrl.Access, now uint64) { end = max(end, now) }
 	ctrl.Tick(0)
 	for _, loc := range []addrmap.Loc{
 		{Bank: 0, Row: 0}, {Bank: 1, Row: 0}, {Bank: 0, Row: 1}, {Bank: 0, Row: 0},
@@ -275,7 +287,7 @@ func (h *harness) fig7() {
 	for _, m := range mechs {
 		var rd, wr float64
 		for _, b := range h.benches {
-			r := results[job{b, m}]
+			r := results(b, m)
 			rd += r.ReadLatency
 			wr += r.WriteLatency
 		}
@@ -298,7 +310,7 @@ func (h *harness) fig8() {
 	results := h.matrix([]string{"swim"}, mechs)
 	t := stats.NewTable("mechanism", "mean reads", "peak reads", "mean writes", "peak writes", "write sat %")
 	for _, m := range mechs {
-		r := results[job{"swim", m}]
+		r := results("swim", m)
 		pr, _ := r.OutstandingReads.Peak()
 		pw, _ := r.OutstandingWrites.Peak()
 		t.AddRow(m, r.OutstandingReads.Mean(), pr, r.OutstandingWrites.Mean(), pw,
@@ -308,7 +320,7 @@ func (h *harness) fig8() {
 	fmt.Println("\noutstanding writes, fraction of time per occupancy bucket (0,8,16,...,64):")
 	bt := stats.NewTable(append([]string{"mechanism"}, bucketLabels(64, 8)...)...)
 	for _, m := range mechs {
-		r := results[job{"swim", m}]
+		r := results("swim", m)
 		bt.AddRow(bucketRow(m, r.OutstandingWrites, 64, 8)...)
 	}
 	emit("fig8_writes", bt)
@@ -346,7 +358,7 @@ func (h *harness) fig9() {
 	for _, m := range mechs {
 		var hit, empty, conf, data, addr, bw float64
 		for _, b := range h.benches {
-			r := results[job{b, m}]
+			r := results(b, m)
 			hit += r.RowHit
 			empty += r.RowEmpty
 			conf += r.RowConflict
@@ -371,10 +383,10 @@ func (h *harness) fig10() {
 	t := stats.NewTable(append([]string{"benchmark"}, mechs...)...)
 	sums := make([]float64, len(mechs))
 	for _, b := range h.benches {
-		base := float64(results[job{b, "BkInOrder"}].CPUCycles)
+		base := float64(results(b, "BkInOrder").CPUCycles)
 		row := []any{b}
 		for i, m := range mechs {
-			norm := float64(results[job{b, m}].CPUCycles) / base
+			norm := float64(results(b, m).CPUCycles) / base
 			sums[i] += norm
 			row = append(row, fmt.Sprintf("%.3f", norm))
 		}
@@ -394,7 +406,19 @@ func (h *harness) fig10() {
 // Burst_RP (paper Section 5.4).
 var sweepThresholds = []int{0, 8, 16, 24, 32, 40, 48, 52, 56, 60, 64}
 
-func thName(th int) string { return fmt.Sprintf("Burst_TH%d", th) }
+// thName names the mechanism at a sweep threshold, so the sweep shares the
+// runs of Burst_WP (0), Burst_TH (52) and Burst_RP (64) with Figures 7-10.
+func thName(th int) string {
+	switch th {
+	case 0:
+		return "Burst_WP"
+	case sim.BestThreshold:
+		return "Burst_TH"
+	case simConfig().Mem.MaxWrites:
+		return "Burst_RP"
+	}
+	return fmt.Sprintf("Burst_TH%d", th)
+}
 
 // fig11 prints outstanding-access distributions for swim across thresholds.
 func (h *harness) fig11() {
@@ -406,7 +430,7 @@ func (h *harness) fig11() {
 	results := h.matrix([]string{"swim"}, mechs)
 	t := stats.NewTable("threshold", "mean reads", "mean writes", "peak writes", "write sat %")
 	for _, th := range sweepThresholds {
-		r := results[job{"swim", thName(th)}]
+		r := results("swim", thName(th))
 		pw, _ := r.OutstandingWrites.Peak()
 		t.AddRow(fmt.Sprintf("TH%d", th), r.OutstandingReads.Mean(), r.OutstandingWrites.Mean(),
 			pw, fmt.Sprintf("%.1f", r.WriteSaturation*100))
@@ -427,7 +451,7 @@ func (h *harness) fig12() {
 	results := h.matrix(h.benches, mechs)
 	agg := func(m string) (exec, rd, wr float64) {
 		for _, b := range h.benches {
-			r := results[job{b, m}]
+			r := results(b, m)
 			exec += float64(r.CPUCycles)
 			rd += r.ReadLatency
 			wr += r.WriteLatency
@@ -466,7 +490,7 @@ func (h *harness) power() {
 	for _, m := range mechs {
 		var e, p, hit float64
 		for _, b := range h.benches {
-			r := results[job{b, m}]
+			r := results(b, m)
 			e += r.EnergyPerAccessNJ
 			p += r.AvgMemPowerW
 			hit += r.RowHit
@@ -493,30 +517,17 @@ func (h *harness) scaling() {
 		{"DDR3-1600 (8-8-8)", dram.DDR3_1600()},
 	}
 	benches := []string{"swim", "gcc", "mcf"}
-	mechs := []string{"BkInOrder", "Burst_TH"}
-	// Run the whole generation×benchmark×mechanism grid in parallel, one
-	// slot per job, then aggregate in order.
-	results := make([]sim.Result, len(gens)*len(benches)*len(mechs))
-	parallelDo(len(results), func(i int) {
-		g := gens[i/(len(benches)*len(mechs))]
-		bench := benches[i/len(mechs)%len(benches)]
-		mech := mechs[i%len(mechs)]
-		prof, err := workload.ByName(bench)
-		fatal(err)
-		cfg := simConfig()
-		cfg.Mem.Timing = g.timing
-		factory, err := sim.MechanismByName(mech)
-		fatal(err)
-		res, err := sim.Run(cfg, prof, factory)
-		fatal(err)
-		results[i] = res
-	})
+	cfgs := make([]sim.Config, len(gens))
+	for i, g := range gens {
+		cfgs[i] = simConfig()
+		cfgs[i].Mem.Timing = g.timing
+	}
+	h.run(grid(benches, []string{"BkInOrder", "Burst_TH"}, cfgs...))
 	t := stats.NewTable("generation", "BkInOrder IPC", "Burst_TH IPC", "Burst_TH/BkInOrder exec")
-	for gi, g := range gens {
+	for i, g := range gens {
 		var baseCycles, burstCycles, baseIPC, burstIPC float64
-		for bi := range benches {
-			base := results[(gi*len(benches)+bi)*len(mechs)]
-			burst := results[(gi*len(benches)+bi)*len(mechs)+1]
+		for _, b := range benches {
+			base, burst := h.memo[job{b, "BkInOrder", cfgs[i]}], h.memo[job{b, "Burst_TH", cfgs[i]}]
 			baseCycles += float64(base.CPUCycles)
 			baseIPC += base.IPC
 			burstCycles += float64(burst.CPUCycles)
@@ -536,14 +547,10 @@ func (h *harness) scaling() {
 func (h *harness) cmp() {
 	header("Section 6: scheduling benefit vs core count (CMP)")
 	coreCounts := []int{1, 2, 4}
-	mechs := []string{"BkInOrder", "Burst_TH"}
-	results := make([]sim.Result, len(coreCounts)*len(mechs))
-	parallelDo(len(results), func(i int) {
-		cores := coreCounts[i/len(mechs)]
-		mech := mechs[i%len(mechs)]
-		prof, err := workload.ByName("gcc")
-		fatal(err)
-		cfg := simConfig()
+	cfgs := make([]sim.Config, len(coreCounts))
+	for i, cores := range coreCounts {
+		cfg := &cfgs[i]
+		*cfg = simConfig()
 		cfg.Cores = cores
 		// Keep total simulated work roughly constant.
 		cfg.Instructions = *flagN / uint64(cores)
@@ -551,18 +558,13 @@ func (h *harness) cmp() {
 		// A CMP scales its on-chip interconnect with cores; without
 		// this the shared FSB saturates and hides the memory
 		// controller entirely.
-		cfg.FSB.DataCycles = maxInt(1, cfg.FSB.DataCycles/cores)
+		cfg.FSB.DataCycles = max(1, cfg.FSB.DataCycles/cores)
 		cfg.FSB.QueueDepth *= cores
-		factory, err := sim.MechanismByName(mech)
-		fatal(err)
-		res, err := sim.Run(cfg, prof, factory)
-		fatal(err)
-		results[i] = res
-	})
+	}
+	h.run(grid([]string{"gcc"}, []string{"BkInOrder", "Burst_TH"}, cfgs...))
 	t := stats.NewTable("cores", "BkInOrder IPC", "Burst_TH IPC", "Burst_TH/BkInOrder exec", "mean out reads (Burst_TH)")
-	for ci, cores := range coreCounts {
-		base := results[ci*len(mechs)]
-		burst := results[ci*len(mechs)+1]
+	for i, cores := range coreCounts {
+		base, burst := h.memo[job{"gcc", "BkInOrder", cfgs[i]}], h.memo[job{"gcc", "Burst_TH", cfgs[i]}]
 		t.AddRow(fmt.Sprintf("%d", cores), base.IPC, burst.IPC,
 			fmt.Sprintf("%.3f", float64(burst.CPUCycles)/float64(base.CPUCycles)),
 			burst.OutstandingReads.Mean())
@@ -583,8 +585,8 @@ func (h *harness) dynth() {
 	t := stats.NewTable("benchmark", "Burst_TH52 cycles", "Burst_DYN cycles", "DYN/TH52")
 	var sum float64
 	for _, b := range h.benches {
-		th := results[job{b, "Burst_TH"}]
-		dyn := results[job{b, "Burst_DYN"}]
+		th := results(b, "Burst_TH")
+		dyn := results(b, "Burst_DYN")
 		ratio := float64(dyn.CPUCycles) / float64(th.CPUCycles)
 		sum += ratio
 		t.AddRow(b, th.CPUCycles, dyn.CPUCycles, fmt.Sprintf("%.3f", ratio))
@@ -594,15 +596,6 @@ func (h *harness) dynth() {
 	fmt.Printf("\npaper Section 7: a per-workload threshold should match or beat the single\n")
 	fmt.Printf("static value tuned across all benchmarks (<1.0 means the adaptive wins)\n")
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int { return max(a, b) }
 
 func fatal(err error) {
 	if err != nil {

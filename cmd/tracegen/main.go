@@ -116,7 +116,7 @@ func summarize(prof workload.Profile, gen workload.Generator, n int) {
 	t.AddRow("stores", fmt.Sprintf("%d (%.1f%% of mem)", stores, pct(stores, mem)))
 	t.AddRow("dependent loads", fmt.Sprintf("%d (%.1f%% of loads)", deps, pct(deps, loads)))
 	t.AddRow("distinct lines", fmt.Sprintf("%d", len(lines)))
-	t.AddRow("ops per distinct line", fmt.Sprintf("%.2f", float64(mem)/float64(maxInt(1, len(lines)))))
+	t.AddRow("ops per distinct line", fmt.Sprintf("%.2f", float64(mem)/float64(max(1, len(lines)))))
 	fmt.Print(t.String())
 }
 
@@ -146,17 +146,15 @@ func characterize(gen workload.Generator, n int) {
 	fmt.Printf("raw stream row locality (same row as previous access to the bank): %.1f%%\n",
 		pct(sameRow, total))
 	fmt.Printf("banks touched: %d of %d\n", len(bankCount), addrmap.DefaultGeometry().TotalBanks())
-	min, max := -1, 0
+	lo, hi := -1, 0
 	for _, c := range bankCount {
-		if min < 0 || c < min {
-			min = c
+		if lo < 0 || c < lo {
+			lo = c
 		}
-		if c > max {
-			max = c
-		}
+		hi = max(hi, c)
 	}
-	fmt.Printf("accesses per bank: min %d, max %d (spread %.2fx)\n", min, max,
-		float64(max)/float64(maxInt(1, min)))
+	fmt.Printf("accesses per bank: min %d, max %d (spread %.2fx)\n", lo, hi,
+		float64(hi)/float64(max(1, lo)))
 }
 
 func pct(a, b int) float64 {
@@ -164,13 +162,6 @@ func pct(a, b int) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

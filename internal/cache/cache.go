@@ -182,11 +182,6 @@ type Cache struct {
 	lines   []line
 	ways    int
 	numSets int
-	// mru remembers each set's most recently found way. Temporal locality
-	// makes it the overwhelmingly likely hit, so lookup probes it before
-	// scanning the set; purely an ordering shortcut over an equality
-	// scan, invisible in results.
-	mru     []uint8
 	setMask uint64
 	offBits uint
 
@@ -199,9 +194,8 @@ type Cache struct {
 	// another answer (see Version).
 	version uint64
 
-	now       uint64                // cycle counter, advanced by Tick
-	delayQ    deque.Deque[deferred] // latency-deferred callbacks, FIFO (constant delay)
-	fireBatch []func()              // scratch for Tick's batched completion delivery
+	now    uint64                // cycle counter, advanced by Tick
+	delayQ deque.Deque[deferred] // latency-deferred callbacks, FIFO (constant delay)
 
 	Stats Stats
 }
@@ -252,7 +246,6 @@ func New(cfg Config, backend Backend) (*Cache, error) {
 		lines:   make([]line, sets*cfg.Ways),
 		ways:    cfg.Ways,
 		numSets: sets,
-		mru:     make([]uint8, sets),
 		setMask: uint64(sets - 1),
 		mshrs:   u64map.New[*mshr](cfg.MSHRs),
 	}
@@ -260,17 +253,15 @@ func New(cfg Config, backend Backend) (*Cache, error) {
 		c.offBits++
 	}
 	// Pre-build the whole mshr pool (MSHRs bounds concurrent occupancy, so
-	// acquireMSHR can never need more) with waiter-list slack, and give the
-	// Tick fire batch its scratch up front: the steady-state loop then runs
-	// allocation-free from the first cycle instead of ramping each pool to
-	// its high-water mark mid-measurement.
+	// acquireMSHR can never need more) with waiter-list slack: the
+	// steady-state loop then runs allocation-free from the first cycle
+	// instead of ramping each pool to its high-water mark mid-measurement.
 	c.mshrFree = make([]*mshr, 0, cfg.MSHRs)
 	for i := 0; i < cfg.MSHRs; i++ {
 		m := &mshr{waiters: make([]func(), 0, 8)}
 		m.fillFn = func() { c.fill(m) }
 		c.mshrFree = append(c.mshrFree, m)
 	}
-	c.fireBatch = make([]func(), 0, 16)
 	c.mshrQ.Reserve(cfg.MSHRs)
 	c.wbQ.Reserve(2 * cfg.WritebackBuf)
 	c.delayQ.Reserve(32)
@@ -360,19 +351,13 @@ func (c *Cache) access(addr uint64, isWrite, mayAllocate bool, done func()) Resu
 	return Miss
 }
 
-// lookup returns the way of the set that holds tag, or nil. It checks the
-// set's MRU way first and then scans the set, making a found way the MRU.
-// The hint only orders an equality scan, so it is invisible in results.
+// lookup returns the way of the set that holds tag, or nil.
 //
 //burstmem:hotpath
 func (c *Cache) lookup(set, tag uint64) *line {
 	ways := c.lines[int(set)*c.ways : int(set)*c.ways+c.ways]
-	if ln := &ways[c.mru[set]]; ln.valid && ln.tag == tag {
-		return ln
-	}
 	for i := range ways {
 		if ln := &ways[i]; ln.valid && ln.tag == tag {
-			c.mru[set] = uint8(i)
 			return ln
 		}
 	}
@@ -400,25 +385,11 @@ func (c *Cache) Probe(addr uint64) bool {
 // responses fire, pending miss requests issue to the backend, and the
 // writeback queue drains.
 //
-// Due completions are drained in a batch before any fires: the callbacks
-// never re-enter this cache's delay queue (they belong to the level above),
-// so a burst of same-cycle fills pays the queue's boundary checks once
-// instead of once per waiter.
-//
 //burstmem:hotpath
 func (c *Cache) Tick() {
 	c.now++
-	if c.delayQ.Len() > 0 && c.delayQ.Front().at <= c.now {
-		batch := c.fireBatch[:0]
-		for c.delayQ.Len() > 0 && c.delayQ.Front().at <= c.now {
-			//lint:ignore hotalloc fire-batch scratch keeps its capacity across ticks
-			batch = append(batch, c.delayQ.PopFront().fn)
-		}
-		for i, fn := range batch {
-			batch[i] = nil // release the closure; the scratch buffer persists
-			fn()
-		}
-		c.fireBatch = batch[:0]
+	for c.delayQ.Len() > 0 && c.delayQ.Front().at <= c.now {
+		c.delayQ.PopFront().fn()
 	}
 	// Issue pending miss requests.
 	for c.mshrQ.Len() > 0 {
@@ -477,7 +448,6 @@ func (c *Cache) fill(m *mshr) {
 	}
 	c.tick++
 	*v = line{tag: tag, valid: true, dirty: m.isWrite, lru: c.tick}
-	c.mru[set] = uint8(victim)
 	for _, w := range m.waiters {
 		c.deferResponse(w)
 	}

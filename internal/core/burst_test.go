@@ -307,7 +307,7 @@ func TestRAWForwarding(t *testing.T) {
 	if _, err := r.RunUntilDrained(10000); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rd.DataEnd-rd.Arrival, uint64(cfg.ForwardLatency); got != want {
+	if got, want := rd.DataEnd-rd.Arrival, uint64(memctrl.ForwardLatency); got != want {
 		t.Errorf("forwarded read latency = %d, want %d", got, want)
 	}
 	if r.Ctrl.Stats.ForwardedReads != 1 {

@@ -302,8 +302,8 @@ func (c *Channel) NextEventCycle() uint64 { return c.refreshWake }
 //
 //burstmem:hotpath
 func (c *Channel) EarliestIssue(cmd Cmd, t Target) uint64 {
-	at := maxU64(c.now+1, c.EarliestReady(cmd, t))
-	return maxU64(at, c.ColumnBusReady(cmd, t.Rank))
+	at := max(c.now+1, c.EarliestReady(cmd, t))
+	return max(at, c.ColumnBusReady(cmd, t.Rank))
 }
 
 // EarliestReady returns the first cycle at which the command's bank and
@@ -319,26 +319,26 @@ func (c *Channel) EarliestReady(cmd Cmd, t Target) uint64 {
 	at := rk.refreshUntil
 	switch cmd {
 	case CmdPrecharge:
-		at = maxU64(at, bk.nextPrecharge)
+		at = max(at, bk.nextPrecharge)
 	case CmdActivate:
-		at = maxU64(at, bk.nextActivate)
+		at = max(at, bk.nextActivate)
 		if c.T.TRRD > 0 && rk.lastActivate > 0 {
 			// lastActivate is stored as cycle+1: tRRD counts from the
 			// previous activate's cycle.
-			at = maxU64(at, rk.lastActivate+uint64(c.T.TRRD)-1)
+			at = max(at, rk.lastActivate+uint64(c.T.TRRD)-1)
 		}
 		if c.T.TFAW > 0 {
 			if oldest := rk.actWindow[rk.actIdx]; oldest > 0 {
-				at = maxU64(at, oldest+uint64(c.T.TFAW)-1)
+				at = max(at, oldest+uint64(c.T.TFAW)-1)
 			}
 		}
 	case CmdRead:
-		at = maxU64(at, bk.nextRead)
+		at = max(at, bk.nextRead)
 		if c.T.TWTR > 0 && rk.writeDataEnd > 0 {
-			at = maxU64(at, rk.writeDataEnd+uint64(c.T.TWTR))
+			at = max(at, rk.writeDataEnd+uint64(c.T.TWTR))
 		}
 	case CmdWrite:
-		at = maxU64(at, bk.nextWrite)
+		at = max(at, bk.nextWrite)
 	case CmdRefresh:
 		// Refresh is issued by the channel's own engine on its tREFI
 		// schedule; the controller never asks when it could issue one.
@@ -543,8 +543,8 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		bk.row = t.Row
 		bk.nextRead = now + uint64(c.T.TRCD)
 		bk.nextWrite = now + uint64(c.T.TRCD)
-		bk.nextPrecharge = maxU64(bk.nextPrecharge, now+uint64(c.T.TRAS))
-		bk.nextActivate = maxU64(bk.nextActivate, now+uint64(c.T.TRC))
+		bk.nextPrecharge = max(bk.nextPrecharge, now+uint64(c.T.TRAS))
+		bk.nextActivate = max(bk.nextActivate, now+uint64(c.T.TRC))
 		rk.lastActivate = now + 1
 		if c.T.TFAW > 0 {
 			rk.actWindow[rk.actIdx] = now + 1
@@ -561,7 +561,7 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		gap := uint64(c.T.DataCycles())
 		bk.nextRead = now + gap
 		bk.nextWrite = now + gap
-		bk.nextPrecharge = maxU64(bk.nextPrecharge, now+uint64(c.T.TRTP)+gap)
+		bk.nextPrecharge = max(bk.nextPrecharge, now+uint64(c.T.TRTP)+gap)
 		if autoPrecharge {
 			c.autoClose(t.Rank, t.Bank, bk.nextPrecharge)
 		}
@@ -578,7 +578,7 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		gap := uint64(c.T.DataCycles())
 		bk.nextRead = now + gap
 		bk.nextWrite = now + gap
-		bk.nextPrecharge = maxU64(bk.nextPrecharge, res.DataEnd+uint64(c.T.TWR))
+		bk.nextPrecharge = max(bk.nextPrecharge, res.DataEnd+uint64(c.T.TWR))
 		if autoPrecharge {
 			c.autoClose(t.Rank, t.Bank, bk.nextPrecharge)
 		}
@@ -604,7 +604,7 @@ func (c *Channel) issuePrecharge(rankIdx, bankIdx int) {
 	c.Stats.Precharges++
 	c.tr.Command(c.now, trace.EvPrecharge, c.chIdx, rankIdx, bankIdx, bk.row, 0, 0)
 	bk.open = false
-	bk.nextActivate = maxU64(bk.nextActivate, c.now+uint64(c.T.TRP))
+	bk.nextActivate = max(bk.nextActivate, c.now+uint64(c.T.TRP))
 	bk.ver++
 	c.stateVer++
 	c.closeBankAccounting(rankIdx)
@@ -621,7 +621,7 @@ func (c *Channel) autoClose(rankIdx, bankIdx int, preAt uint64) {
 	// the effective close cycle preAt rides in the data args.
 	c.tr.Command(c.now, trace.EvAutoPrecharge, c.chIdx, rankIdx, bankIdx, bk.row, preAt, preAt)
 	bk.open = false
-	bk.nextActivate = maxU64(bk.nextActivate, preAt+uint64(c.T.TRP))
+	bk.nextActivate = max(bk.nextActivate, preAt+uint64(c.T.TRP))
 	bk.ver++
 	c.stateVer++
 	c.closeBankAccounting(rankIdx)
@@ -674,11 +674,4 @@ func (s Stats) RowHitRate() (hit, empty, conflict float64) {
 	}
 	f := func(o RowOutcome) float64 { return float64(s.Outcomes[o]) / float64(total) }
 	return f(RowHit), f(RowEmpty), f(RowConflict)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

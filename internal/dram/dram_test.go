@@ -96,6 +96,16 @@ func TestTimingValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for tRFC >= tREFI")
 	}
+	bad = DDR2_800()
+	bad.TRTRS = -2
+	if err := bad.Validate(); err == nil {
+		t.Fatal("expected error for negative tRTRS")
+	}
+	bad = DDR2_800()
+	bad.TRTW = -1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("expected error for negative tRTW")
+	}
 }
 
 // TestTable1Latencies reproduces paper Table 1: with idle busses and the

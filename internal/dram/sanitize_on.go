@@ -110,8 +110,8 @@ func (s *sanState) checkIssue(c *Channel, cmd Cmd, t Target, now uint64) {
 		bk.rcdUntil = now + uint64(c.T.TRCD)
 		bk.nextRead = now + uint64(c.T.TRCD)
 		bk.nextWrite = now + uint64(c.T.TRCD)
-		bk.nextPrecharge = maxU64(bk.nextPrecharge, now+uint64(c.T.TRAS))
-		bk.nextActivate = maxU64(bk.nextActivate, now+uint64(c.T.TRC))
+		bk.nextPrecharge = max(bk.nextPrecharge, now+uint64(c.T.TRAS))
+		bk.nextActivate = max(bk.nextActivate, now+uint64(c.T.TRC))
 		rk.lastActivate = now + 1
 		if c.T.TFAW > 0 {
 			rk.actWindow[rk.actIdx] = now + 1
@@ -199,9 +199,9 @@ func (s *sanState) recordColumn(c *Channel, rk *sanRank, bk *sanBank, rankIdx in
 	bk.nextWrite = now + gap
 	if isWrite {
 		rk.writeDataEnd = dataEnd
-		bk.nextPrecharge = maxU64(bk.nextPrecharge, dataEnd+uint64(c.T.TWR))
+		bk.nextPrecharge = max(bk.nextPrecharge, dataEnd+uint64(c.T.TWR))
 	} else {
-		bk.nextPrecharge = maxU64(bk.nextPrecharge, now+uint64(c.T.TRTP)+gap)
+		bk.nextPrecharge = max(bk.nextPrecharge, now+uint64(c.T.TRTP)+gap)
 	}
 	s.busBusyUntil = dataEnd
 	s.busLastRank = rankIdx
@@ -222,7 +222,7 @@ func (s *sanState) precharge(c *Channel, rankIdx, bankIdx int, now uint64) {
 			rankIdx, bankIdx, bk.nextPrecharge)
 	}
 	bk.open = false
-	bk.nextActivate = maxU64(bk.nextActivate, now+uint64(c.T.TRP))
+	bk.nextActivate = max(bk.nextActivate, now+uint64(c.T.TRP))
 }
 
 // autoPrecharge records the implicit bank closure of a column access with
@@ -231,7 +231,7 @@ func (s *sanState) autoPrecharge(c *Channel, rankIdx, bankIdx int, preAt uint64)
 	s.init(c)
 	bk := &s.ranks[rankIdx].banks[bankIdx]
 	bk.open = false
-	bk.nextActivate = maxU64(bk.nextActivate, preAt+uint64(c.T.TRP))
+	bk.nextActivate = max(bk.nextActivate, preAt+uint64(c.T.TRP))
 }
 
 // refresh validates and records an all-bank auto-refresh starting now.

@@ -49,6 +49,9 @@ func (t Timing) Validate() error {
 		return fmt.Errorf("dram: tRC (%d) must cover tRAS (%d)", t.TRC, t.TRAS)
 	case t.TCWD < 0 || t.TWR < 0 || t.TWTR < 0 || t.TRTP < 0 || t.TRRD < 0 || t.TFAW < 0:
 		return fmt.Errorf("dram: negative timing parameter")
+	case t.TRTRS < 0 || t.TRTW < 0:
+		// A negative gap would start a transfer before the data bus frees.
+		return fmt.Errorf("dram: negative data bus turnaround (tRTRS %d, tRTW %d)", t.TRTRS, t.TRTW)
 	case t.TREFI < 0 || t.TRFC < 0:
 		return fmt.Errorf("dram: negative refresh parameter")
 	case t.TREFI > 0 && t.TRFC >= t.TREFI:

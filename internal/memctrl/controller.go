@@ -32,24 +32,23 @@ type Config struct {
 	// write share of the pool (the write queue size).
 	PoolSize  int
 	MaxWrites int
-
-	// ForwardLatency is the controller-internal latency, in memory
-	// cycles, of returning write-queue data to a forwarded read.
-	ForwardLatency int
 }
+
+// ForwardLatency is the controller-internal latency, in memory cycles, of
+// returning write-queue data to a forwarded read.
+const ForwardLatency = 1
 
 // DefaultConfig returns the paper's Table 3 baseline: DDR2 PC2-6400 5-5-5,
 // 4 GB in 2 channels x 4 ranks x 4 banks, open page, page interleaving,
 // 256-entry pool with at most 64 writes.
 func DefaultConfig() Config {
 	return Config{
-		Timing:         dram.DDR2_800(),
-		Geometry:       addrmap.DefaultGeometry(),
-		Mapping:        "page-interleave",
-		RowPolicy:      OpenPage,
-		PoolSize:       256,
-		MaxWrites:      64,
-		ForwardLatency: 1,
+		Timing:    dram.DDR2_800(),
+		Geometry:  addrmap.DefaultGeometry(),
+		Mapping:   "page-interleave",
+		RowPolicy: OpenPage,
+		PoolSize:  256,
+		MaxWrites: 64,
 	}
 }
 
@@ -344,7 +343,7 @@ func (c *Controller) Submit(kind Kind, addr uint64, onComplete func(*Access, uin
 			a.Arrival = c.now
 			a.OnComplete = onComplete
 			a.Forwarded = true
-			a.DataEnd = c.now + uint64(c.cfg.ForwardLatency)
+			a.DataEnd = c.now + ForwardLatency
 			c.Stats.ForwardedReads++
 			c.Stats.AcceptedReads++
 			c.completions.push(completion{at: a.DataEnd, access: a})

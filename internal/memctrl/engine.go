@@ -184,14 +184,14 @@ func (e *Engine) syncBank(ch *dram.Channel, r, b int) {
 			// Only the data bus moved: the command and the bank/rank
 			// constraint bound stand; fold in the new bus term.
 			h.busVer = xv
-			h.full = maxU64(h.ready, ch.ColumnBusReady(h.cmd, r))
+			h.full = max(h.ready, ch.ColumnBusReady(h.cmd, r))
 		}
 		return
 	}
 	a := e.ongoing[r][b]
 	h.cmd = ch.NextCommand(a.Target(), a.Kind == KindRead)
 	h.ready = ch.EarliestReady(h.cmd, a.Target())
-	h.full = maxU64(h.ready, ch.ColumnBusReady(h.cmd, r))
+	h.full = max(h.ready, ch.ColumnBusReady(h.cmd, r))
 	h.bankVer, h.rankVer, h.busVer = bv, rv, xv
 	h.valid = true
 }
@@ -308,7 +308,7 @@ func (e *Engine) OldestOngoing() (rank, bank int, ok bool) {
 //burstmem:hotpath
 func (e *Engine) NextEventCycle(now uint64) uint64 {
 	e.sync()
-	next := maxU64(e.minFull, now+1)
+	next := max(e.minFull, now+1)
 	e.shadow.checkNextEvent(e, now, next)
 	return next
 }
@@ -338,11 +338,4 @@ func (e *Engine) Issue(rank, bank int, now uint64) dram.Cmd {
 		e.ClearOngoing(rank, bank)
 	}
 	return cmd
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -39,11 +39,15 @@ func BkInOrder() memctrl.Factory {
 	return func(h *memctrl.Host) memctrl.Mechanism { return newBankInOrder(h, true) }
 }
 
-// InOrder returns the fully serial scheduler of paper Figure 1(a): one
-// access at a time, no transaction interleaving at all. It is not part of
-// the paper's Table 4 comparison (BkInOrder is the baseline there) but
-// quantifies how much of the baseline's performance comes from bank
-// pipelining alone — see the ablation benchmarks.
+// InOrder returns the serial in-order scheduler: one access at a time,
+// FIFO within a bank and banks round robin. It overlaps only the next
+// access's precharge and activate with the current access's data tail, so
+// it finishes paper Figure 1's four reads at cycle 22, not the figure's 28
+// (examples/controller_trace; `experiments -exp fig1` replays the fully
+// serial schedule on the device). It is not part of the paper's Table 4
+// comparison (BkInOrder is the baseline there) but quantifies how much of
+// the baseline's performance comes from bank pipelining alone
+// (TestInOrderIsWorstCase in internal/sim).
 func InOrder() memctrl.Factory {
 	return func(h *memctrl.Host) memctrl.Mechanism { return newBankInOrder(h, false) }
 }

@@ -176,7 +176,7 @@ func NewSystem(cfg Config, prof workload.Profile, factory memctrl.Factory) (*Sys
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	gens := make([]workload.Generator, maxInt(1, cfg.Cores))
+	gens := make([]workload.Generator, max(1, cfg.Cores))
 	for i := range gens {
 		coreProf := prof
 		if i > 0 {
@@ -204,7 +204,7 @@ func NewSystemWithGenerators(cfg Config, gens []workload.Generator, factory memc
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if want := maxInt(1, cfg.Cores); len(gens) != want {
+	if want := max(1, cfg.Cores); len(gens) != want {
 		return nil, fmt.Errorf("sim: %d generators for %d cores", len(gens), want)
 	}
 	return newSystem(cfg, gens, factory)
@@ -459,7 +459,7 @@ func (s *System) Collect(benchmark string) Result {
 		Instructions: retired,
 		CPUCycles:    s.CPU.Cycles(),
 		MemCycles:    s.memCycle - s.measureStart,
-		IPC:          float64(retired) / float64(maxU64(1, s.CPU.Stats.Cycles)),
+		IPC:          float64(retired) / float64(max(1, s.CPU.Stats.Cycles)),
 
 		ReadLatency:    ctrl.Stats.ReadLatency.Mean(),
 		WriteLatency:   ctrl.Stats.WriteLatency.Mean(),
@@ -504,20 +504,6 @@ func RunGenerator(cfg Config, name string, gens []workload.Generator, factory me
 		return Result{}, err
 	}
 	return runSystem(cfg, sys, name)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // MechanismNames lists the mechanisms of paper Table 4 in its order.
