@@ -16,10 +16,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden file from curr
 // TestGoldenDirty pins the CLI contract on a tree with findings: one
 // diagnostic per line, sorted by file then line then analyzer, paths
 // relative to the working directory, exit status 1. The dram corpus
-// package sits under a testdata/src/internal/dram path so the
-// interprocedural analyzers treat it as simulation scope; helpers is the
-// out-of-scope package its detflow finding crosses into (go list never
-// descends into testdata, so each directory is passed explicitly).
+// package sits under a testdata/src/internal/dram path so detlint treats
+// it as simulation scope; helpers is the out-of-scope package its import
+// finding names (go list never descends into testdata, so each directory
+// is passed explicitly).
 func TestGoldenDirty(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
@@ -72,7 +72,7 @@ func TestGoldenDirty(t *testing.T) {
 		}
 		prev = cur
 	}
-	for _, a := range []string{"hotalloc", "errflow", "detflow", "leakcheck"} {
+	for _, a := range []string{"detlint", "hotalloc", "errflow"} {
 		if !seen[a] {
 			t.Errorf("no %s diagnostic in golden output (analyzers seen: %v)", a, seen)
 		}
@@ -117,10 +117,9 @@ func atoi(t *testing.T, s string) int {
 // TestGoldenJSON pins the -json machine contract against the same dirty
 // corpus: the array carries exactly the text-mode findings (same order,
 // same positions, relativized paths) as {file, line, col, analyzer,
-// message, chain} objects and nothing else — DisallowUnknownFields makes
-// a silently added field a test failure, so the schema scripts parse
-// cannot drift without showing up here. Chain must be populated on the
-// interprocedural exit-past-defer finding and omitted elsewhere.
+// message} objects and nothing else — DisallowUnknownFields makes a
+// silently added field a test failure, so the schema scripts parse cannot
+// drift without showing up here.
 func TestGoldenJSON(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
@@ -149,7 +148,6 @@ func TestGoldenJSON(t *testing.T) {
 		t.Fatalf("%d JSON findings, want %d (one per golden text line)", len(got), len(lines))
 	}
 
-	chains := 0
 	for i, d := range got {
 		if filepath.IsAbs(d.File) {
 			t.Errorf("finding %d: path %q not relativized", i, d.File)
@@ -161,17 +159,5 @@ func TestGoldenJSON(t *testing.T) {
 		if rendered != lines[i] {
 			t.Errorf("finding %d diverges from text mode:\n json: %s\n text: %s", i, rendered, lines[i])
 		}
-		if len(d.Chain) > 0 {
-			chains++
-			if d.Analyzer != "leakcheck" {
-				t.Errorf("finding %d: unexpected chain on %s: %v", i, d.Analyzer, d.Chain)
-			}
-			if d.Chain[0] != "os.Exit" {
-				t.Errorf("finding %d: chain should start at the exiting callee, got %v", i, d.Chain)
-			}
-		}
-	}
-	if chains == 0 {
-		t.Error("no finding carried a chain; the exit-past-defer corpus case should")
 	}
 }

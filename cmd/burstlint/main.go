@@ -12,26 +12,17 @@
 //	hotalloc    heap allocations in //burstmem:hotpath functions
 //	exhaustive  non-exhaustive switches over protocol enums
 //	errflow     error values dropped before reaching a check
-//	detflow     nondeterminism reached through out-of-scope callees
-//	leakcheck   resources released on every path; no exit past a pending defer
 //
 // errflow runs a worklist dataflow solver over per-function control flow
 // graphs (internal/analysis/cfg, internal/analysis/dataflow);
-// detlint/hotalloc/exhaustive are single-pass AST walks. detflow and
-// leakcheck are the interprocedural tier: they run once over the whole
-// loaded program on top of a CHA call graph
-// (internal/analysis/callgraph) and per-function effect summaries
-// (internal/analysis/summary), each built once and shared through the
-// program's result cache — `-timing` prints how long those shared builds
-// took.
+// detlint/hotalloc/exhaustive are single-pass AST walks.
 //
 // Output is one diagnostic per line, `file:line:col: analyzer: message`,
 // sorted by file, line, then analyzer name; paths are shown relative to
 // the working directory when possible. `-json` emits the same findings as
-// a JSON array of {file, line, col, analyzer, message, chain} objects —
-// chain being the evidence trail (call path, alias chain) of
-// interprocedural findings. Exit status is 1 when diagnostics survive, 2
-// on load errors, 0 on a clean tree.
+// a JSON array of {file, line, col, analyzer, message} objects. Exit
+// status is 1 when diagnostics survive, 2 on load errors, 0 on a clean
+// tree.
 //
 // Intentional exceptions are annotated in the source as
 // `//lint:ignore <analyzer> <reason>` on (or directly above) the flagged
@@ -45,16 +36,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"burstmem/internal/analysis"
-	"burstmem/internal/analysis/detflow"
 	"burstmem/internal/analysis/detlint"
 	"burstmem/internal/analysis/errflow"
 	"burstmem/internal/analysis/exhaustive"
 	"burstmem/internal/analysis/hotalloc"
-	"burstmem/internal/analysis/leakcheck"
 )
 
 // analyzers is the full suite, in registration order (output order is by
@@ -64,8 +52,6 @@ var analyzers = []*analysis.Analyzer{
 	hotalloc.Analyzer,
 	exhaustive.Analyzer,
 	errflow.Analyzer,
-	detflow.Analyzer,
-	leakcheck.Analyzer,
 }
 
 func main() {
@@ -77,10 +63,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("burstlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	timing := fs.Bool("timing", false, "print interprocedural build times (callgraph, summary) to stderr")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array of {file, line, col, analyzer, message, chain} objects")
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array of {file, line, col, analyzer, message} objects")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: burstlint [-timing] [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, errflow,\ndetflow, leakcheck) over the package patterns (default ./...)\n")
+		fmt.Fprintf(stderr, "usage: burstlint [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, errflow)\nover the package patterns (default ./...)\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,18 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "burstlint:", err)
 		return 2
 	}
-	prog := analysis.NewProgram(pkgs)
-	diags := prog.Run(analyzers)
-	if *timing {
-		keys := make([]string, 0, len(prog.Timings))
-		for k := range prog.Timings {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(stderr, "timing %s %dms\n", k, prog.Timings[k].Milliseconds())
-		}
-	}
+	diags := analysis.Run(pkgs, analyzers)
 	cwd, err := os.Getwd()
 	if err != nil {
 		cwd = "" // keep absolute paths rather than guess
@@ -130,12 +104,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // jsonDiag is the -json wire form of one finding. The field set is the
 // machine contract scripts build on; the golden schema test pins it.
 type jsonDiag struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 // writeJSON renders the diagnostics as one indented JSON array (an empty
@@ -149,7 +122,6 @@ func writeJSON(w io.Writer, cwd string, diags []analysis.Diagnostic) error {
 			Col:      d.Pos.Column,
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
-			Chain:    d.Chain,
 		})
 	}
 	enc := json.NewEncoder(w)

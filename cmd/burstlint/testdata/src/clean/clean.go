@@ -4,7 +4,6 @@ package clean
 
 import (
 	"os"
-	"time"
 )
 
 type state struct {
@@ -13,20 +12,6 @@ type state struct {
 
 func checkedClose(f *os.File) error {
 	return f.Close()
-}
-
-func stoppedTicker(s *state) {
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	if s.n == 0 {
-		return
-	}
-}
-
-func cleanupBeforeExit() {
-	t := time.NewTicker(time.Second)
-	t.Stop()
-	os.Exit(1)
 }
 
 // tick stays allocation-free on the annotated hot path.

@@ -1,6 +1,6 @@
 // Package helpers is burstlint golden-test data: an out-of-scope utility
-// package hiding nondeterminism behind an ordinary-looking call, for the
-// detflow boundary finding in the dram corpus package.
+// package hiding nondeterminism behind an ordinary-looking call, for
+// detlint's import finding in the dram corpus package.
 package helpers
 
 import "time"

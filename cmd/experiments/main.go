@@ -114,9 +114,11 @@ func simConfig() sim.Config {
 	return cfg
 }
 
-// run simulates, on the -parallel pool, the jobs the memo lacks. Workers
-// write only their own result slot; the memo is filled after the pool
-// returns, so no worker touches it.
+// run simulates, on the -parallel pool, the jobs the memo lacks. Names
+// are resolved before the pool starts, and workers write only their own
+// result and error slots: after the pool returns, this goroutine fills
+// the memo and reports the first error in job order, so no worker touches
+// the memo or calls fatal.
 func (h *harness) run(jobs []job) {
 	var todo []job
 	for _, j := range jobs {
@@ -124,16 +126,22 @@ func (h *harness) run(jobs []job) {
 			todo = append(todo, j)
 		}
 	}
+	profs := make([]workload.Profile, len(todo))
+	factories := make([]memctrl.Factory, len(todo))
+	for i, j := range todo {
+		var err error
+		profs[i], err = workload.ByName(j.bench)
+		fatal(err)
+		factories[i], err = sim.MechanismByName(j.mech)
+		fatal(err)
+	}
 	res := make([]sim.Result, len(todo))
+	errs := make([]error, len(todo))
 	parallelDo(len(todo), func(i int) {
-		prof, err := workload.ByName(todo[i].bench)
-		fatal(err)
-		factory, err := sim.MechanismByName(todo[i].mech)
-		fatal(err)
-		res[i], err = sim.Run(todo[i].cfg, prof, factory)
-		fatal(err)
+		res[i], errs[i] = sim.Run(todo[i].cfg, profs[i], factories[i])
 	})
 	for i, j := range todo {
+		fatal(errs[i])
 		h.memo[j] = res[i]
 	}
 }
@@ -597,12 +605,13 @@ func (h *harness) dynth() {
 	fmt.Printf("static value tuned across all benchmarks (<1.0 means the adaptive wins)\n")
 }
 
+// fatal reports a non-nil err and exits 1. Deferred cleanups do not run
+// across os.Exit, so it finalizes any in-flight profile first. Only the
+// main goroutine calls it: a second caller would find the profile already
+// stopping and exit before it was written.
 func fatal(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		// Deferred cleanups do not run across os.Exit; finalize any
-		// in-flight profile so -cpuprofile is not truncated by a fatal
-		// error.
 		profiling.Stop()
 		os.Exit(1)
 	}

@@ -7,8 +7,8 @@
 // properties — deterministic iteration, an allocation-free scheduling hot
 // path, exhaustive handling of protocol enums — are invariants of the code
 // itself, not of any one test input. cmd/burstlint wires the analyzers in
-// this tree (detlint, hotalloc, exhaustive) into one multichecker; see
-// DESIGN.md "Verification & static analysis".
+// this tree (detlint, hotalloc, exhaustive, errflow) into one
+// multichecker; see DESIGN.md "Verification & static analysis".
 //
 // Suppression: a diagnostic is suppressed by a comment of the form
 //
@@ -25,14 +25,9 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
-// Analyzer describes one static check. Exactly one of Run and RunProgram
-// is set: Run analyzers see one package at a time, RunProgram analyzers
-// see the whole loaded program at once (the interprocedural tier —
-// callgraph-backed passes like detflow need every function body before
-// they can say anything about any of them).
+// Analyzer describes one static check over one package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //lint:ignore
 	// comments.
@@ -40,10 +35,8 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// Run executes the check over one package, reporting findings through
-	// pass.Report.
+	// pass.Reportf.
 	Run func(pass *Pass)
-	// RunProgram executes the check once over all loaded packages.
-	RunProgram func(pass *ProgramPass)
 }
 
 // Pass is the interface between one Analyzer run and one loaded package.
@@ -63,11 +56,6 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Chain is the evidence trail behind interprocedural findings — a
-	// call path, an alias chain — one hop per element, outermost first.
-	// The text renderer leaves it to the message; burstlint -json carries
-	// it as a structured field.
-	Chain []string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -84,109 +72,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Program is the whole loaded program: every analyzable package plus a
-// keyed result cache shared by the interprocedural analyzers, so the call
-// graph and effect summaries are built once per process no matter how many
-// passes consume them.
-type Program struct {
-	Fset *token.FileSet
-	// Pkgs are the cleanly loaded packages, in load order.
-	Pkgs []*Package
-	// Broken are the packages with load errors; they are excluded from
-	// analysis (their ASTs and type info may be partial) and their errors
-	// are reported instead.
-	Broken []*Package
-
-	cache map[string]any
-	// Timings records, per cache key, how long the build function took
-	// (printed by burstlint -timing).
-	Timings map[string]time.Duration
-}
-
-// NewProgram partitions loaded packages into analyzable and broken. All
-// packages from one Load share one FileSet; a Program from zero packages
-// has a nil Fset.
-func NewProgram(pkgs []*Package) *Program {
-	p := &Program{cache: map[string]any{}, Timings: map[string]time.Duration{}}
-	for _, pkg := range pkgs {
-		p.Fset = pkg.Fset
-		if len(pkg.Errors) > 0 {
-			p.Broken = append(p.Broken, pkg)
-			continue
-		}
-		p.Pkgs = append(p.Pkgs, pkg)
-	}
-	return p
-}
-
-// Cached returns the value under key, invoking build at most once per
-// Program. This is the summary-cache: callgraph + summary construction is
-// the expensive half of the interprocedural tier, and detflow and
-// leakcheck both read the same build through this choke point.
-func (p *Program) Cached(key string, build func() any) any {
-	if v, ok := p.cache[key]; ok {
-		return v
-	}
-	start := time.Now()
-	v := build()
-	p.Timings[key] = time.Since(start)
-	p.cache[key] = v
-	return v
-}
-
-// ProgramPass is the interface between one RunProgram analyzer and the
-// whole program.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-
-	diags []Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Prog.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportChainf records a diagnostic carrying an evidence chain.
-func (p *ProgramPass) ReportChainf(pos token.Pos, chain []string, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Prog.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
-	})
-}
-
 // Run executes the analyzers over the loaded packages and returns the
 // surviving (non-suppressed) diagnostics sorted by position. A package
 // that failed to load contributes its load errors as diagnostics and is
 // not analyzed — its ASTs and type information may be partial, and every
 // analyzer here assumes both are whole.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return NewProgram(pkgs).Run(analyzers)
-}
-
-// Run executes the analyzers — the per-package tier first, then the
-// whole-program tier — and returns surviving diagnostics sorted by
-// position. Callers that need the Program afterwards (burstlint's -timing
-// flag reads Timings) construct it explicitly via NewProgram.
-func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
-	for _, pkg := range prog.Broken {
-		out = append(out, pkg.Errors...)
-	}
-	ign := ignoreSet{}
-	for _, pkg := range prog.Pkgs {
-		collectIgnores(pkg, ign)
+	for _, pkg := range pkgs {
+		if len(pkg.Errors) > 0 {
+			out = append(out, pkg.Errors...)
+			continue
+		}
+		ign := ignores(pkg)
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -195,20 +94,6 @@ func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
 				TypesInfo: pkg.TypesInfo,
 			}
 			a.Run(pass)
-			for _, d := range pass.diags {
-				if !ign.suppressed(a.Name, d.Pos) {
-					out = append(out, d)
-				}
-			}
-		}
-	}
-	if len(prog.Pkgs) > 0 {
-		for _, a := range analyzers {
-			if a.RunProgram == nil {
-				continue
-			}
-			pass := &ProgramPass{Analyzer: a, Prog: prog}
-			a.RunProgram(pass)
 			for _, d := range pass.diags {
 				if !ign.suppressed(a.Name, d.Pos) {
 					out = append(out, d)
@@ -239,10 +124,9 @@ type ignoreKey struct {
 
 type ignoreSet map[ignoreKey]bool
 
-// collectIgnores scans a package's comments for //lint:ignore directives,
-// adding them to set (one merged set serves both analyzer tiers: a program
-// analyzer's diagnostic may land in any package).
-func collectIgnores(pkg *Package, set ignoreSet) {
+// ignores collects a package's //lint:ignore directives.
+func ignores(pkg *Package) ignoreSet {
+	set := ignoreSet{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -259,6 +143,7 @@ func collectIgnores(pkg *Package, set ignoreSet) {
 			}
 		}
 	}
+	return set
 }
 
 // suppressed reports whether a directive on the diagnostic's line or the

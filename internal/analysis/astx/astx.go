@@ -1,5 +1,5 @@
 // Package astx holds the small AST utilities errflow uses: access-path
-// printing, function enumeration and scope matching.
+// printing, function enumeration and scope matching (which detlint shares).
 package astx
 
 import (
@@ -8,11 +8,9 @@ import (
 )
 
 // FuncInfo is one analyzable function: a declaration or a function
-// literal, with the declaration it is lexically inside (nil for top-level
-// literals in var initializers).
+// literal.
 type FuncInfo struct {
 	Node ast.Node // *ast.FuncDecl or *ast.FuncLit
-	Decl *ast.FuncDecl
 }
 
 // Body returns the function's body (nil for bodyless declarations).
@@ -39,12 +37,12 @@ func Funcs(file *ast.File) []FuncInfo {
 		}
 		root := ast.Node(d)
 		if decl != nil {
-			out = append(out, FuncInfo{Node: decl, Decl: decl})
+			out = append(out, FuncInfo{Node: decl})
 			root = decl.Body
 		}
 		ast.Inspect(root, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, FuncInfo{Node: lit, Decl: decl})
+				out = append(out, FuncInfo{Node: lit})
 			}
 			return true
 		})

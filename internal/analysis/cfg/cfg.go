@@ -1,14 +1,13 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies, sized for this repository's analyzers (errflow, on top
-// of internal/analysis/dataflow, and leakcheck).
+// of internal/analysis/dataflow).
 //
 // The graph is a set of basic blocks. Each block holds the statements and
 // expressions evaluated in order; a block that ends in a branch carries the
 // *atomic* branch condition in Cond, with Succs[0] the true edge and
 // Succs[1] the false edge. Compound conditions are decomposed: `if a && b`
 // produces one block testing a and a second testing b, so a path-sensitive
-// analysis (leakcheck's nil-test edge kills) sees every short-circuit edge
-// individually. `!x` swaps the outgoing edges rather than producing a
+// analysis sees every short-circuit edge individually. `!x` swaps the outgoing edges rather than producing a
 // synthetic condition.
 //
 // Modeled control constructs: if/else (with short-circuit decomposition),
@@ -20,8 +19,8 @@
 // appended to a chain of KindDefer blocks that runs — in LIFO order —
 // between each return (or the body's fall-off-the-end) and the Exit block.
 // The chain deliberately has no bypass edges: a conditional defer is
-// treated as always executed, which is the useful convention for leakcheck
-// (`if opened { defer f.Close() }` patterns are out of scope). Panic
+// treated as always executed (`if opened { defer f.Close() }` patterns are
+// out of scope). Panic
 // terminators get no successor edges at all: facts on a panicking path
 // never reach Exit, so exit-state analyses only see orderly returns.
 package cfg

@@ -12,10 +12,14 @@
 //   - use math/rand or math/rand/v2: their global generators are seeded
 //     per-process; deterministic streams come from internal/xrand;
 //   - spawn goroutines: the cycle loop is single-threaded by design, and
-//     scheduler interleaving is nondeterministic.
+//     scheduler interleaving is nondeterministic;
+//   - import a package of this module that is outside the scope: every
+//     in-module package a simulation runs is checked, so none can hide
+//     one of the above behind an ordinary-looking call.
 //
 // The check applies to the simulation packages (internal/{core, memctrl,
-// dram, sched, sim, bus, cache, cpu, trace}); cmd/ front-ends may
+// dram, sched, sim, bus, cache, cpu, trace} and the stats, u64map, deque,
+// xrand, addrmap and workload packages they import); cmd/ front-ends may
 // parallelize runs and time themselves freely. A finding is suppressed
 // only by `//lint:ignore detlint <reason>`, like any other analyzer's.
 package detlint
@@ -27,6 +31,7 @@ import (
 	"strings"
 
 	"burstmem/internal/analysis"
+	"burstmem/internal/analysis/astx"
 )
 
 // Analyzer is the detlint pass.
@@ -36,37 +41,32 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// SimPackages are the import-path suffixes detlint applies to. detflow
-// shares the list: its interprocedural reach checks start from exactly the
-// packages whose direct nondeterminism detlint bans.
-var SimPackages = []string{
+// simPackages are the import-path suffixes detlint applies to.
+var simPackages = []string{
 	"internal/core", "internal/memctrl", "internal/dram", "internal/sched",
 	"internal/sim", "internal/bus", "internal/cache", "internal/cpu",
-	"internal/trace",
-}
-
-// InSimScope reports whether the package is simulation logic.
-func InSimScope(path string) bool {
-	for _, s := range SimPackages {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
+	"internal/trace", "internal/stats", "internal/u64map", "internal/deque",
+	"internal/xrand", "internal/addrmap", "internal/workload",
 }
 
 func run(pass *analysis.Pass) {
-	if !InSimScope(pass.Pkg.Path()) {
+	if !astx.InScope(pass.Pkg.Path(), simPackages) {
 		return
 	}
+	// The module path is the first element of every package path in this
+	// module.
+	module, _, _ := strings.Cut(pass.Pkg.Path(), "/")
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
 				continue
 			}
-			if path == "math/rand" || path == "math/rand/v2" {
+			switch {
+			case path == "math/rand" || path == "math/rand/v2":
 				pass.Reportf(imp.Pos(), "import of %s: process-seeded randomness breaks reproducibility; use internal/xrand", path)
+			case strings.HasPrefix(path, module+"/") && !astx.InScope(path, simPackages):
+				pass.Reportf(imp.Pos(), "import of %s: simulation packages import only simulation packages of this module; add it to detlint's scope", path)
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {

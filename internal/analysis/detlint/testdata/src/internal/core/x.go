@@ -7,6 +7,10 @@ import (
 	"math/rand" // want `import of math/rand: process-seeded randomness breaks reproducibility`
 	"sort"
 	"time"
+
+	// An out-of-scope package of this module could hide any of the
+	// constructs below behind a call: flagged.
+	_ "burstmem/internal/analysis/detlint/testdata/src/tooling" // want `import of burstmem/.*/tooling: simulation packages import only simulation packages of this module`
 )
 
 type sched struct {

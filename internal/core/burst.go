@@ -194,23 +194,6 @@ type burstSched struct {
 	nextAdapt      uint64
 	intervalReads  uint64
 	intervalWrites uint64
-
-	// Stats counts burst-level events for analysis and ablation.
-	Stats BurstStats
-}
-
-// BurstStats counts scheduling events specific to burst scheduling.
-type BurstStats struct {
-	BurstsFormed      uint64
-	ReadsJoinedBursts uint64 // reads appended to an existing burst
-	Preemptions       uint64
-	PiggybackedWrites uint64
-	ForcedWrites      uint64 // writes issued due to a full write queue
-	IdleWrites        uint64 // writes issued because no reads were pending
-	MaxBurstLen       int
-	// ThresholdAdaptations counts dynamic-threshold recalculations
-	// (Burst_DYN only).
-	ThresholdAdaptations uint64
 }
 
 func newBurst(h *memctrl.Host, name string, opt Options) *burstSched {
@@ -291,10 +274,6 @@ func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
 	for _, bg := range st.bursts {
 		if bg.row == a.Loc.Row {
 			bg.reads.PushBack(a)
-			s.Stats.ReadsJoinedBursts++
-			if n := bg.reads.Len(); n > s.Stats.MaxBurstLen {
-				s.Stats.MaxBurstLen = n
-			}
 			s.host.Tracer().Mark(now, trace.EvBurstJoin, s.host.ChannelIndex(), r, b,
 				a.Loc.Row, a.ID, uint64(bg.reads.Len()))
 			return
@@ -303,10 +282,6 @@ func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
 	//lint:ignore hotalloc per-bank burst slice keeps its capacity across bursts
 	st.bursts = append(st.bursts, s.acquireGroup(a.Loc.Row, now, a))
 	s.burstsNE[r] |= 1 << uint(b)
-	s.Stats.BurstsFormed++
-	if s.Stats.MaxBurstLen == 0 {
-		s.Stats.MaxBurstLen = 1
-	}
 	s.host.Tracer().Mark(now, trace.EvBurstForm, s.host.ChannelIndex(), r, b, a.Loc.Row, a.ID, 1)
 }
 
@@ -398,7 +373,6 @@ func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
 		// the hazards clear.
 		if w := s.oldestSafeWrite(st, wq); w != nil {
 			s.installWrite(rank, bank, w)
-			s.Stats.ForcedWrites++
 			s.host.Tracer().Mark(now, trace.EvForcedWrite, s.host.ChannelIndex(),
 				rank, bank, w.Loc.Row, w.ID, 0)
 		} else if len(st.bursts) > 0 {
@@ -409,7 +383,6 @@ func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
 		// the end of the burst.
 		w := piggyW
 		s.installWrite(rank, bank, w)
-		s.Stats.PiggybackedWrites++
 		s.host.Tracer().Mark(now, trace.EvPiggyback, s.host.ChannelIndex(),
 			rank, bank, w.Loc.Row, w.ID, 0)
 	case !wq.Empty() && reads == 0 && len(st.bursts) == 0:
@@ -420,7 +393,6 @@ func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
 		// queue approach saturation (paper Section 5.1).
 		w := wq.Front()
 		s.installWrite(rank, bank, w)
-		s.Stats.IdleWrites++
 		s.host.Tracer().Mark(now, trace.EvIdleWrite, s.host.ChannelIndex(),
 			rank, bank, w.Loc.Row, w.ID, 0)
 	case len(st.bursts) > 0:
@@ -513,7 +485,6 @@ func (s *burstSched) selectBurst(st *bankState, now uint64) *burstGroup {
 func (s *burstSched) preempt(rank, bank int, w *memctrl.Access, now uint64) {
 	s.engine.ClearOngoing(rank, bank)
 	s.writes.PushFront(w)
-	s.Stats.Preemptions++
 	s.host.Tracer().Mark(now, trace.EvPreempt, s.host.ChannelIndex(),
 		rank, bank, w.Loc.Row, w.ID, 0)
 	s.installRead(rank, bank, now)

@@ -7,6 +7,7 @@ import (
 	"burstmem/internal/dram"
 	"burstmem/internal/mctest"
 	"burstmem/internal/memctrl"
+	"burstmem/internal/trace"
 )
 
 func fig1Config() memctrl.Config {
@@ -141,6 +142,7 @@ func TestReadPreemption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := traced(r)
 	w, err := r.SubmitLoc(memctrl.KindWrite, addrmap.Loc{Bank: 0, Row: 1, Col: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +157,7 @@ func TestReadPreemption(t *testing.T) {
 	if _, err := r.RunUntilDrained(10000); err != nil {
 		t.Fatal(err)
 	}
-	mech := mechOf(t, r)
-	if mech.Stats.Preemptions == 0 {
+	if tr.Count(trace.EvPreempt) == 0 {
 		t.Fatal("no preemption recorded")
 	}
 	if r.DoneAt[rd.ID] >= r.DoneAt[w.ID] {
@@ -215,6 +216,7 @@ func TestWritePiggybacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := traced(r)
 	// A burst of two reads to row 3, a write to row 3 (qualified) and a
 	// read to row 9 (next burst).
 	for i := 0; i < 2; i++ {
@@ -233,8 +235,7 @@ func TestWritePiggybacking(t *testing.T) {
 	if _, err := r.RunUntilDrained(10000); err != nil {
 		t.Fatal(err)
 	}
-	mech := mechOf(t, r)
-	if mech.Stats.PiggybackedWrites == 0 {
+	if tr.Count(trace.EvPiggyback) == 0 {
 		t.Fatal("no write piggybacked")
 	}
 	if w.Outcome != dram.RowHit {
@@ -324,6 +325,7 @@ func TestThresholdSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := traced(r)
 	// Fill the write queue beyond the threshold with same-row writes.
 	for i := 0; i < 6; i++ {
 		if _, err := r.SubmitLoc(memctrl.KindWrite, addrmap.Loc{Bank: 0, Row: 3, Col: uint32(i)}); err != nil {
@@ -337,19 +339,19 @@ func TestThresholdSwitch(t *testing.T) {
 	if _, err := r.RunUntilDrained(20000); err != nil {
 		t.Fatal(err)
 	}
-	mech := mechOf(t, r)
-	if mech.Stats.PiggybackedWrites == 0 {
-		t.Errorf("above threshold: expected piggybacked writes, stats = %+v", mech.Stats)
+	if tr.Count(trace.EvPiggyback) == 0 {
+		t.Errorf("above threshold: expected piggybacked writes, preemptions = %d", tr.Count(trace.EvPreempt))
 	}
 }
 
-// TestBurstStatsCounts sanity-checks the burst statistics counters.
+// TestBurstStatsCounts sanity-checks the burst events the tracer counts.
 func TestBurstStatsCounts(t *testing.T) {
 	cfg := mctest.SmallConfig(noRefresh(dram.DDR2_800()))
 	r, err := mctest.NewRunner(cfg, Burst())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := traced(r)
 	for i := 0; i < 3; i++ {
 		if _, err := r.SubmitLoc(memctrl.KindRead, addrmap.Loc{Bank: 0, Row: 1, Col: uint32(i)}); err != nil {
 			t.Fatal(err)
@@ -361,15 +363,20 @@ func TestBurstStatsCounts(t *testing.T) {
 	if _, err := r.RunUntilDrained(10000); err != nil {
 		t.Fatal(err)
 	}
-	mech := mechOf(t, r)
-	if mech.Stats.BurstsFormed != 2 {
-		t.Errorf("bursts formed = %d, want 2", mech.Stats.BurstsFormed)
+	if n := tr.Count(trace.EvBurstForm); n != 2 {
+		t.Errorf("bursts formed = %d, want 2", n)
 	}
-	if mech.Stats.ReadsJoinedBursts != 2 {
-		t.Errorf("reads joined = %d, want 2", mech.Stats.ReadsJoinedBursts)
+	if n := tr.Count(trace.EvBurstJoin); n != 2 {
+		t.Errorf("reads joined = %d, want 2", n)
 	}
-	if mech.Stats.MaxBurstLen != 3 {
-		t.Errorf("max burst length = %d, want 3", mech.Stats.MaxBurstLen)
+	var maxLen uint64
+	for _, e := range tr.Events() {
+		if e.Kind == trace.EvBurstJoin {
+			maxLen = max(maxLen, e.Arg1)
+		}
+	}
+	if maxLen != 3 {
+		t.Errorf("max burst length = %d, want 3", maxLen)
 	}
 }
 
@@ -395,12 +402,10 @@ func TestVariantNames(t *testing.T) {
 	}
 }
 
-// mechOf extracts the burst mechanism from a single-channel test runner.
-func mechOf(t *testing.T, r *mctest.Runner) *burstSched {
-	t.Helper()
-	m, ok := r.Ctrl.Mechanism(0).(*burstSched)
-	if !ok {
-		t.Fatalf("mechanism is %T, want *burstSched", r.Ctrl.Mechanism(0))
-	}
-	return m
+// traced attaches a tracer to the runner's controller; the tests count
+// the mechanism's scheduling decisions in its event stream.
+func traced(r *mctest.Runner) *trace.Tracer {
+	tr := trace.New(1<<12, 0)
+	r.Ctrl.SetTracer(tr)
+	return tr
 }

@@ -71,7 +71,6 @@ func (s *burstSched) adaptThreshold(now uint64) {
 		th = maxW
 	}
 	s.opt.Threshold = th
-	s.Stats.ThresholdAdaptations++
 	s.intervalReads, s.intervalWrites = 0, 0
 }
 

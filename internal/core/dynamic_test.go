@@ -68,9 +68,6 @@ func TestDynamicThresholdAdapts(t *testing.T) {
 	if low >= start {
 		t.Fatalf("threshold %d did not drop under write-heavy traffic (start %d)", low, start)
 	}
-	if m.Stats.ThresholdAdaptations == 0 {
-		t.Fatal("no adaptations recorded")
-	}
 
 	// Read-heavy phase: threshold must rise again.
 	feed(t, r, 0.02, 800, 2)

@@ -44,7 +44,7 @@ type Config struct {
 	// seed) and all cores share the L2 and the memory system. The
 	// paper's Section 6 predicts access reordering grows more important
 	// as CMPs multiply outstanding accesses; cmd/experiments -exp cmp
-	// measures that. 0 or 1 means a single core.
+	// measures that. DefaultConfig has one core.
 	Cores int
 
 	// WarmupInstructions run before the measurement window opens (caches
@@ -67,6 +67,7 @@ func DefaultConfig() Config {
 		FSB:                  bus.DefaultConfig(),
 		Mem:                  memctrl.DefaultConfig(),
 		CPUCyclesPerMemCycle: 10,
+		Cores:                1,
 		WarmupInstructions:   300_000,
 		Instructions:         1_000_000,
 	}
@@ -92,8 +93,8 @@ func (c Config) Validate() error {
 	if c.CPUCyclesPerMemCycle < 1 {
 		return fmt.Errorf("sim: CPU:mem clock ratio must be >= 1")
 	}
-	if c.Cores < 0 || c.Cores > 64 {
-		return fmt.Errorf("sim: cores %d out of [0, 64]", c.Cores)
+	if c.Cores < 1 || c.Cores > 64 {
+		return fmt.Errorf("sim: cores %d out of [1, 64]", c.Cores)
 	}
 	if c.Instructions == 0 {
 		return fmt.Errorf("sim: zero instruction target")
@@ -176,7 +177,7 @@ func NewSystem(cfg Config, prof workload.Profile, factory memctrl.Factory) (*Sys
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	gens := make([]workload.Generator, max(1, cfg.Cores))
+	gens := make([]workload.Generator, cfg.Cores)
 	for i := range gens {
 		coreProf := prof
 		if i > 0 {
@@ -204,8 +205,8 @@ func NewSystemWithGenerators(cfg Config, gens []workload.Generator, factory memc
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if want := max(1, cfg.Cores); len(gens) != want {
-		return nil, fmt.Errorf("sim: %d generators for %d cores", len(gens), want)
+	if len(gens) != cfg.Cores {
+		return nil, fmt.Errorf("sim: %d generators for %d cores", len(gens), cfg.Cores)
 	}
 	return newSystem(cfg, gens, factory)
 }
@@ -379,11 +380,7 @@ func RunSystem(cfg Config, sys *System, name string) (Result, error) {
 func runSystem(cfg Config, sys *System, name string) (Result, error) {
 	maxCycles := cfg.MaxMemCycles
 	if maxCycles == 0 {
-		cores := uint64(1)
-		if cfg.Cores > 1 {
-			cores = uint64(cfg.Cores)
-		}
-		maxCycles = (cfg.WarmupInstructions+cfg.Instructions)*40*cores + 1_000_000
+		maxCycles = (cfg.WarmupInstructions+cfg.Instructions)*40*uint64(cfg.Cores) + 1_000_000
 	}
 	// The measurement window is anchored where warmup actually ended
 	// (retirement may overshoot the warmup target by up to one dispatch

@@ -265,9 +265,11 @@ func TestCMPMultiCore(t *testing.T) {
 
 // TestCMPValidation rejects absurd core counts.
 func TestCMPValidation(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Cores = 100
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("100 cores accepted")
+	for _, cores := range []int{0, 100} {
+		cfg := quickConfig()
+		cfg.Cores = cores
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%d cores accepted", cores)
+		}
 	}
 }

@@ -45,16 +45,16 @@ func TestFastForwardBitIdentical(t *testing.T) {
 		// mcf is latency-bound (pointer chasing): long all-stalled
 		// stretches make skips frequent, the strongest stress on the
 		// eligibility classifiers.
-		{"mcf", "BkInOrder", 0},
-		{"mcf", "Burst_TH", 0},
-		{"swim", "RowHit", 0},
-		{"swim", "Intel_RP", 0},
-		{"swim", "Burst_RP", 0},
-		{"gcc", "Burst_DYN", 0},
+		{"mcf", "BkInOrder", 1},
+		{"mcf", "Burst_TH", 1},
+		{"swim", "RowHit", 1},
+		{"swim", "Intel_RP", 1},
+		{"swim", "Burst_RP", 1},
+		{"gcc", "Burst_DYN", 1},
 		// gzip once exposed a boundary bug: a skip straddling the
 		// warmup-crossing cycle moved stall cycles out of the window.
-		{"gzip", "Burst_TH", 0},
-		{"gzip", "Burst_DYN", 0},
+		{"gzip", "Burst_TH", 1},
+		{"gzip", "Burst_DYN", 1},
 		{"mcf", "Burst_TH", 2}, // CMP: every core's classifier must agree
 	}
 	for _, tc := range cases {

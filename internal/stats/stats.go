@@ -16,24 +16,13 @@ import (
 type Mean struct {
 	sum float64
 	n   uint64
-	min uint64
-	max uint64
 }
 
 // Add records one sample.
 func (m *Mean) Add(v uint64) {
 	m.sum += float64(v)
-	if m.n == 0 || v < m.min {
-		m.min = v
-	}
-	if v > m.max {
-		m.max = v
-	}
 	m.n++
 }
-
-// N returns the number of samples recorded.
-func (m *Mean) N() uint64 { return m.n }
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (m *Mean) Mean() float64 {
@@ -42,18 +31,6 @@ func (m *Mean) Mean() float64 {
 	}
 	return m.sum / float64(m.n)
 }
-
-// Sum returns the total of all samples.
-func (m *Mean) Sum() float64 { return m.sum }
-
-// Min returns the smallest sample, or 0 when empty.
-func (m *Mean) Min() uint64 { return m.min }
-
-// Max returns the largest sample, or 0 when empty.
-func (m *Mean) Max() uint64 { return m.max }
-
-// Reset clears all accumulated state.
-func (m *Mean) Reset() { *m = Mean{} }
 
 // Histogram counts integer-valued samples into unit-width buckets
 // [0, size). Samples >= size land in the final overflow bucket.

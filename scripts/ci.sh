@@ -23,15 +23,6 @@ go build ./...
 echo "== burstlint =="
 go run ./cmd/burstlint ./...
 
-echo "== interprocedural tier (call graph, effect summaries, whole-program analyzers) =="
-# The burstlint stage above already fails if detflow/leakcheck find
-# anything on the tree; this stage runs the tier's own corpus tests so a
-# regression in the machinery is caught even when the tree happens to
-# contain nothing for it to find.
-go test -count=1 \
-    ./internal/analysis/callgraph/ ./internal/analysis/summary/ \
-    ./internal/analysis/detflow/ ./internal/analysis/leakcheck/
-
 echo "== burstlint golden (CLI output/exit-code contract) =="
 go test -count=1 -run 'TestGolden|TestExitCode' ./cmd/burstlint/
 
