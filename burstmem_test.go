@@ -96,20 +96,13 @@ func (m *fifoMech) Enqueue(a *Access, now uint64) { m.q = append(m.q, a) }
 func (m *fifoMech) Tick(now uint64) {
 	if len(m.q) > 0 {
 		a := m.q[0]
-		if m.engine.Ongoing(int(a.Loc.Rank), int(a.Loc.Bank)) == nil {
-			m.engine.SetOngoing(int(a.Loc.Rank), int(a.Loc.Bank), a)
+		if m.engine.Ongoing(m.engine.BankMap().Of(a)) == nil {
+			m.engine.SetOngoing(a)
 			m.q = m.q[1:]
 		}
 	}
-	cl, any := m.engine.Unblocked(now)
-	if !any {
-		return
-	}
-	for r := range cl.ColRead {
-		if mask := cl.Rank(r); mask != 0 {
-			m.engine.Issue(r, bits.TrailingZeros64(mask), now)
-			return
-		}
+	if cl, any := m.engine.Unblocked(now); any {
+		m.engine.Issue(bits.TrailingZeros64(cl.All()), now)
 	}
 }
 

@@ -14,28 +14,28 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"burstmem"
 )
 
 // oldestFirst is the custom mechanism. One instance drives one channel.
 //
-// keys mirrors the map's key set in sorted (rank, bank) order: Tick must
-// visit banks deterministically, and ranging over the map directly would
-// put Go's randomized iteration order in the simulated timeline.
+// queues holds one FIFO per bank, indexed like every bank argument and
+// mask bit of the engine: f = rank·banks + bank (Engine.BankMap).
 type oldestFirst struct {
 	host   *burstmem.Host
 	engine *burstmem.Engine
-	queues map[[2]int][]*burstmem.Access
-	keys   [][2]int
+	queues [][]*burstmem.Access
 }
 
 // newOldestFirst is the factory registered with the controller.
 func newOldestFirst(h *burstmem.Host) burstmem.Mechanism {
-	m := &oldestFirst{host: h, queues: make(map[[2]int][]*burstmem.Access)}
-	m.engine = burstmem.NewEngine(h, nil)
-	return m
+	ch := h.Channel()
+	return &oldestFirst{
+		host:   h,
+		engine: burstmem.NewEngine(h, nil),
+		queues: make([][]*burstmem.Access, ch.Ranks()*ch.Banks()),
+	}
 }
 
 // Name implements burstmem.Mechanism.
@@ -50,43 +50,26 @@ func (m *oldestFirst) Pending() (int, int) { return m.host.Pending() }
 
 // Enqueue implements burstmem.Mechanism.
 func (m *oldestFirst) Enqueue(a *burstmem.Access, now uint64) {
-	key := [2]int{int(a.Loc.Rank), int(a.Loc.Bank)}
-	if _, ok := m.queues[key]; !ok {
-		i := sort.Search(len(m.keys), func(i int) bool {
-			k := m.keys[i]
-			return k[0] > key[0] || (k[0] == key[0] && k[1] >= key[1])
-		})
-		m.keys = append(m.keys, [2]int{})
-		copy(m.keys[i+1:], m.keys[i:])
-		m.keys[i] = key
-	}
-	m.queues[key] = append(m.queues[key], a)
+	f := m.engine.BankMap().Of(a)
+	m.queues[f] = append(m.queues[f], a)
 }
 
 // Tick implements burstmem.Mechanism: refill every idle bank with its
-// oldest access, then issue the oldest unblocked transaction. Banks are
-// visited through the sorted key mirror, never by ranging the map.
+// oldest access, then issue the oldest unblocked transaction.
 func (m *oldestFirst) Tick(now uint64) {
-	for _, key := range m.keys {
-		q := m.queues[key]
-		if len(q) == 0 || m.engine.Ongoing(key[0], key[1]) != nil {
+	for f, q := range m.queues {
+		if len(q) == 0 || m.engine.Ongoing(f) != nil {
 			continue
 		}
-		m.engine.SetOngoing(key[0], key[1], q[0])
-		m.queues[key] = q[1:]
+		m.engine.SetOngoing(q[0])
+		m.queues[f] = q[1:]
 	}
-	// Unblocked masks, per rank, the banks whose next transaction can
-	// issue this cycle (none while the refresh engine holds the command
-	// slot); fold them into the oldest access's bank.
-	cl, any := m.engine.Unblocked(now)
-	if !any {
-		return
+	// Unblocked masks the banks whose next transaction can issue this
+	// cycle (none while the refresh engine holds the command slot); fold
+	// them into the oldest access's bank.
+	if cl, any := m.engine.Unblocked(now); any {
+		m.engine.Issue(m.engine.FoldOldest(cl.All(), -1), now)
 	}
-	rank, bank := -1, -1
-	for r := 0; r < m.host.Channel().Ranks(); r++ {
-		rank, bank = m.engine.FoldOldest(r, cl.Rank(r), rank, bank)
-	}
-	m.engine.Issue(rank, bank, now)
 }
 
 func main() {

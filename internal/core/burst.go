@@ -172,21 +172,24 @@ type burstSched struct {
 	host   *memctrl.Host
 	engine *memctrl.Engine
 
-	banks    [][]*bankState      // [rank][bank]
-	writes   *memctrl.BankQueues // per-bank write FIFOs + nonempty bitmaps
-	burstsNE []uint64            // per-rank banks-with-bursts bitmaps
+	idx      memctrl.BankMap
+	banks    []bankState         // by flat bank index
+	writes   *memctrl.BankQueues // per-bank write FIFOs + nonempty bitmap
+	burstsNE uint64              // banks with bursts
 
 	freeGroups []*burstGroup // burstGroup pool
 
-	lastBank int // flattened bank index of the last scheduled transaction
-	lastRank int
+	// lastBank is the flat bank of the last scheduled transaction (-1
+	// before the first); its rank is the Table 2 "same rank".
+	lastBank int
 
 	// preemptCount tracks how many banks currently have preemptPending
 	// set. A pending flag always belongs to an occupied bank (it is set
 	// only while a write is ongoing and consumed by the next tick's
 	// arbitration pass, before any transaction can vacate the bank), so
-	// this count equals what a scan of occupied banks would find — which
-	// is exactly the scan NextEventCycle used to do.
+	// this count equals what a scan of occupied banks would find: Tick's
+	// preemption pass runs only while it is nonzero, and NextEventCycle
+	// reads it in place of that scan.
 	preemptCount int
 
 	// dynamic-threshold state (see dynamic.go)
@@ -197,18 +200,15 @@ type burstSched struct {
 }
 
 func newBurst(h *memctrl.Host, name string, opt Options) *burstSched {
-	s := &burstSched{name: name, opt: opt, host: h, lastBank: -1, lastRank: -1}
+	s := &burstSched{name: name, opt: opt, host: h, lastBank: -1}
 	s.engine = memctrl.NewEngine(h, s.onColumn)
+	s.idx = s.engine.BankMap()
 	ch := h.Channel()
-	s.banks = make([][]*bankState, ch.Ranks())
-	for r := range s.banks {
-		s.banks[r] = make([]*bankState, ch.Banks())
-		for b := range s.banks[r] {
-			s.banks[r][b] = &bankState{activeRow: -1, bursts: make([]*burstGroup, 0, 8)}
-		}
+	s.banks = make([]bankState, ch.Ranks()*ch.Banks())
+	for f := range s.banks {
+		s.banks[f] = bankState{activeRow: -1, bursts: make([]*burstGroup, 0, 8)}
 	}
 	s.writes = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
-	s.burstsNE = make([]uint64, ch.Ranks())
 	// Prewarm the group pool to two groups per bank (row-spread workloads
 	// like mcf's pointer chase hold several open bursts per bank) so
 	// steady-state burst formation starts allocation-free instead of
@@ -258,15 +258,16 @@ func (s *burstSched) Pending() (reads, writes int) { return s.host.Pending() }
 //
 //burstmem:hotpath
 func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
-	r, b := int(a.Loc.Rank), int(a.Loc.Bank)
-	st := s.bank(r, b)
+	f := s.idx.Of(a)
+	st := &s.banks[f]
 	if a.Kind == memctrl.KindWrite {
 		s.writes.PushBack(a)
 		s.intervalWrites++
 		return
 	}
 	s.intervalReads++
-	if s.opt.ReadPreemption && !st.preemptPending && s.ongoingWrite(r, b) &&
+	r, b := int(a.Loc.Rank), int(a.Loc.Bank)
+	if s.opt.ReadPreemption && !st.preemptPending && s.ongoingWrite(f) &&
 		s.host.GlobalWrites() < s.opt.Threshold {
 		st.preemptPending = true
 		s.preemptCount++
@@ -281,43 +282,41 @@ func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
 	}
 	//lint:ignore hotalloc per-bank burst slice keeps its capacity across bursts
 	st.bursts = append(st.bursts, s.acquireGroup(a.Loc.Row, now, a))
-	s.burstsNE[r] |= 1 << uint(b)
+	s.burstsNE |= 1 << uint(f)
 	s.host.Tracer().Mark(now, trace.EvBurstForm, s.host.ChannelIndex(), r, b, a.Loc.Row, a.ID, 1)
 }
 
-func (s *burstSched) bank(rank, bank int) *bankState { return s.banks[rank][bank] }
-
-// ongoingWrite reports whether the bank's ongoing access is a write.
-func (s *burstSched) ongoingWrite(rank, bank int) bool {
-	a := s.engine.Ongoing(rank, bank)
+// ongoingWrite reports whether bank f's ongoing access is a write.
+func (s *burstSched) ongoingWrite(f int) bool {
+	a := s.engine.Ongoing(f)
 	return a != nil && a.Kind == memctrl.KindWrite
 }
 
 // Tick implements memctrl.Mechanism: adapt the threshold if dynamic, run
 // every bank arbiter, then the global transaction scheduler.
 //
+// Each bank gets at most one arbitration visit per tick: vacant banks with
+// queued work install, then occupied banks check a pending preemption.
+// The occupied mask is snapshot before installing, so a bank installed
+// this tick is not preempt-checked until the next. The vacant pass emits
+// forced-write, piggyback and idle-write marks, and the preemption pass
+// preemption marks, each in ascending bank order. A preemption needs
+// fewer pooled writes than the threshold and queued reads, while those
+// marks need a full write queue, more pooled writes than the threshold, or
+// no pending reads, so with a threshold of at most MaxWrites no tick emits
+// marks from both passes (DESIGN.md §11).
+//
 //burstmem:hotpath
 func (s *burstSched) Tick(now uint64) {
 	if s.dynamic {
 		s.adaptThreshold(now)
 	}
-	for r := range s.burstsNE {
-		// Snapshot the occupied mask before installing: each bank gets
-		// exactly one arbitration visit per tick (vacant banks with
-		// queued work install, occupied banks check preemption), matching
-		// the single arbitrate(r, b) call per bank of the scan-based
-		// arbiter. A bank installed this pass is not preempt-checked the
-		// same tick, and its preemptPending (if any) lingers — exactly as
-		// when the scan found it vacant.
-		occ := s.engine.OccupiedMask(r)
-		for m := (s.burstsNE[r] | s.writes.Mask(r)) &^ occ; m != 0; m &= m - 1 {
-			s.arbitrateVacant(r, bits.TrailingZeros64(m), now)
-		}
-		if s.opt.ReadPreemption {
-			for m := occ; m != 0; m &= m - 1 {
-				s.arbitrateOngoing(r, bits.TrailingZeros64(m), now)
-			}
-		}
+	occ := s.engine.OccupiedMask()
+	for m := (s.burstsNE | s.writes.Mask()) &^ occ; m != 0; m &= m - 1 {
+		s.arbitrateVacant(bits.TrailingZeros64(m), now)
+	}
+	for m := occ; m != 0 && s.preemptCount > 0; m &= m - 1 {
+		s.arbitrateOngoing(bits.TrailingZeros64(m), now)
 	}
 	if s.host.Channel().CommandSlotFree() {
 		s.schedule(now)
@@ -348,11 +347,11 @@ func (s *burstSched) NextEventCycle(now uint64) uint64 {
 // with no ongoing access.
 //
 //burstmem:hotpath
-func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
-	st := s.bank(rank, bank)
+func (s *burstSched) arbitrateVacant(f int, now uint64) {
+	st := &s.banks[f]
 	occupancy := s.host.GlobalWrites()
 	reads, _ := s.host.Pending()
-	wq := s.writes.List(rank, bank)
+	wq := s.writes.List(f)
 
 	// Evaluated once for both the piggyback guard and its body
 	// (rowHitWrite is a pure scan).
@@ -372,32 +371,24 @@ func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
 		// if every write is behind a queued read, serve reads so
 		// the hazards clear.
 		if w := s.oldestSafeWrite(st, wq); w != nil {
-			s.installWrite(rank, bank, w)
-			s.host.Tracer().Mark(now, trace.EvForcedWrite, s.host.ChannelIndex(),
-				rank, bank, w.Loc.Row, w.ID, 0)
+			s.installWrite(w, now, trace.EvForcedWrite)
 		} else if len(st.bursts) > 0 {
-			s.installRead(rank, bank, now)
+			s.installRead(f, now)
 		}
 	case piggyW != nil:
 		// Fig. 5 line 4: piggyback the oldest qualified write at
 		// the end of the burst.
-		w := piggyW
-		s.installWrite(rank, bank, w)
-		s.host.Tracer().Mark(now, trace.EvPiggyback, s.host.ChannelIndex(),
-			rank, bank, w.Loc.Row, w.ID, 0)
+		s.installWrite(piggyW, now, trace.EvPiggyback)
 	case !wq.Empty() && reads == 0 && len(st.bursts) == 0:
 		// Fig. 5 line 6: "write queue is not empty and read queue
 		// is empty" — reads are prioritized channel-wide, so
 		// writes drain only when no reads are outstanding at all.
 		// This aggressive read priority is what lets the write
 		// queue approach saturation (paper Section 5.1).
-		w := wq.Front()
-		s.installWrite(rank, bank, w)
-		s.host.Tracer().Mark(now, trace.EvIdleWrite, s.host.ChannelIndex(),
-			rank, bank, w.Loc.Row, w.ID, 0)
+		s.installWrite(wq.Front(), now, trace.EvIdleWrite)
 	case len(st.bursts) > 0:
 		// Fig. 5 line 8: first read in the next burst.
-		s.installRead(rank, bank, now)
+		s.installRead(f, now)
 	}
 }
 
@@ -408,24 +399,32 @@ func (s *burstSched) arbitrateVacant(rank, bank int, now uint64) {
 // still installed here is interruptible.
 //
 //burstmem:hotpath
-func (s *burstSched) arbitrateOngoing(rank, bank int, now uint64) {
-	st := s.bank(rank, bank)
+func (s *burstSched) arbitrateOngoing(f int, now uint64) {
+	st := &s.banks[f]
 	if st.preemptPending {
 		st.preemptPending = false
 		s.preemptCount--
-		if s.ongoingWrite(rank, bank) && len(st.bursts) > 0 && s.host.GlobalWrites() < s.opt.Threshold {
-			s.preempt(rank, bank, s.engine.Ongoing(rank, bank), now)
+		if s.ongoingWrite(f) && len(st.bursts) > 0 && s.host.GlobalWrites() < s.opt.Threshold {
+			s.preempt(f, now)
 		}
 	}
 }
 
-// installWrite removes w from the bank's write queue and makes it the
-// bank's ongoing access.
+// installWrite removes w from its bank's write queue, makes it the bank's
+// ongoing access and marks the arbiter decision that installed it.
 //
 //burstmem:hotpath
-func (s *burstSched) installWrite(rank, bank int, w *memctrl.Access) {
+func (s *burstSched) installWrite(w *memctrl.Access, now uint64, why trace.Kind) {
 	s.writes.Remove(w)
-	s.engine.SetOngoing(rank, bank, w)
+	s.engine.SetOngoing(w)
+	s.mark(now, why, w)
+}
+
+// mark records an arbiter decision about access a at its bank.
+//
+//burstmem:hotpath
+func (s *burstSched) mark(now uint64, k trace.Kind, a *memctrl.Access) {
+	s.host.Tracer().Mark(now, k, s.host.ChannelIndex(), int(a.Loc.Rank), int(a.Loc.Bank), a.Loc.Row, a.ID, 0)
 }
 
 // installRead pops the head read of the bank's next burst and makes it
@@ -434,14 +433,14 @@ func (s *burstSched) installWrite(rank, bank int, w *memctrl.Access) {
 // aging guard).
 //
 //burstmem:hotpath
-func (s *burstSched) installRead(rank, bank int, now uint64) {
-	st := s.bank(rank, bank)
+func (s *burstSched) installRead(f int, now uint64) {
+	st := &s.banks[f]
 	bg := s.selectBurst(st, now)
 	rd := bg.reads.PopFront()
 	st.activeRow = int64(bg.row)
 	// Leaving the burst in the queue lets newly arrived same-row reads
 	// keep joining it while it drains (paper Section 3).
-	s.engine.SetOngoing(rank, bank, rd)
+	s.engine.SetOngoing(rd)
 }
 
 // selectBurst picks the bank's next burst per the inter-burst policy.
@@ -476,18 +475,19 @@ func (s *burstSched) selectBurst(st *bankState, now uint64) *burstGroup {
 	return best
 }
 
-// preempt resets an ongoing write back to the front of the bank's write
-// queue and installs the first read of the next burst (Fig. 5 lines 10-11).
-// The write keeps any precharge/activate progress in the bank state — which
-// is how a preempting read can observe a row empty (paper Section 5.2).
+// preempt resets bank f's ongoing write back to the front of the bank's
+// write queue and installs the first read of the next burst (Fig. 5 lines
+// 10-11). The write keeps any precharge/activate progress in the bank
+// state — which is how a preempting read can observe a row empty (paper
+// Section 5.2).
 //
 //burstmem:hotpath
-func (s *burstSched) preempt(rank, bank int, w *memctrl.Access, now uint64) {
-	s.engine.ClearOngoing(rank, bank)
+func (s *burstSched) preempt(f int, now uint64) {
+	w := s.engine.Ongoing(f)
+	s.engine.ClearOngoing(f)
 	s.writes.PushFront(w)
-	s.host.Tracer().Mark(now, trace.EvPreempt, s.host.ChannelIndex(),
-		rank, bank, w.Loc.Row, w.ID, 0)
-	s.installRead(rank, bank, now)
+	s.mark(now, trace.EvPreempt, w)
+	s.installRead(f, now)
 }
 
 // onColumn runs when an access's column transaction issues: maintain the
@@ -495,8 +495,8 @@ func (s *burstSched) preempt(rank, bank int, w *memctrl.Access, now uint64) {
 //
 //burstmem:hotpath
 func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
-	rank, bank := int(a.Loc.Rank), int(a.Loc.Bank)
-	st := s.bank(rank, bank)
+	f := s.idx.Of(a)
+	st := &s.banks[f]
 	if a.Kind == memctrl.KindWrite {
 		// Any completed write leaves its row open and opens a piggyback
 		// window on that row: queued same-row writes follow back to
@@ -518,7 +518,7 @@ func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
 			st.bursts[len(st.bursts)-1] = nil
 			st.bursts = st.bursts[:len(st.bursts)-1]
 			if len(st.bursts) == 0 {
-				s.burstsNE[rank] &^= 1 << uint(bank)
+				s.burstsNE &^= 1 << uint(f)
 			}
 			//lint:ignore hotalloc pool return: capacity is bounded by peak live groups
 			s.freeGroups = append(s.freeGroups, bg)
@@ -588,98 +588,65 @@ func (s *burstSched) rowHitWrite(st *bankState, wq *memctrl.AccessList) *memctrl
 // them from priority 1 to 8 finds the winner without computing a priority
 // value per bank — the first nonempty class holds it, and only the
 // oldest-arrival tie-break within that class needs per-bank work. When
-// nothing is unblocked, last bank/rank move to the bank holding the oldest
+// nothing is unblocked, the last bank moves to the bank holding the oldest
 // access so its burst starts next (Fig. 6 lines 14-15).
 //
 //burstmem:hotpath
 func (s *burstSched) schedule(now uint64) {
 	cl, any := s.engine.Unblocked(now)
 	if !any {
-		if r, b, ok := s.engine.OldestOngoing(); ok {
-			s.lastRank = r
-			s.lastBank = s.flatBank(r, b)
+		if f := s.engine.FoldOldest(s.engine.OccupiedMask(), -1); f >= 0 {
+			s.lastBank = f
 		}
 		return
 	}
-	var rank, bank, pri int
+	var f, pri int
 	if s.opt.NaivePriority {
-		rank, bank = s.oldestUnblocked(cl)
+		f = s.engine.FoldOldest(cl.All(), -1)
 	} else {
-		rank, bank, pri = s.pickTable2(cl)
+		f, pri = s.pickTable2(cl)
 	}
-	id := s.engine.Ongoing(rank, bank).ID
-	cmd := s.engine.Issue(rank, bank, now)
+	id := s.engine.Ongoing(f).ID
+	cmd := s.engine.Issue(f, now)
+	rank, bank := s.idx.Split(f)
 	s.host.Tracer().SchedPick(now, s.host.ChannelIndex(), rank, bank, id, pri, cmdEventKind(cmd))
-	s.lastRank = rank
-	s.lastBank = s.flatBank(rank, bank)
+	s.lastBank = f
 }
 
 // pickTable2 walks the Table 2 classes from priority 1 (column read, same
 // bank) to 8 (column write, other rank) and picks the first nonempty one's
-// oldest bank. Same-priority arrival ties resolve to the lowest rank, then
-// bank (Engine.FoldOldest over ranks in ascending order).
+// oldest bank. Each class is one mask: the last rank's columns are the
+// column masks AND its rank mask, other ranks' columns the same masks AND
+// NOT it. Same-priority arrival ties resolve to the lowest rank, then bank
+// (Engine.FoldOldest).
 //
 //burstmem:hotpath
-func (s *burstSched) pickTable2(cl *memctrl.BankClasses) (rank, bank, pri int) {
-	if lr := s.lastRank; lr >= 0 {
-		lastBit := uint64(1) << uint(s.lastBank-lr*s.host.Channel().Banks())
-		if cl.ColRead[lr]&lastBit != 0 {
-			return lr, bits.TrailingZeros64(lastBit), 1
-		}
-		if m := cl.ColRead[lr] &^ lastBit; m != 0 {
-			rank, bank = s.engine.FoldOldest(lr, m, -1, -1)
-			return rank, bank, 2
-		}
-		if cl.ColWrite[lr]&lastBit != 0 {
-			return lr, bits.TrailingZeros64(lastBit), 3
-		}
-		if m := cl.ColWrite[lr] &^ lastBit; m != 0 {
-			rank, bank = s.engine.FoldOldest(lr, m, -1, -1)
-			return rank, bank, 4
+func (s *burstSched) pickTable2(cl *memctrl.BankClasses) (f, pri int) {
+	var lastRank uint64 // the last bank's rank (no bank before the first pick)
+	if last := s.lastBank; last >= 0 {
+		r, _ := s.idx.Split(last)
+		lastRank = s.idx.RankMask(r)
+		lastBit := uint64(1) << uint(last)
+		switch {
+		case cl.ColRead&lastBit != 0:
+			return last, 1
+		case cl.ColRead&lastRank != 0:
+			return s.engine.FoldOldest(cl.ColRead&lastRank, -1), 2
+		case cl.ColWrite&lastBit != 0:
+			return last, 3
+		case cl.ColWrite&lastRank != 0:
+			return s.engine.FoldOldest(cl.ColWrite&lastRank, -1), 4
 		}
 	}
 	// Row transactions rank 5/6 wherever they are — precharge and
-	// activate overlap freely, no data bus needed.
-	if r, b, ok := s.oldestInClass(cl.RowRead, -1); ok {
-		return r, b, 5
-	}
-	if r, b, ok := s.oldestInClass(cl.RowWrite, -1); ok {
-		return r, b, 6
-	}
-	// Columns on other ranks pay the rank-to-rank turnaround: last.
-	if r, b, ok := s.oldestInClass(cl.ColRead, s.lastRank); ok {
-		return r, b, 7
-	}
-	if r, b, ok := s.oldestInClass(cl.ColWrite, s.lastRank); ok {
-		return r, b, 8
-	}
-	panic("core: class walk found no unblocked bank despite Unblocked reporting one")
-}
-
-// oldestUnblocked picks the oldest unblocked bank regardless of class (the
-// NaivePriority ablation).
-//
-//burstmem:hotpath
-func (s *burstSched) oldestUnblocked(cl *memctrl.BankClasses) (rank, bank int) {
-	rank, bank = -1, -1
-	for r := range cl.ColRead {
-		rank, bank = s.engine.FoldOldest(r, cl.Rank(r), rank, bank)
-	}
-	return rank, bank
-}
-
-// oldestInClass returns the class's oldest bank across ranks (skipRank
-// excluded; pass -1 to scan every rank).
-//
-//burstmem:hotpath
-func (s *burstSched) oldestInClass(masks []uint64, skipRank int) (rank, bank int, ok bool) {
-	rank, bank = -1, -1
-	for r, mask := range masks {
-		if r != skipRank {
-			rank, bank = s.engine.FoldOldest(r, mask, rank, bank)
+	// activate overlap freely, no data bus needed. Columns on other ranks
+	// pay the rank-to-rank turnaround: last.
+	for i, m := range [...]uint64{cl.RowRead, cl.RowWrite, cl.ColRead &^ lastRank, cl.ColWrite &^ lastRank} {
+		if m != 0 {
+			return s.engine.FoldOldest(m, -1), 5 + i
 		}
 	}
-	return rank, bank, rank >= 0
+	panic("core: class walk found no unblocked bank despite Unblocked reporting one")
 }
 
 // cmdEventKind maps a DRAM command to its trace event kind.
@@ -699,8 +666,4 @@ func cmdEventKind(c dram.Cmd) trace.Kind {
 		return trace.EvRefresh
 	}
 	panic("core: unreachable command in cmdEventKind")
-}
-
-func (s *burstSched) flatBank(rank, bank int) int {
-	return rank*s.host.Channel().Banks() + bank
 }

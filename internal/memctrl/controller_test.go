@@ -1,7 +1,9 @@
 package memctrl
 
 import (
+	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,21 +31,13 @@ func (m *fifoMech) Enqueue(a *Access, now uint64) { m.queue = append(m.queue, a)
 func (m *fifoMech) Tick(now uint64) {
 	if len(m.queue) > 0 {
 		a := m.queue[0]
-		r, b := int(a.Loc.Rank), int(a.Loc.Bank)
-		if m.engine.Ongoing(r, b) == nil {
-			m.engine.SetOngoing(r, b, a)
+		if m.engine.Ongoing(m.engine.BankMap().Of(a)) == nil {
+			m.engine.SetOngoing(a)
 			m.queue = m.queue[1:]
 		}
 	}
-	cl, any := m.engine.Unblocked(now)
-	if !any {
-		return
-	}
-	for r := range cl.ColRead {
-		if mask := cl.Rank(r); mask != 0 {
-			m.engine.Issue(r, bits.TrailingZeros64(mask), now)
-			return
-		}
+	if cl, any := m.engine.Unblocked(now); any {
+		m.engine.Issue(bits.TrailingZeros64(cl.All()), now)
 	}
 }
 
@@ -103,6 +97,47 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(bad, newFifo); err == nil {
 		t.Fatal("New accepted invalid config")
+	}
+
+	// A channel's banks must fit one uint64.
+	for _, g := range []struct {
+		ranks, banks int
+		ok           bool
+	}{{8, 16, false}, {2, 64, false}, {4, 16, true}, {1, 64, true}} {
+		cfg := DefaultConfig()
+		cfg.Geometry.Ranks, cfg.Geometry.Banks = g.ranks, g.banks
+		err := cfg.Validate()
+		if g.ok && err != nil {
+			t.Errorf("%d ranks × %d banks rejected: %v", g.ranks, g.banks, err)
+		}
+		if want := fmt.Sprintf("%d banks per channel exceeds the 64 supported", g.ranks*g.banks); !g.ok &&
+			(err == nil || !strings.Contains(err.Error(), want)) {
+			t.Errorf("%d ranks × %d banks: error %v, want one containing %q", g.ranks, g.banks, err, want)
+		}
+	}
+
+	// A 64-bank rank fills the whole word: its rank mask is every bit, and
+	// reads to every bank run through the refresh deadlines
+	// (TestEngineRefreshDueWithholdsActivate pins the mask's use there).
+	cfg := testConfig()
+	cfg.Timing.TREFI = DefaultConfig().Timing.TREFI
+	cfg.Geometry.Banks = 64
+	c := mustNew(t, cfg)
+	if m := NewBankMap(64).RankMask(0); m != ^uint64(0) {
+		t.Fatalf("RankMask(0) of a 64-bank rank = %#x, want every bit", m)
+	}
+	cyc, done := uint64(0), 0
+	for i := 0; cyc < 3*uint64(cfg.Timing.TREFI); {
+		loc := addrmap.Loc{Bank: uint8(i % 64), Row: uint32(i/64) % 16}
+		if _, ok := c.Submit(KindRead, c.Mapper().Encode(loc), func(*Access, uint64) { done++ }); ok {
+			i++
+		}
+		cyc++
+		c.Tick(cyc)
+	}
+	drain(t, c, cyc)
+	if refreshes := c.Channel(0).Stats.Refreshes; refreshes < 2 || done < 64 {
+		t.Fatalf("64-bank channel: %d refreshes and %d completed reads, want at least 2 and 64", refreshes, done)
 	}
 }
 

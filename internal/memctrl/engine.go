@@ -13,10 +13,11 @@ import (
 // pick ongoing accesses and which unblocked transaction they issue.
 //
 // Mechanisms see issuable transactions only through Unblocked's class
-// masks and issue one only through Issue. Occupied banks are tracked in
-// one uint64 bitmap per rank, so the masks are built by visiting only
-// banks that actually hold an ongoing access (bits.TrailingZeros64 per
-// occupied bank) instead of scanning the whole rank×bank grid.
+// masks and issue one only through Issue. Banks are numbered by BankMap's
+// flat index, and the occupied banks of the channel are one uint64, so the
+// masks are built by visiting only banks that actually hold an ongoing
+// access (bits.TrailingZeros64 per occupied bank) instead of scanning the
+// whole rank×bank grid.
 //
 // On top of the bitmaps sits a version-guarded hint cache: for every
 // occupied bank the engine remembers the next transaction and the earliest
@@ -29,17 +30,16 @@ import (
 // issue bound, which is the engine's next-event answer.
 type Engine struct {
 	host    *Host
-	banks   int
-	ongoing [][]*Access // [rank][bank]
-	occ     []uint64    // per-rank occupied-bank bitmaps
+	idx     BankMap
+	ongoing []*Access // by flat bank index
+	occ     uint64    // occupied banks
 	// onColumn runs after an access's column transaction issues, before
 	// the bank's ongoing slot clears.
 	onColumn func(a *Access, now uint64)
 
-	// hints holds one cached (command, earliest-issue) pair per flattened
-	// bank.
+	// hints holds one cached (command, earliest-issue) pair per bank.
 	hints []bankHint
-	// classes is the reused result of Unblocked (per-rank class masks).
+	// classes is the reused result of Unblocked.
 	classes BankClasses
 	// syncedVer/dirty short-circuit sync entirely: when the channel's
 	// global mutation counter has not advanced and no ongoing slot
@@ -52,13 +52,7 @@ type Engine struct {
 	// construction outright on such cycles; NextEventCycle answers from
 	// it directly.
 	minFull uint64
-	// oldestRank/oldestBank cache OldestOngoing (oldestRank < 0: no
-	// ongoing access), invalidated whenever an ongoing slot changes
-	// (arrival stamps are immutable).
-	oldestRank  int
-	oldestBank  int
-	oldestValid bool
-	shadow      engineShadow
+	shadow  engineShadow
 }
 
 // bankHint caches one occupied bank's next transaction and issue bound.
@@ -76,75 +70,62 @@ type bankHint struct {
 	valid   bool
 }
 
-// BankClasses holds, per rank, masks of banks whose next transaction is
+// BankClasses holds masks of the channel's banks whose next transaction is
 // unblocked this cycle, split by transaction type (column vs row) and
 // access kind (read vs write) — the four groups the paper's Table 2
 // priority ranks. Refresh never appears: it is channel-internal, never a
 // mechanism's transaction.
 type BankClasses struct {
-	ColRead  []uint64
-	ColWrite []uint64
-	RowRead  []uint64
-	RowWrite []uint64
+	ColRead, ColWrite, RowRead, RowWrite uint64
 }
 
-// Rank returns the union of the rank's four class masks (every unblocked
-// bank of the rank).
-//
-//burstmem:hotpath
-func (cl *BankClasses) Rank(r int) uint64 {
-	return cl.ColRead[r] | cl.ColWrite[r] | cl.RowRead[r] | cl.RowWrite[r]
-}
+// All returns the union of the four class masks (every unblocked bank).
+func (cl *BankClasses) All() uint64 { return cl.ColRead | cl.ColWrite | cl.RowRead | cl.RowWrite }
 
 // NewEngine builds an engine for the host's channel.
 func NewEngine(host *Host, onColumn func(a *Access, now uint64)) *Engine {
-	e := &Engine{host: host, onColumn: onColumn}
 	ch := host.Channel()
-	e.banks = ch.Banks()
-	e.ongoing = make([][]*Access, ch.Ranks())
-	e.occ = make([]uint64, ch.Ranks())
-	for r := range e.ongoing {
-		e.ongoing[r] = make([]*Access, ch.Banks())
+	n := ch.Ranks() * ch.Banks()
+	return &Engine{
+		host:     host,
+		idx:      NewBankMap(ch.Banks()),
+		ongoing:  make([]*Access, n),
+		onColumn: onColumn,
+		hints:    make([]bankHint, n),
+		dirty:    true,
 	}
-	e.hints = make([]bankHint, ch.Ranks()*ch.Banks())
-	e.classes = BankClasses{
-		ColRead:  make([]uint64, ch.Ranks()),
-		ColWrite: make([]uint64, ch.Ranks()),
-		RowRead:  make([]uint64, ch.Ranks()),
-		RowWrite: make([]uint64, ch.Ranks()),
-	}
-	e.dirty = true
-	return e
 }
 
-// Ongoing returns the bank's ongoing access, or nil.
-func (e *Engine) Ongoing(rank, bank int) *Access { return e.ongoing[rank][bank] }
+// BankMap returns the channel's bank numbering, which every bank argument
+// and mask bit of the engine uses.
+func (e *Engine) BankMap() BankMap { return e.idx }
 
-// SetOngoing installs the bank's ongoing access.
+// Ongoing returns bank f's ongoing access, or nil.
+func (e *Engine) Ongoing(f int) *Access { return e.ongoing[f] }
+
+// SetOngoing installs a as its bank's ongoing access.
 //
 //burstmem:hotpath
-func (e *Engine) SetOngoing(rank, bank int, a *Access) {
-	e.ongoing[rank][bank] = a
-	e.occ[rank] |= 1 << uint(bank)
-	e.hints[rank*e.banks+bank].valid = false
+func (e *Engine) SetOngoing(a *Access) {
+	f := e.idx.Of(a)
+	e.ongoing[f] = a
+	e.occ |= 1 << uint(f)
+	e.hints[f].valid = false
 	e.dirty = true
-	e.oldestValid = false
 }
 
-// ClearOngoing resets the bank's ongoing access (e.g. read preemption).
+// ClearOngoing resets bank f's ongoing access (e.g. read preemption).
 //
 //burstmem:hotpath
-func (e *Engine) ClearOngoing(rank, bank int) {
-	e.ongoing[rank][bank] = nil
-	e.occ[rank] &^= 1 << uint(bank)
-	e.hints[rank*e.banks+bank].valid = false
+func (e *Engine) ClearOngoing(f int) {
+	e.ongoing[f] = nil
+	e.occ &^= 1 << uint(f)
+	e.hints[f].valid = false
 	e.dirty = true
-	e.oldestValid = false
 }
 
-// OccupiedMask returns the rank's occupied-bank bitmap (bit b set means
-// bank b has an ongoing access).
-func (e *Engine) OccupiedMask(rank int) uint64 { return e.occ[rank] }
+// OccupiedMask returns the banks with an ongoing access.
+func (e *Engine) OccupiedMask() uint64 { return e.occ }
 
 // sync revalidates the hint of every occupied bank. The global version
 // check makes the common case — nothing issued, nothing submitted — free;
@@ -158,13 +139,11 @@ func (e *Engine) sync() {
 		return
 	}
 	min := uint64(dram.NoEvent)
-	for r := range e.occ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			e.syncBank(ch, r, b)
-			if f := e.hints[r*e.banks+b].full; f < min {
-				min = f
-			}
+	for mask := e.occ; mask != 0; mask &= mask - 1 {
+		f := bits.TrailingZeros64(mask)
+		e.syncBank(ch, f)
+		if full := e.hints[f].full; full < min {
+			min = full
 		}
 	}
 	e.minFull = min
@@ -175,9 +154,9 @@ func (e *Engine) sync() {
 // syncBank refreshes one bank's hint.
 //
 //burstmem:hotpath
-func (e *Engine) syncBank(ch *dram.Channel, r, b int) {
-	flat := r*e.banks + b
-	h := &e.hints[flat]
+func (e *Engine) syncBank(ch *dram.Channel, f int) {
+	r, b := e.idx.Split(f)
+	h := &e.hints[f]
 	bv, rv, xv := ch.BankVersion(r, b), ch.RankVersion(r), ch.BusVersion()
 	if h.valid && h.bankVer == bv && h.rankVer == rv {
 		if h.busVer != xv {
@@ -188,7 +167,7 @@ func (e *Engine) syncBank(ch *dram.Channel, r, b int) {
 		}
 		return
 	}
-	a := e.ongoing[r][b]
+	a := e.ongoing[f]
 	h.cmd = ch.NextCommand(a.Target(), a.Kind == KindRead)
 	h.ready = ch.EarliestReady(h.cmd, a.Target())
 	h.full = max(h.ready, ch.ColumnBusReady(h.cmd, r))
@@ -227,70 +206,67 @@ func (e *Engine) classify(now uint64) bool {
 		// Every issue bound lies in the future: no bank can qualify.
 		return false
 	}
-	cl := &e.classes
-	any := false
-	for r := range e.occ {
-		refreshDue := ch.RefreshDue(r)
-		var colRead, colWrite, rowRead, rowWrite uint64
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			h := &e.hints[r*e.banks+b]
-			if h.full > now || refreshDue && h.cmd == dram.CmdActivate {
-				continue
-			}
-			bit := uint64(1) << uint(b)
-			col := h.cmd == dram.CmdRead || h.cmd == dram.CmdWrite
-			read := e.ongoing[r][b].Kind == KindRead
-			switch {
-			case col && read:
-				colRead |= bit
-			case col:
-				colWrite |= bit
-			case read:
-				rowRead |= bit
-			default:
-				rowWrite |= bit
-			}
-			any = true
+	due := e.refreshDue(ch)
+	var colRead, colWrite, rowRead, rowWrite uint64
+	for mask := e.occ; mask != 0; mask &= mask - 1 {
+		f := bits.TrailingZeros64(mask)
+		h := &e.hints[f]
+		bit := uint64(1) << uint(f)
+		if h.full > now || due&bit != 0 && h.cmd == dram.CmdActivate {
+			continue
 		}
-		cl.ColRead[r], cl.ColWrite[r] = colRead, colWrite
-		cl.RowRead[r], cl.RowWrite[r] = rowRead, rowWrite
+		col := h.cmd == dram.CmdRead || h.cmd == dram.CmdWrite
+		switch read := e.ongoing[f].Kind == KindRead; {
+		case col && read:
+			colRead |= bit
+		case col:
+			colWrite |= bit
+		case read:
+			rowRead |= bit
+		default:
+			rowWrite |= bit
+		}
 	}
-	return any
+	e.classes = BankClasses{colRead, colWrite, rowRead, rowWrite}
+	return e.classes.All() != 0
 }
 
-// FoldOldest folds the rank's banks in mask into a running oldest-arrival
-// pick (bestRank < 0: nothing picked yet) and returns the new pick. Every
-// bank in mask must hold an ongoing access. A strictly older arrival
-// replaces the pick, so when callers fold ranks in ascending order, arrival
-// ties go to the lowest rank, then the lowest bank.
+// refreshDue returns the banks of the ranks whose refresh is due
+// (dram.Channel.RefreshDue). A refresh can be due only while the channel's
+// refresh wake bound is at most the cycle after the current one: while a
+// due refresh waits to start, the bound is that next cycle, never the
+// current one.
 //
 //burstmem:hotpath
-func (e *Engine) FoldOldest(rank int, mask uint64, bestRank, bestBank int) (int, int) {
+func (e *Engine) refreshDue(ch *dram.Channel) uint64 {
+	if ch.NextEventCycle() > ch.Now()+1 {
+		return 0
+	}
+	var due uint64
+	for r := 0; r < ch.Ranks(); r++ {
+		if ch.RefreshDue(r) {
+			due |= e.idx.RankMask(r)
+		}
+	}
+	return due
+}
+
+// FoldOldest folds the banks in mask into a running oldest-arrival pick
+// (best < 0: nothing picked yet) and returns the new pick, or -1 when both
+// are empty. Every bank in mask must hold an ongoing access. Banks are
+// visited in ascending flat index and only a strictly older arrival
+// replaces the pick, so arrival ties go to the lowest rank, then the
+// lowest bank.
+//
+//burstmem:hotpath
+func (e *Engine) FoldOldest(mask uint64, best int) int {
 	for ; mask != 0; mask &= mask - 1 {
-		b := bits.TrailingZeros64(mask)
-		if bestRank < 0 || e.ongoing[rank][b].Arrival < e.ongoing[bestRank][bestBank].Arrival {
-			bestRank, bestBank = rank, b
+		f := bits.TrailingZeros64(mask)
+		if best < 0 || e.ongoing[f].Arrival < e.ongoing[best].Arrival {
+			best = f
 		}
 	}
-	return bestRank, bestBank
-}
-
-// OldestOngoing returns the occupied bank holding the oldest ongoing access
-// (arrival ties go to the lowest rank, then bank). Arrival stamps are
-// immutable, so the answer only changes when a bank's ongoing slot does;
-// it is cached until then.
-//
-//burstmem:hotpath
-func (e *Engine) OldestOngoing() (rank, bank int, ok bool) {
-	if !e.oldestValid {
-		e.oldestRank, e.oldestBank = -1, -1
-		for r, mask := range e.occ {
-			e.oldestRank, e.oldestBank = e.FoldOldest(r, mask, e.oldestRank, e.oldestBank)
-		}
-		e.oldestValid = true
-	}
-	return e.oldestRank, e.oldestBank, e.oldestRank >= 0
+	return best
 }
 
 // NextEventCycle returns the earliest cycle any occupied bank's next
@@ -313,7 +289,7 @@ func (e *Engine) NextEventCycle(now uint64) uint64 {
 	return next
 }
 
-// Issue executes the next transaction of the bank's ongoing access and
+// Issue executes the next transaction of bank f's ongoing access and
 // returns its command. The command is derived from the device state, so a
 // preceding Unblocked is not required; dram.Channel.Issue panics if the
 // command is blocked this cycle. For a column transaction the access
@@ -322,9 +298,9 @@ func (e *Engine) NextEventCycle(now uint64) uint64 {
 // start/outcome on its first transaction.
 //
 //burstmem:hotpath
-func (e *Engine) Issue(rank, bank int, now uint64) dram.Cmd {
+func (e *Engine) Issue(f int, now uint64) dram.Cmd {
 	ch := e.host.Channel()
-	a := e.ongoing[rank][bank]
+	a := e.ongoing[f]
 	t := a.Target()
 	cmd := ch.NextCommand(t, a.Kind == KindRead)
 	col := cmd == dram.CmdRead || cmd == dram.CmdWrite
@@ -335,7 +311,7 @@ func (e *Engine) Issue(rank, bank int, now uint64) dram.Cmd {
 		if e.onColumn != nil {
 			e.onColumn(a, now)
 		}
-		e.ClearOngoing(rank, bank)
+		e.ClearOngoing(f)
 	}
 	return cmd
 }

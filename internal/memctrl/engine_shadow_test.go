@@ -19,7 +19,7 @@ func TestEngineShadowTrigger(t *testing.T) {
 	if !ok {
 		t.Fatal("submit failed")
 	}
-	m.engine.SetOngoing(0, 0, a)
+	m.engine.SetOngoing(a)
 
 	// Prime: the activate is issuable immediately, so the hint cache
 	// agrees with the linear scan here.
@@ -43,16 +43,16 @@ func TestEngineShadowTrigger(t *testing.T) {
 func TestEngineShadowCleanRun(t *testing.T) {
 	c, m := newEngineHarness(t)
 	a, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 0, Bank: 0, Row: 2}), nil)
-	m.engine.SetOngoing(0, 0, a)
-	for now := uint64(1); now < 64 && m.engine.Ongoing(0, 0) != nil; now++ {
+	m.engine.SetOngoing(a)
+	for now := uint64(1); now < 64 && m.engine.Ongoing(0) != nil; now++ {
 		c.Tick(now)
 		m.engine.NextEventCycle(now)
 		if _, any := m.engine.Unblocked(now); any {
-			m.engine.Issue(0, 0, now)
+			m.engine.Issue(0, now)
 		}
 		m.engine.NextEventCycle(now)
 	}
-	if m.engine.Ongoing(0, 0) != nil {
+	if m.engine.Ongoing(0) != nil {
 		t.Fatal("access never completed its transaction sequence")
 	}
 }
@@ -65,12 +65,12 @@ func TestEngineShadowCleanRun(t *testing.T) {
 func TestEngineShadowUnblockedTrigger(t *testing.T) {
 	c, m := newEngineHarness(t)
 	a, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 0, Bank: 0, Row: 2}), nil)
-	m.engine.SetOngoing(0, 0, a)
+	m.engine.SetOngoing(a)
 	c.Tick(1)
 	if _, any := m.engine.Unblocked(1); !any {
 		t.Fatal("the activate is not unblocked at cycle 1")
 	}
-	m.engine.Issue(0, 0, 1)
+	m.engine.Issue(0, 1)
 	c.Tick(2)
 	if _, any := m.engine.Unblocked(2); any {
 		t.Fatal("the read is unblocked before tRCD")
@@ -81,7 +81,7 @@ func TestEngineShadowUnblockedTrigger(t *testing.T) {
 	m.engine.hints[0].full = 0
 	m.engine.minFull = 0
 
-	mustPanicContaining(t, "cycle 2: Unblocked gives rank 0 class masks col-read 0x1", func() {
+	mustPanicContaining(t, "cycle 2: Unblocked gives class masks col-read 0x1", func() {
 		m.engine.Unblocked(2)
 	})
 }

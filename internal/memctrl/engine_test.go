@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 
 	"burstmem/internal/addrmap"
@@ -23,13 +24,25 @@ func (m *inertMech) Tick(now uint64)               {}
 
 func newEngineHarness(t *testing.T) (*Controller, *inertMech) {
 	t.Helper()
-	cfg := DefaultConfig()
+	cfg := engineHarnessConfig()
 	cfg.Timing.TREFI = 0
+	return newEngineHarnessFor(t, cfg)
+}
+
+// engineHarnessConfig is the harness machine: one channel of 2 ranks × 2
+// banks.
+func engineHarnessConfig() Config {
+	cfg := DefaultConfig()
 	cfg.Geometry = addrmap.Geometry{
 		Channels: 1, Ranks: 2, Banks: 2, Rows: 16, ColumnLines: 16, LineBytes: 64,
 	}
 	cfg.PoolSize = 16
 	cfg.MaxWrites = 8
+	return cfg
+}
+
+func newEngineHarnessFor(t *testing.T, cfg Config) (*Controller, *inertMech) {
+	t.Helper()
 	var mech *inertMech
 	c, err := New(cfg, func(h *Host) Mechanism {
 		mech = &inertMech{host: h, engine: NewEngine(h, nil)}
@@ -48,15 +61,19 @@ func TestEngineOngoingBookkeeping(t *testing.T) {
 	if !ok {
 		t.Fatal("submit failed")
 	}
-	if m.engine.Ongoing(1, 1) != nil {
+	f := m.engine.BankMap().Index(1, 1)
+	if f != 3 || m.engine.BankMap().Of(a) != f {
+		t.Fatalf("rank 1 bank 1 of a 2x2 channel is bank %d (access: %d), want 3", f, m.engine.BankMap().Of(a))
+	}
+	if m.engine.Ongoing(f) != nil {
 		t.Fatal("fresh engine has an ongoing access")
 	}
-	m.engine.SetOngoing(1, 1, a)
-	if m.engine.Ongoing(1, 1) != a {
-		t.Fatal("ongoing not installed")
+	m.engine.SetOngoing(a)
+	if m.engine.Ongoing(f) != a || m.engine.OccupiedMask() != 1<<3 {
+		t.Fatalf("ongoing not installed (occupied %#b)", m.engine.OccupiedMask())
 	}
-	m.engine.ClearOngoing(1, 1)
-	if m.engine.Ongoing(1, 1) != nil {
+	m.engine.ClearOngoing(f)
+	if m.engine.Ongoing(f) != nil || m.engine.OccupiedMask() != 0 {
 		t.Fatal("ongoing not cleared")
 	}
 }
@@ -64,15 +81,15 @@ func TestEngineOngoingBookkeeping(t *testing.T) {
 func TestEngineCandidatesAndIssue(t *testing.T) {
 	c, m := newEngineHarness(t)
 	a, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 0, Bank: 0, Row: 2}), nil)
-	m.engine.SetOngoing(0, 0, a)
+	m.engine.SetOngoing(a)
 
 	// Closed bank: the only unblocked transaction is the read's activate,
 	// a row transaction.
 	cl, any := m.engine.Unblocked(0)
-	if !any || cl.RowRead[0] != 1 || cl.ColRead[0]|cl.ColWrite[0]|cl.RowWrite[0]|cl.Rank(1) != 0 {
+	if !any || *cl != (BankClasses{RowRead: 1}) {
 		t.Fatalf("class masks %+v (any=%v), want only rank 0 bank 0 as a row read", *cl, any)
 	}
-	if cmd := m.engine.Issue(0, 0, 0); cmd != dram.CmdActivate {
+	if cmd := m.engine.Issue(0, 0); cmd != dram.CmdActivate {
 		t.Fatalf("issued %v, want activate", cmd)
 	}
 	if !a.Started() {
@@ -91,7 +108,7 @@ func TestEngineCandidatesAndIssue(t *testing.T) {
 				t.Fatal("Issue of the read before tRCD did not panic")
 			}
 		}()
-		m.engine.Issue(0, 0, 1)
+		m.engine.Issue(0, 1)
 	}()
 
 	// Step until the column is unblocked (tRCD), then issue it; the
@@ -100,8 +117,8 @@ func TestEngineCandidatesAndIssue(t *testing.T) {
 	for {
 		cyc++
 		c.Tick(cyc)
-		if cl, any := m.engine.Unblocked(cyc); any && cl.ColRead[0] == 1 {
-			if cmd := m.engine.Issue(0, 0, cyc); cmd != dram.CmdRead {
+		if cl, any := m.engine.Unblocked(cyc); any && cl.ColRead == 1 {
+			if cmd := m.engine.Issue(0, cyc); cmd != dram.CmdRead {
 				t.Fatalf("issued %v, want read", cmd)
 			}
 			break
@@ -110,7 +127,7 @@ func TestEngineCandidatesAndIssue(t *testing.T) {
 			t.Fatal("column never unblocked")
 		}
 	}
-	if m.engine.Ongoing(0, 0) != nil {
+	if m.engine.Ongoing(0) != nil {
 		t.Fatal("ongoing slot not cleared after column issue")
 	}
 	if a.DataEnd <= cyc {
@@ -124,7 +141,7 @@ func TestEngineCandidatesAndIssue(t *testing.T) {
 
 // TestEngineFoldOldest pins the oldest-first fold every mechanism shares:
 // the strictly oldest arrival wins, arrival ties go to the lowest rank,
-// then the lowest bank, and OldestOngoing agrees until a slot changes.
+// then the lowest bank, and a running pick from an earlier fold competes.
 func TestEngineFoldOldest(t *testing.T) {
 	c, m := newEngineHarness(t)
 	e := m.engine
@@ -137,36 +154,113 @@ func TestEngineFoldOldest(t *testing.T) {
 	a00, _ := c.Submit(KindRead, enc(0, 0), nil)
 	a10, _ := c.Submit(KindWrite, enc(1, 0), nil)
 	for _, a := range []*Access{a11, a01, a00, a10} {
-		e.SetOngoing(int(a.Loc.Rank), int(a.Loc.Bank), a)
+		e.SetOngoing(a)
 	}
 
-	fold := func(masks ...uint64) (int, int) {
-		r, b := -1, -1
-		for rank, mask := range masks {
-			r, b = e.FoldOldest(rank, mask, r, b)
-		}
-		return r, b
-	}
+	// Flat banks of the 2x2 channel: (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3.
 	for _, tc := range []struct {
-		masks      []uint64
-		rank, bank int
+		mask       uint64
+		best, want int
 	}{
-		{[]uint64{0b11, 0b11}, 0, 1}, // a01 and a11 tie at cycle 0: lowest rank
-		{[]uint64{0b01, 0b11}, 1, 1}, // a11 is strictly older than a00
-		{[]uint64{0b01, 0b01}, 0, 0}, // a00 and a10 tie at cycle 1: lowest rank
-		{[]uint64{0b00, 0b01}, 1, 0},
-		{[]uint64{0b00, 0b00}, -1, -1},
+		{0b1111, -1, 1}, // a01 and a11 tie at cycle 0: lowest rank
+		{0b1001, -1, 3}, // a11 is strictly older than a00
+		{0b0101, -1, 0}, // a00 and a10 tie at cycle 1: lowest rank
+		{0b0100, -1, 2},
+		{0b0000, -1, -1},
+		{0b0000, 2, 2},
+		{0b1000, 0, 3}, // the running pick loses to an older arrival
+		{0b0100, 0, 0}, // and keeps an arrival tie
 	} {
-		if r, b := fold(tc.masks...); r != tc.rank || b != tc.bank {
-			t.Errorf("fold %b: bank (%d, %d), want (%d, %d)", tc.masks, r, b, tc.rank, tc.bank)
+		if got := e.FoldOldest(tc.mask, tc.best); got != tc.want {
+			t.Errorf("FoldOldest(%04b, %d) = %d, want %d", tc.mask, tc.best, got, tc.want)
 		}
 	}
-	if r, b, ok := e.OldestOngoing(); !ok || r != 0 || b != 1 {
-		t.Fatalf("OldestOngoing = (%d, %d, %v), want (0, 1, true)", r, b, ok)
+	if f := e.FoldOldest(e.OccupiedMask(), -1); f != 1 {
+		t.Fatalf("oldest ongoing bank %d, want 1", f)
 	}
-	e.ClearOngoing(0, 1)
-	if r, b, ok := e.OldestOngoing(); !ok || r != 1 || b != 1 {
-		t.Fatalf("after clearing (0, 1): OldestOngoing = (%d, %d, %v), want (1, 1, true)", r, b, ok)
+	e.ClearOngoing(1)
+	if f := e.FoldOldest(e.OccupiedMask(), -1); f != 3 {
+		t.Fatalf("after clearing bank 1: oldest ongoing bank %d, want 3", f)
+	}
+}
+
+// TestEngineRefreshDueWithholdsActivate pins the one legality rule with no
+// issue bound: from a rank's refresh deadline until its refresh has run,
+// Unblocked withholds the rank's activates while it still reports an
+// issuable bank of another rank. Across that window the channel's refresh
+// wake bound is the cycle after the current one, never a cycle already
+// reached; an engine that tested the wake bound against the current cycle
+// would hand the activate to dram.Channel.Issue, which panics. The 1 × 64
+// channel puts the waiting activate on the word's top bit, where a rank
+// mask that misses the last bank of a full word would let it through.
+func TestEngineRefreshDueWithholdsActivate(t *testing.T) {
+	for _, g := range []struct{ ranks, banks int }{{2, 2}, {1, 64}} {
+		t.Run(fmt.Sprintf("%dx%d", g.ranks, g.banks), func(t *testing.T) {
+			cfg := engineHarnessConfig()
+			cfg.Geometry.Ranks, cfg.Geometry.Banks = g.ranks, g.banks
+			c, m := newEngineHarnessFor(t, cfg)
+			e := m.engine
+			ch := c.Channel(0)
+			enc := func(rank, bank, row int) *Access {
+				a, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: uint8(rank), Bank: uint8(bank), Row: uint32(row)}), nil)
+				return a
+			}
+			// Rank 0's first deadline is tREFI; rank 1's is staggered later.
+			due := uint64(ch.T.TREFI)
+			for cyc := uint64(1); cyc < due; cyc++ {
+				c.Tick(cyc)
+			}
+			// Rank 0 bank 0 has an open row, so the refresh engine must
+			// first precharge it, and the due window spans several cycles.
+			e.SetOngoing(enc(0, 0, 2))
+			if cmd := e.Issue(0, due-1); cmd != dram.CmdActivate {
+				t.Fatalf("issued %v, want activate", cmd)
+			}
+			e.ClearOngoing(0)
+			waiting := e.BankMap().Index(0, g.banks-1)
+			e.SetOngoing(enc(0, g.banks-1, 3))
+			other := -1 // a bank of rank 1, which stays issuable
+			if g.ranks > 1 {
+				other = e.BankMap().Index(1, 1)
+				e.SetOngoing(enc(1, 1, 4))
+			}
+
+			withheld, others := 0, 0
+			cyc := due
+			for ; ch.Stats.Refreshes == 0; cyc++ {
+				if cyc > due+200 {
+					t.Fatal("rank 0's refresh never ran")
+				}
+				c.Tick(cyc)
+				if !ch.RefreshDue(0) || !ch.CommandSlotFree() {
+					continue
+				}
+				withheld++
+				cl, any := e.Unblocked(cyc)
+				if any && cl.All()&(1<<uint(waiting)) != 0 {
+					t.Fatalf("cycle %d: rank 0's refresh is due, but Unblocked gives %+v: the activate of bank %d is not withheld", cyc, *cl, waiting)
+				}
+				if any && other >= 0 && cl.All()&(1<<uint(other)) != 0 {
+					others++
+					e.Issue(other, cyc)
+				}
+			}
+			if withheld == 0 || g.ranks > 1 && others == 0 {
+				t.Fatalf("%d cycles with rank 0's refresh due and the command slot free, %d issues to rank 1 in them", withheld, others)
+			}
+
+			// Once the refresh has run (tRFC), the activate reappears.
+			for end := cyc + uint64(ch.T.TRFC) + 10; cyc < end; cyc++ {
+				c.Tick(cyc)
+				if cl, any := e.Unblocked(cyc); any && cl.RowRead&(1<<uint(waiting)) != 0 {
+					if cmd := e.Issue(waiting, cyc); cmd != dram.CmdActivate {
+						t.Fatalf("issued %v, want bank %d's activate", cmd, waiting)
+					}
+					return
+				}
+			}
+			t.Fatalf("bank %d's activate never reappeared after the refresh", waiting)
+		})
 	}
 }
 
@@ -182,13 +276,13 @@ func TestEngineNextEventCycle(t *testing.T) {
 	}
 
 	a, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 0, Bank: 0, Row: 2}), nil)
-	e.SetOngoing(0, 0, a)
+	e.SetOngoing(a)
 	if next := e.NextEventCycle(0); next != 1 {
 		t.Fatalf("issuable activate: next event %d, want 1 (now+1)", next)
 	}
 
 	// The activate issues at cycle 0; the read waits on tRCD.
-	if cmd := e.Issue(0, 0, 0); cmd != dram.CmdActivate {
+	if cmd := e.Issue(0, 0); cmd != dram.CmdActivate {
 		t.Fatalf("issued %v, want activate", cmd)
 	}
 	ch := c.Channel(0)
@@ -204,11 +298,11 @@ func TestEngineNextEventCycle(t *testing.T) {
 	// A second bank in the other rank can activate next cycle: the earlier
 	// of the two bounds wins.
 	b, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 1, Bank: 1, Row: 5}), nil)
-	e.SetOngoing(1, 1, b)
+	e.SetOngoing(b)
 	if next := e.NextEventCycle(0); next != 1 {
 		t.Fatalf("two banks: next event %d, want 1 (the activate's bound)", next)
 	}
-	e.ClearOngoing(1, 1)
+	e.ClearOngoing(3)
 	if next := e.NextEventCycle(0); next != read {
 		t.Fatalf("second bank cleared: next event %d, want %d", next, read)
 	}
@@ -217,10 +311,10 @@ func TestEngineNextEventCycle(t *testing.T) {
 	for cyc := uint64(1); cyc <= read; cyc++ {
 		c.Tick(cyc)
 	}
-	if cl, any := e.Unblocked(read); !any || cl.ColRead[0] != 1 {
+	if cl, any := e.Unblocked(read); !any || cl.ColRead != 1 {
 		t.Fatalf("class masks %+v at cycle %d, want an unblocked read on bank 0", *cl, read)
 	}
-	if cmd := e.Issue(0, 0, read); cmd != dram.CmdRead {
+	if cmd := e.Issue(0, read); cmd != dram.CmdRead {
 		t.Fatalf("issued %v, want read", cmd)
 	}
 	if next := e.NextEventCycle(read); next != dram.NoEvent {
@@ -247,11 +341,11 @@ func TestEngineOnColumnHook(t *testing.T) {
 	}
 	c.Tick(0)
 	a, _ := c.Submit(KindWrite, 0, nil)
-	eng.SetOngoing(0, 0, a)
+	eng.SetOngoing(a)
 	for cyc := uint64(1); cyc < 200 && len(hook) == 0; cyc++ {
 		c.Tick(cyc)
 		if _, any := eng.Unblocked(cyc); any {
-			eng.Issue(0, 0, cyc)
+			eng.Issue(0, cyc)
 		}
 	}
 	if len(hook) != 1 || hook[0] != a {
@@ -284,33 +378,33 @@ func TestHostPendingCounts(t *testing.T) {
 	want(1, 1)
 
 	// The write activates its row, then a read preempts it.
-	e.SetOngoing(0, 0, w)
-	if cmd := e.Issue(0, 0, 0); cmd != dram.CmdActivate {
+	e.SetOngoing(w)
+	if cmd := e.Issue(0, 0); cmd != dram.CmdActivate {
 		t.Fatalf("issued %v, want activate", cmd)
 	}
-	e.ClearOngoing(0, 0)
+	e.ClearOngoing(0)
 	want(1, 1)
 
 	// Step the bank's ongoing access through its transactions; it counts
 	// as pending until the column issues.
 	cyc := uint64(0)
-	runToColumn := func(rank, bank, reads, writes int) {
+	runToColumn := func(f, reads, writes int) {
 		t.Helper()
-		for e.Ongoing(rank, bank) != nil {
+		for e.Ongoing(f) != nil {
 			want(reads, writes)
 			if cyc++; cyc > 200 {
-				t.Fatalf("bank (%d, %d) never issued its column", rank, bank)
+				t.Fatalf("bank %d never issued its column", f)
 			}
 			c.Tick(cyc)
-			if cl, any := e.Unblocked(cyc); any && cl.Rank(rank)&(1<<uint(bank)) != 0 {
-				e.Issue(rank, bank, cyc)
+			if cl, any := e.Unblocked(cyc); any && cl.All()&(1<<uint(f)) != 0 {
+				e.Issue(f, cyc)
 			}
 		}
 	}
-	e.SetOngoing(1, 1, rd)
-	runToColumn(1, 1, 1, 1)
+	e.SetOngoing(rd)
+	runToColumn(3, 1, 1)
 	want(0, 1)
-	e.SetOngoing(0, 0, w)
-	runToColumn(0, 0, 0, 1)
+	e.SetOngoing(w)
+	runToColumn(0, 0, 1)
 	want(0, 0)
 }

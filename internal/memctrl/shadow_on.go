@@ -34,14 +34,11 @@ type engineShadow struct{}
 func (engineShadow) checkNextEvent(e *Engine, now, fast uint64) {
 	ch := e.host.Channel()
 	linear := dram.NoEvent
-	for r := range e.occ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			a := e.ongoing[r][b]
-			cmd := ch.NextCommand(a.Target(), a.Kind == KindRead)
-			if at := ch.EarliestIssue(cmd, a.Target()); at < linear {
-				linear = at
-			}
+	for mask := e.occ; mask != 0; mask &= mask - 1 {
+		a := e.ongoing[bits.TrailingZeros64(mask)]
+		cmd := ch.NextCommand(a.Target(), a.Kind == KindRead)
+		if at := ch.EarliestIssue(cmd, a.Target()); at < linear {
+			linear = at
 		}
 	}
 	if fast > linear {
@@ -51,45 +48,39 @@ func (engineShadow) checkNextEvent(e *Engine, now, fast uint64) {
 	}
 }
 
-// checkUnblocked re-derives each rank's four class masks with NextCommand
-// and CanIssue. When Unblocked reported a bank, every mask must match; when
-// it reported none, the masks are stale by contract and only that verdict
-// is compared.
+// checkUnblocked re-derives the four class masks with NextCommand and
+// CanIssue. When Unblocked reported a bank, every mask must match; when it
+// reported none, the masks are stale by contract and only that verdict is
+// compared.
 func (engineShadow) checkUnblocked(e *Engine, now uint64, any bool) {
 	ch := e.host.Channel()
-	linearAny := false
-	for r := range e.occ {
-		var colRead, colWrite, rowRead, rowWrite uint64
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			a := e.ongoing[r][b]
-			cmd := ch.NextCommand(a.Target(), a.Kind == KindRead)
-			if !ch.CanIssue(cmd, a.Target()) {
-				continue
-			}
-			linearAny = true
-			bit := uint64(1) << uint(b)
-			switch col := cmd == dram.CmdRead || cmd == dram.CmdWrite; {
-			case col && a.Kind == KindRead:
-				colRead |= bit
-			case col:
-				colWrite |= bit
-			case a.Kind == KindRead:
-				rowRead |= bit
-			default:
-				rowWrite |= bit
-			}
+	var lin BankClasses
+	for mask := e.occ; mask != 0; mask &= mask - 1 {
+		f := bits.TrailingZeros64(mask)
+		a := e.ongoing[f]
+		cmd := ch.NextCommand(a.Target(), a.Kind == KindRead)
+		if !ch.CanIssue(cmd, a.Target()) {
+			continue
 		}
-		cl := &e.classes
-		if any && (cl.ColRead[r] != colRead || cl.ColWrite[r] != colWrite ||
-			cl.RowRead[r] != rowRead || cl.RowWrite[r] != rowWrite) {
-			panic(fmt.Sprintf(
-				"memctrl sanitizer: cycle %d: Unblocked gives rank %d class masks col-read %#x col-write %#x row-read %#x row-write %#x, but CanIssue gives %#x %#x %#x %#x (the hint cache disagrees with the device)",
-				now, r, cl.ColRead[r], cl.ColWrite[r], cl.RowRead[r], cl.RowWrite[r],
-				colRead, colWrite, rowRead, rowWrite))
+		bit := uint64(1) << uint(f)
+		switch col := cmd == dram.CmdRead || cmd == dram.CmdWrite; {
+		case col && a.Kind == KindRead:
+			lin.ColRead |= bit
+		case col:
+			lin.ColWrite |= bit
+		case a.Kind == KindRead:
+			lin.RowRead |= bit
+		default:
+			lin.RowWrite |= bit
 		}
 	}
-	if any != linearAny {
+	if cl := &e.classes; any && *cl != lin {
+		panic(fmt.Sprintf(
+			"memctrl sanitizer: cycle %d: Unblocked gives class masks col-read %#x col-write %#x row-read %#x row-write %#x, but CanIssue gives %#x %#x %#x %#x (the hint cache disagrees with the device)",
+			now, cl.ColRead, cl.ColWrite, cl.RowRead, cl.RowWrite,
+			lin.ColRead, lin.ColWrite, lin.RowRead, lin.RowWrite))
+	}
+	if linearAny := lin.All() != 0; any != linearAny {
 		panic(fmt.Sprintf(
 			"memctrl sanitizer: cycle %d: Unblocked reports an unblocked bank: %v, but CanIssue says %v (the hint cache disagrees with the device)",
 			now, any, linearAny))

@@ -19,14 +19,15 @@
 // rank-to-rank turnaround when picking among ready columns, so bubble
 // cycles appear on the data bus (paper Section 4.2).
 //
-// Queues are intrusive per-bank lists (memctrl.BankQueues) with
-// nonempty-bank bitmaps, so the steady-state arbitration path performs no
-// allocation and no full rank×bank scans.
+// Queues are intrusive per-bank lists (memctrl.BankQueues) with one
+// nonempty-bank bitmap per channel, so the steady-state arbitration path
+// performs no allocation and no full rank×bank scans.
 package sched
 
 import (
 	"math/bits"
 
+	"burstmem/internal/dram"
 	"burstmem/internal/memctrl"
 	"burstmem/internal/trace"
 )
@@ -78,22 +79,18 @@ type bankInOrder struct {
 	host      *memctrl.Host
 	engine    *memctrl.Engine
 	queues    *memctrl.BankQueues
-	ranks     int
-	banks     int
 	pipelined bool
-	// next is the round-robin cursor: the flattened bank index after the
-	// last bank served (issued to when pipelined, installed when serial).
+	// next is the round-robin cursor: the flat bank index after the last
+	// bank served (issued to when pipelined, installed when serial).
 	next int
-
-	curRank, curBank int // serial mode: the bank of the single in-service access
+	cur  int // serial mode: the flat bank of the single in-service access
 }
 
 func newBankInOrder(h *memctrl.Host, pipelined bool) *bankInOrder {
 	s := &bankInOrder{host: h, pipelined: pipelined}
 	s.engine = memctrl.NewEngine(h, nil)
 	ch := h.Channel()
-	s.ranks, s.banks = ch.Ranks(), ch.Banks()
-	s.queues = memctrl.NewBankQueues(s.ranks, s.banks)
+	s.queues = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
 	return s
 }
 
@@ -119,52 +116,43 @@ func (s *bankInOrder) Enqueue(a *memctrl.Access, now uint64) { s.queues.PushBack
 //
 //burstmem:hotpath
 func (s *bankInOrder) Tick(now uint64) {
-	total := s.ranks * s.banks
 	if s.pipelined {
-		for r := 0; r < s.ranks; r++ {
-			// Banks with queued work and a free ongoing slot.
-			for m := s.queues.Mask(r) &^ s.engine.OccupiedMask(r); m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m)
-				s.engine.SetOngoing(r, b, s.queues.PopFront(r, b))
-			}
+		// Banks with queued work and a free ongoing slot.
+		for m := s.queues.Mask() &^ s.engine.OccupiedMask(); m != 0; m &= m - 1 {
+			s.engine.SetOngoing(s.queues.PopFront(bits.TrailingZeros64(m)))
 		}
 		// Issue one unblocked transaction, visiting banks in rotating
 		// order so every bank gets an equal share of the command bus.
-		cl, any := s.engine.Unblocked(now)
-		if !any {
-			return
-		}
-		for i := 0; i < total; i++ {
-			idx := (s.next + i) % total
-			r, b := idx/s.banks, idx%s.banks
-			if cl.Rank(r)&(1<<uint(b)) != 0 {
-				s.engine.Issue(r, b, now)
-				s.next = idx + 1
-				return
-			}
+		if cl, any := s.engine.Unblocked(now); any {
+			f := roundRobin(cl.All(), s.next)
+			s.engine.Issue(f, now)
+			s.next = f + 1
 		}
 		return
 	}
-	if s.engine.Ongoing(s.curRank, s.curBank) == nil {
+	if s.engine.Ongoing(s.cur) == nil {
 		// Round-robin bank selection, FIFO within the bank.
-		for i := 0; i < total; i++ {
-			idx := (s.next + i) % total
-			r, b := idx/s.banks, idx%s.banks
-			if s.queues.List(r, b).Empty() {
-				continue
-			}
-			s.curRank, s.curBank = r, b
-			s.engine.SetOngoing(r, b, s.queues.PopFront(r, b))
-			s.next = idx + 1
-			break
-		}
-		if s.engine.Ongoing(s.curRank, s.curBank) == nil {
+		if s.queues.Mask() == 0 {
 			return
 		}
+		s.cur = roundRobin(s.queues.Mask(), s.next)
+		s.engine.SetOngoing(s.queues.PopFront(s.cur))
+		s.next = s.cur + 1
 	}
-	if cl, any := s.engine.Unblocked(now); any && cl.Rank(s.curRank)&(1<<uint(s.curBank)) != 0 {
-		s.engine.Issue(s.curRank, s.curBank, now)
+	if cl, any := s.engine.Unblocked(now); any && cl.All()&(1<<uint(s.cur)) != 0 {
+		s.engine.Issue(s.cur, now)
 	}
+}
+
+// roundRobin returns the first bank of a nonempty mask at or after the
+// cursor, else the first bank of the mask.
+//
+//burstmem:hotpath
+func roundRobin(mask uint64, cursor int) int {
+	if m := mask &^ (1<<uint(cursor) - 1); m != 0 {
+		return bits.TrailingZeros64(m)
+	}
+	return bits.TrailingZeros64(mask)
 }
 
 // rowHit: unified per-bank queues; oldest row-hit access first, else oldest
@@ -173,14 +161,12 @@ type rowHit struct {
 	host   *memctrl.Host
 	engine *memctrl.Engine
 	queues *memctrl.BankQueues
-	ranks  int
 }
 
 func newRowHit(h *memctrl.Host) *rowHit {
 	s := &rowHit{host: h}
 	s.engine = memctrl.NewEngine(h, nil)
 	ch := h.Channel()
-	s.ranks = ch.Ranks()
 	s.queues = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
 	return s
 }
@@ -208,41 +194,39 @@ func (s *rowHit) Enqueue(a *memctrl.Access, now uint64) { s.queues.PushBack(a) }
 //
 //burstmem:hotpath
 func (s *rowHit) Tick(now uint64) {
-	ch := s.host.Channel()
-	for r := 0; r < s.ranks; r++ {
-		for m := s.queues.Mask(r) &^ s.engine.OccupiedMask(r); m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			q := s.queues.List(r, b)
-			pick := q.Front()
-			if row, open := ch.OpenRow(r, b); open {
-				for a := q.Front(); a != nil; a = a.Next() {
-					if a.Loc.Row == row {
-						pick = a
-						break
-					}
-				}
-			}
-			s.queues.Remove(pick)
-			s.engine.SetOngoing(r, b, pick)
-		}
+	for m := s.queues.Mask() &^ s.engine.OccupiedMask(); m != 0; m &= m - 1 {
+		q := s.queues.List(bits.TrailingZeros64(m))
+		pick := rowHitFirst(s.host.Channel(), q)
+		s.queues.Remove(pick)
+		s.engine.SetOngoing(pick)
 	}
 	cl, any := s.engine.Unblocked(now)
 	if !any {
 		return
 	}
 	// Column transactions beat row transactions; oldest access breaks
-	// ties. The row classes are folded only when no column is unblocked,
-	// and then over every rank.
-	rank, bank := -1, -1
-	for r := 0; r < s.ranks; r++ {
-		rank, bank = s.engine.FoldOldest(r, cl.ColRead[r]|cl.ColWrite[r], rank, bank)
+	// ties. The row classes are folded only when no column is unblocked.
+	f := s.engine.FoldOldest(cl.ColRead|cl.ColWrite, -1)
+	if f < 0 {
+		f = s.engine.FoldOldest(cl.RowRead|cl.RowWrite, -1)
 	}
-	if rank < 0 {
-		for r := 0; r < s.ranks; r++ {
-			rank, bank = s.engine.FoldOldest(r, cl.RowRead[r]|cl.RowWrite[r], rank, bank)
+	s.engine.Issue(f, now)
+}
+
+// rowHitFirst returns the oldest access of a nonempty bank queue to the
+// bank's open row, else the oldest access.
+//
+//burstmem:hotpath
+func rowHitFirst(ch *dram.Channel, q *memctrl.AccessList) *memctrl.Access {
+	head := q.Front()
+	if row, open := ch.OpenRow(int(head.Loc.Rank), int(head.Loc.Bank)); open {
+		for a := head; a != nil; a = a.Next() {
+			if a.Loc.Row == row {
+				return a
+			}
 		}
 	}
-	s.engine.Issue(rank, bank, now)
+	return head
 }
 
 // intel: per-bank read queues (row-hit read first, else oldest), one write
@@ -254,7 +238,6 @@ type intel struct {
 	engine     *memctrl.Engine
 	reads      *memctrl.BankQueues
 	writes     *memctrl.BankQueues
-	ranks      int
 	preemption bool
 }
 
@@ -262,7 +245,6 @@ func newIntel(h *memctrl.Host, preemption bool) *intel {
 	s := &intel{host: h, preemption: preemption}
 	s.engine = memctrl.NewEngine(h, nil)
 	ch := h.Channel()
-	s.ranks = ch.Ranks()
 	s.reads = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
 	s.writes = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
 	return s
@@ -292,23 +274,20 @@ func (s *intel) Enqueue(a *memctrl.Access, now uint64) {
 	}
 }
 
-// Tick implements memctrl.Mechanism.
+// Tick implements memctrl.Mechanism. Like burst scheduling's, it visits
+// each bank at most once: vacant banks install, then (with preemption)
+// the banks occupied before that pass check for a read to preempt their
+// write. Only the second pass emits trace marks.
 //
 //burstmem:hotpath
 func (s *intel) Tick(now uint64) {
-	for r := 0; r < s.ranks; r++ {
-		// Snapshot the occupied mask before installing: a bank gets
-		// exactly one arbitration visit per tick (vacant banks install,
-		// occupied banks check preemption), mirroring the single
-		// arbitrate(r, b) call per bank of the scan-based arbiter.
-		occ := s.engine.OccupiedMask(r)
-		for m := (s.reads.Mask(r) | s.writes.Mask(r)) &^ occ; m != 0; m &= m - 1 {
-			s.arbitrateVacant(r, bits.TrailingZeros64(m))
-		}
-		if s.preemption {
-			for m := occ; m != 0; m &= m - 1 {
-				s.arbitrateOngoing(r, bits.TrailingZeros64(m), now)
-			}
+	occ := s.engine.OccupiedMask()
+	for m := (s.reads.Mask() | s.writes.Mask()) &^ occ; m != 0; m &= m - 1 {
+		s.arbitrateVacant(bits.TrailingZeros64(m))
+	}
+	if s.preemption {
+		for m := occ; m != 0; m &= m - 1 {
+			s.arbitrateOngoing(bits.TrailingZeros64(m), now)
 		}
 	}
 	cl, any := s.engine.Unblocked(now)
@@ -318,60 +297,55 @@ func (s *intel) Tick(now uint64) {
 	// Transaction selection: started accesses first (oldest first), then
 	// unstarted (oldest first). No bus-timing awareness — the "best
 	// effort" behaviour the paper contrasts with Table 2.
-	sr, sb, ur, ub := -1, -1, -1, -1
-	for r := 0; r < s.ranks; r++ {
-		all := cl.Rank(r)
-		var started uint64
-		for m := all; m != 0; m &= m - 1 {
-			if b := bits.TrailingZeros64(m); s.engine.Ongoing(r, b).Started() {
-				started |= 1 << uint(b)
-			}
+	var started uint64
+	for m := cl.All(); m != 0; m &= m - 1 {
+		if f := bits.TrailingZeros64(m); s.engine.Ongoing(f).Started() {
+			started |= 1 << uint(f)
 		}
-		sr, sb = s.engine.FoldOldest(r, started, sr, sb)
-		ur, ub = s.engine.FoldOldest(r, all&^started, ur, ub)
 	}
-	if sr >= 0 {
-		ur, ub = sr, sb
+	f := s.engine.FoldOldest(started, -1)
+	if f < 0 {
+		f = s.engine.FoldOldest(cl.All(), -1)
 	}
-	s.engine.Issue(ur, ub, now)
+	s.engine.Issue(f, now)
 }
 
-// arbitrateVacant picks the bank's next ongoing access when no access is
-// in flight there.
+// arbitrateVacant picks bank f's next ongoing access when no access is in
+// flight there.
 //
 //burstmem:hotpath
-func (s *intel) arbitrateVacant(r, b int) {
+func (s *intel) arbitrateVacant(f int) {
 	switch reads, _ := s.host.Pending(); {
-	case s.host.WriteQueueFull() && !s.writes.List(r, b).Empty():
+	case s.host.WriteQueueFull() && !s.writes.List(f).Empty():
 		// Drain the oldest write that no queued read still wants
 		// (WAR guard; younger same-line reads were forwarded).
-		if w := s.oldestSafeWrite(r, b); w != nil {
-			s.installWrite(r, b, w)
-		} else if !s.reads.List(r, b).Empty() {
+		if w := s.oldestSafeWrite(f); w != nil {
+			s.installWrite(w)
+		} else if !s.reads.List(f).Empty() {
 			// Every write is behind a queued read; drain reads.
-			s.installRead(r, b)
+			s.installRead(f)
 		}
-	case !s.reads.List(r, b).Empty():
-		s.installRead(r, b)
-	case !s.writes.List(r, b).Empty() && reads == 0:
+	case !s.reads.List(f).Empty():
+		s.installRead(f)
+	case !s.writes.List(f).Empty() && reads == 0:
 		// Writes are postponed until the channel has no reads
 		// at all (minimizing read latency, per the patent).
-		s.installWrite(r, b, s.writes.List(r, b).Front())
+		s.installWrite(s.writes.List(f).Front())
 	}
 }
 
-// arbitrateOngoing handles read preemption of an in-flight write.
+// arbitrateOngoing handles read preemption of bank f's in-flight write.
 //
 //burstmem:hotpath
-func (s *intel) arbitrateOngoing(r, b int, now uint64) {
-	ongoing := s.engine.Ongoing(r, b)
-	if ongoing.Kind == memctrl.KindWrite && !s.reads.List(r, b).Empty() && !s.host.WriteQueueFull() {
+func (s *intel) arbitrateOngoing(f int, now uint64) {
+	ongoing := s.engine.Ongoing(f)
+	if ongoing.Kind == memctrl.KindWrite && !s.reads.List(f).Empty() && !s.host.WriteQueueFull() {
 		// Read preemption: push the write back and start the read.
-		s.engine.ClearOngoing(r, b)
+		s.engine.ClearOngoing(f)
 		s.writes.PushFront(ongoing)
 		s.host.Tracer().Mark(now, trace.EvPreempt, s.host.ChannelIndex(),
-			r, b, ongoing.Loc.Row, ongoing.ID, 0)
-		s.installRead(r, b)
+			int(ongoing.Loc.Rank), int(ongoing.Loc.Bank), ongoing.Loc.Row, ongoing.ID, 0)
+		s.installRead(f)
 	}
 }
 
@@ -379,37 +353,28 @@ func (s *intel) arbitrateOngoing(r, b int, now uint64) {
 // the oldest read.
 //
 //burstmem:hotpath
-func (s *intel) installRead(r, b int) {
-	q := s.reads.List(r, b)
-	pick := q.Front()
-	if row, open := s.host.Channel().OpenRow(r, b); open {
-		for a := q.Front(); a != nil; a = a.Next() {
-			if a.Loc.Row == row {
-				pick = a
-				break
-			}
-		}
-	}
+func (s *intel) installRead(f int) {
+	pick := rowHitFirst(s.host.Channel(), s.reads.List(f))
 	s.reads.Remove(pick)
-	s.engine.SetOngoing(r, b, pick)
+	s.engine.SetOngoing(pick)
 }
 
 //burstmem:hotpath
-func (s *intel) installWrite(r, b int, w *memctrl.Access) {
+func (s *intel) installWrite(w *memctrl.Access) {
 	s.writes.Remove(w)
-	s.engine.SetOngoing(r, b, w)
+	s.engine.SetOngoing(w)
 }
 
-// oldestSafeWrite returns the oldest write whose line no queued read
+// oldestSafeWrite returns bank f's oldest write whose line no queued read
 // targets, or nil.
 //
 //burstmem:hotpath
-func (s *intel) oldestSafeWrite(r, b int) *memctrl.Access {
+func (s *intel) oldestSafeWrite(f int) *memctrl.Access {
 	lineBytes := s.host.Config().Geometry.LineBytes
-	for w := s.writes.List(r, b).Front(); w != nil; w = w.Next() {
+	for w := s.writes.List(f).Front(); w != nil; w = w.Next() {
 		line := w.LineAddr(lineBytes)
 		hazard := false
-		for rd := s.reads.List(r, b).Front(); rd != nil; rd = rd.Next() {
+		for rd := s.reads.List(f).Front(); rd != nil; rd = rd.Next() {
 			if rd.LineAddr(lineBytes) == line {
 				hazard = true
 				break

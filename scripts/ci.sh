@@ -65,4 +65,10 @@ echo "== benchmark module tests =="
 echo "== benchmark correctness smoke (apsi-sparse; fails on any Result-digest mismatch) =="
 bash bench/run.sh -workload apsi-sparse -seconds 2 >/dev/null
 
+echo "== benchmark correctness smoke (fig10-grid: every Table 4 mechanism's digests, Figure 10 rows) =="
+# apsi-sparse runs Burst_TH alone; fig10-grid checks 40 Results (5
+# profiles x the 8 Table 4 mechanisms) against committed digests and the
+# Figure 10 rows against experiments_output.txt.
+bash bench/run.sh -workload fig10-grid -seconds 1 >/dev/null
+
 echo "CI OK"
