@@ -96,7 +96,7 @@ func (m *fifoMech) Enqueue(a *Access, now uint64) { m.q = append(m.q, a) }
 func (m *fifoMech) Tick(now uint64) {
 	if len(m.q) > 0 {
 		a := m.q[0]
-		if m.engine.Ongoing(m.engine.BankMap().Of(a)) == nil {
+		if m.engine.Ongoing(a.FlatBank(m.engine.BankMap())) == nil {
 			m.engine.SetOngoing(a)
 			m.q = m.q[1:]
 		}

@@ -50,7 +50,7 @@ func (m *oldestFirst) Pending() (int, int) { return m.host.Pending() }
 
 // Enqueue implements burstmem.Mechanism.
 func (m *oldestFirst) Enqueue(a *burstmem.Access, now uint64) {
-	f := m.engine.BankMap().Of(a)
+	f := a.FlatBank(m.engine.BankMap())
 	m.queues[f] = append(m.queues[f], a)
 }
 

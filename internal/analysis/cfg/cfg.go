@@ -3,9 +3,9 @@
 // of internal/analysis/dataflow).
 //
 // The graph is a set of basic blocks. Each block holds the statements and
-// expressions evaluated in order; a block that ends in a branch carries the
-// *atomic* branch condition in Cond, with Succs[0] the true edge and
-// Succs[1] the false edge. Compound conditions are decomposed: `if a && b`
+// expressions evaluated in order; a block that ends in a branch has the
+// *atomic* branch condition as its last node, with Succs[0] the true edge
+// and Succs[1] the false edge. Compound conditions are decomposed: `if a && b`
 // produces one block testing a and a second testing b, so a path-sensitive
 // analysis sees every short-circuit edge individually. `!x` swaps the outgoing edges rather than producing a
 // synthetic condition.
@@ -78,15 +78,12 @@ type Block struct {
 	Kind  Kind
 
 	// Nodes are the statements/expressions evaluated in this block, in
-	// order. Branch conditions appear both as the last Node and in Cond;
-	// a KindDefer block's single node is the deferred *ast.CallExpr.
+	// order. A KindCond block's last node is its atomic branch condition
+	// (never an &&, || or ! expression — those are decomposed into
+	// separate blocks and edge swaps): Succs[0] is taken when it holds,
+	// Succs[1] when it does not. A KindDefer block's single node is the
+	// deferred *ast.CallExpr.
 	Nodes []ast.Node
-
-	// Cond is the atomic branch condition of a KindCond block (never an
-	// &&, || or ! expression — those are decomposed into separate blocks
-	// and edge swaps). Succs[0] is taken when Cond holds, Succs[1] when
-	// it does not.
-	Cond ast.Expr
 
 	Succs []*Block
 	Preds []*Block
@@ -534,7 +531,6 @@ func (b *builder) cond(e ast.Expr, t, f *Block) {
 		}
 	}
 	b.cur.Kind = KindCond
-	b.cur.Cond = e
 	b.cur.Nodes = append(b.cur.Nodes, e)
 	b.edge(b.cur, t) // Succs[0]: condition holds
 	b.edge(b.cur, f) // Succs[1]: condition fails

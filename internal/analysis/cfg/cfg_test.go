@@ -38,11 +38,15 @@ func byKind(g *CFG, k Kind) []*Block {
 	return out
 }
 
-// condOf finds the KindCond block whose condition renders as s.
+// condOf finds the KindCond block whose condition, its last node, renders
+// as s.
 func condOf(t *testing.T, g *CFG, s string) *Block {
 	t.Helper()
 	for _, b := range g.Blocks {
-		if b.Kind == KindCond && b.Cond != nil && types.ExprString(b.Cond) == s {
+		if b.Kind != KindCond {
+			continue
+		}
+		if e, ok := b.Nodes[len(b.Nodes)-1].(ast.Expr); ok && types.ExprString(e) == s {
 			return b
 		}
 	}

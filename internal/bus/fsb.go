@@ -239,8 +239,5 @@ func (f *FSB) AccountSkipped(k uint64) {
 	f.memNow += k
 }
 
-// Busy reports in-flight FSB work.
-func (f *FSB) Busy() bool { return f.reqQ.Len() > 0 || f.respQ.Len() > 0 }
-
 // ResetStats zeroes the statistics counters.
 func (f *FSB) ResetStats() { f.Stats = Stats{} }

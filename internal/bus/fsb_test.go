@@ -91,7 +91,7 @@ func TestWriteFireAndForget(t *testing.T) {
 	for cyc := uint64(1); cyc < 300; cyc++ {
 		ctrl.Tick(cyc)
 		f.Tick(cyc)
-		if ctrl.Drained() && !f.Busy() {
+		if ctrl.Drained() && f.reqQ.Len() == 0 && f.respQ.Len() == 0 {
 			return
 		}
 	}
@@ -145,7 +145,7 @@ func TestPoolBackpressure(t *testing.T) {
 	for cyc := uint64(60); cyc < 2000; cyc++ {
 		ctrl.Tick(cyc)
 		f.Tick(cyc)
-		if ctrl.Drained() && !f.Busy() {
+		if ctrl.Drained() && f.reqQ.Len() == 0 && f.respQ.Len() == 0 {
 			return
 		}
 	}

@@ -172,7 +172,7 @@ type burstSched struct {
 	host   *memctrl.Host
 	engine *memctrl.Engine
 
-	idx      memctrl.BankMap
+	idx      dram.BankMap
 	banks    []bankState         // by flat bank index
 	writes   *memctrl.BankQueues // per-bank write FIFOs + nonempty bitmap
 	burstsNE uint64              // banks with bursts
@@ -202,13 +202,13 @@ type burstSched struct {
 func newBurst(h *memctrl.Host, name string, opt Options) *burstSched {
 	s := &burstSched{name: name, opt: opt, host: h, lastBank: -1}
 	s.engine = memctrl.NewEngine(h, s.onColumn)
-	s.idx = s.engine.BankMap()
 	ch := h.Channel()
+	s.idx = ch.BankMap()
 	s.banks = make([]bankState, ch.Ranks()*ch.Banks())
 	for f := range s.banks {
 		s.banks[f] = bankState{activeRow: -1, bursts: make([]*burstGroup, 0, 8)}
 	}
-	s.writes = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
+	s.writes = memctrl.NewBankQueues(ch)
 	// Prewarm the group pool to two groups per bank (row-spread workloads
 	// like mcf's pointer chase hold several open bursts per bank) so
 	// steady-state burst formation starts allocation-free instead of
@@ -258,7 +258,7 @@ func (s *burstSched) Pending() (reads, writes int) { return s.host.Pending() }
 //
 //burstmem:hotpath
 func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
-	f := s.idx.Of(a)
+	f := a.FlatBank(s.idx)
 	st := &s.banks[f]
 	if a.Kind == memctrl.KindWrite {
 		s.writes.PushBack(a)
@@ -495,7 +495,7 @@ func (s *burstSched) preempt(f int, now uint64) {
 //
 //burstmem:hotpath
 func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
-	f := s.idx.Of(a)
+	f := a.FlatBank(s.idx)
 	st := &s.banks[f]
 	if a.Kind == memctrl.KindWrite {
 		// Any completed write leaves its row open and opens a piggyback

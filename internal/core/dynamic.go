@@ -73,7 +73,3 @@ func (s *burstSched) adaptThreshold(now uint64) {
 	s.opt.Threshold = th
 	s.intervalReads, s.intervalWrites = 0, 0
 }
-
-// CurrentThreshold returns the threshold in force (fixed for the static
-// variants, evolving for Burst_DYN).
-func (s *burstSched) CurrentThreshold() int { return s.opt.Threshold }

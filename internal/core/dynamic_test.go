@@ -54,7 +54,7 @@ func TestDynamicThresholdAdapts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := dynMech(t, r)
-	start := m.CurrentThreshold()
+	start := m.opt.Threshold
 	if start != cfg.MaxWrites/2 {
 		t.Fatalf("initial threshold %d, want %d", start, cfg.MaxWrites/2)
 	}
@@ -64,7 +64,7 @@ func TestDynamicThresholdAdapts(t *testing.T) {
 	if _, err := r.RunUntilDrained(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	low := m.CurrentThreshold()
+	low := m.opt.Threshold
 	if low >= start {
 		t.Fatalf("threshold %d did not drop under write-heavy traffic (start %d)", low, start)
 	}
@@ -74,7 +74,7 @@ func TestDynamicThresholdAdapts(t *testing.T) {
 	if _, err := r.RunUntilDrained(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	high := m.CurrentThreshold()
+	high := m.opt.Threshold
 	if high <= low {
 		t.Fatalf("threshold %d did not rise under read-heavy traffic (low was %d)", high, low)
 	}
@@ -95,7 +95,7 @@ func TestDynamicThresholdBounds(t *testing.T) {
 		if _, err := r.RunUntilDrained(1_000_000); err != nil {
 			t.Fatal(err)
 		}
-		th := m.CurrentThreshold()
+		th := m.opt.Threshold
 		if th < minDynamicThreshold || th > cfg.MaxWrites {
 			t.Fatalf("writeShare %v: threshold %d out of [%d, %d]",
 				writeShare, th, minDynamicThreshold, cfg.MaxWrites)
@@ -116,9 +116,9 @@ func TestDynamicIdleIntervalKeepsThreshold(t *testing.T) {
 	if _, err := r.RunUntilDrained(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	adapted := m.CurrentThreshold()
+	adapted := m.opt.Threshold
 	r.Step(3 * AdaptInterval) // idle
-	if got := m.CurrentThreshold(); got != adapted {
+	if got := m.opt.Threshold; got != adapted {
 		t.Fatalf("idle interval changed threshold %d -> %d", adapted, got)
 	}
 }

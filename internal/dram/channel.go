@@ -73,9 +73,6 @@ func (o RowOutcome) String() string {
 type bank struct {
 	open bool
 	row  uint32
-	// ver increments whenever this bank's state or timers change; the
-	// controller engine uses it to invalidate cached per-bank hints.
-	ver uint32
 
 	nextActivate  uint64
 	nextPrecharge uint64
@@ -99,9 +96,6 @@ type rank struct {
 	nextRefresh  uint64 // cycle the next refresh becomes due
 	refreshUntil uint64 // busy refreshing until this cycle (exclusive)
 
-	// ver increments whenever rank-wide constraint state changes (activate
-	// pacing, write turnaround, refresh schedule).
-	ver uint32
 	// openBanks counts open banks, for O(1) active-rank sampling.
 	openBanks int
 }
@@ -128,6 +122,7 @@ type Channel struct {
 	Stats Stats
 
 	ranks []rank
+	idx   BankMap
 	now   uint64
 
 	// data bus bookkeeping
@@ -138,13 +133,10 @@ type Channel struct {
 
 	cmdThisCycle bool
 
-	// Monotone version counters for the controller's cached scheduling
-	// hints: stateVer bumps on every device-state mutation, busVer on every
-	// data-bus occupation, per-bank and per-rank counters live in their
-	// structs. Time passing is not a mutation — the engine's cached
-	// constraint bounds stay valid until one of these moves.
-	stateVer uint64
-	busVer   uint32
+	// changed and busMoved accumulate TakeChanged's report until it is
+	// taken.
+	changed  uint64
+	busMoved bool
 
 	// openRanks counts ranks with at least one open bank (incrementally
 	// maintained), so per-cycle background-power sampling is O(1).
@@ -152,8 +144,10 @@ type Channel struct {
 
 	// refreshWake is the next cycle the refresh engine could act, as of
 	// the last Tick; Tick skips the per-rank refresh scan before it, and
-	// NextEventCycle returns it.
+	// NextEventCycle returns it. due holds the banks of the ranks whose
+	// refresh deadline has passed, as of the same Tick (DueBanks).
 	refreshWake uint64
+	due         uint64
 
 	// san is the build-tag-gated protocol sanitizer (see sanitize_on.go);
 	// zero-size with no-op methods unless built with -tags invariants.
@@ -167,7 +161,7 @@ type Channel struct {
 }
 
 // NewChannel builds a channel with the given timing and organization.
-// Timing must validate.
+// Timing must validate, and NewBankMap must number the banks.
 func NewChannel(t Timing, ranks, banksPerRank int) (*Channel, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -175,7 +169,11 @@ func NewChannel(t Timing, ranks, banksPerRank int) (*Channel, error) {
 	if ranks < 1 || banksPerRank < 1 {
 		return nil, fmt.Errorf("dram: need at least one rank and bank (got %d, %d)", ranks, banksPerRank)
 	}
-	c := &Channel{T: t, busLastRank: -1}
+	idx, err := NewBankMap(ranks, banksPerRank)
+	if err != nil {
+		return nil, err
+	}
+	c := &Channel{T: t, idx: idx, busLastRank: -1}
 	c.ranks = make([]rank, ranks)
 	for i := range c.ranks {
 		c.ranks[i].banks = make([]bank, banksPerRank)
@@ -206,8 +204,9 @@ func (c *Channel) Ranks() int { return len(c.ranks) }
 // Banks returns the number of banks per rank.
 func (c *Channel) Banks() int { return len(c.ranks[0].banks) }
 
-// Now returns the current cycle as last set by Tick.
-func (c *Channel) Now() uint64 { return c.now }
+// BankMap returns the channel's bank numbering, which TakeChanged and
+// DueBanks use.
+func (c *Channel) BankMap() BankMap { return c.idx }
 
 // Tick advances the channel to the given cycle and runs the refresh engine.
 // It returns true when the refresh engine consumed this cycle's command
@@ -249,31 +248,41 @@ func (c *Channel) Tick(now uint64) bool {
 			c.san.refresh(c, r, now)
 			rk.refreshUntil = now + uint64(c.T.TRFC)
 			rk.nextRefresh += uint64(c.T.TREFI)
-			rk.ver++
-			c.stateVer++
+			c.changed |= c.idx.RankMask(r)
 			c.Stats.Refreshes++
 			c.Stats.Commands++
 			c.cmdThisCycle = true
 			c.tr.Command(now, trace.EvRefresh, c.chIdx, r, 0, 0, 0, 0)
 		}
 	}
-	// Recompute the wake bound: a due rank keeps the engine active every
-	// cycle until its refresh starts; otherwise nothing happens before the
-	// earliest tREFI deadline.
-	wake := NoEvent
+	// Recompute the due set and the wake bound: a due rank whose refresh
+	// has not started keeps the engine active every cycle; otherwise
+	// nothing happens before the earliest tREFI deadline. Tick skips this
+	// loop only before the wake bound, when no rank is due and the set the
+	// last loop left is empty (a nonempty set puts the bound at most one
+	// cycle after that loop's).
+	wake, due, waiting := NoEvent, uint64(0), false
 	for r := range c.ranks {
 		rk := &c.ranks[r]
-		if rk.refreshUntil <= now && rk.nextRefresh <= now {
-			wake = now + 1
-			break
+		if rk.nextRefresh <= now {
+			due |= c.idx.RankMask(r)
+			waiting = waiting || rk.refreshUntil <= now
 		}
-		if rk.nextRefresh < wake {
-			wake = rk.nextRefresh
-		}
+		wake = min(wake, rk.nextRefresh)
 	}
-	c.refreshWake = wake
+	if waiting {
+		wake = now + 1
+	}
+	c.refreshWake, c.due = wake, due
 	return c.cmdThisCycle
 }
+
+// DueBanks returns the banks of the ranks whose refresh deadline has passed
+// (RefreshDue), as of the last Tick: from the deadline until the refresh
+// starts, those ranks accept no activate.
+//
+//burstmem:hotpath
+func (c *Channel) DueBanks() uint64 { return c.due }
 
 // CommandSlotFree reports whether the controller may issue a command this
 // cycle (the refresh engine may have consumed the slot during Tick).
@@ -308,9 +317,9 @@ func (c *Channel) EarliestIssue(cmd Cmd, t Target) uint64 {
 
 // EarliestReady returns the first cycle at which the command's bank and
 // rank timing constraints hold (including an in-progress refresh), with no
-// current-cycle floor and no data-bus term. The value depends only on state
-// covered by the target's bank version and rank version, never on c.now, so
-// the controller engine can cache it until one of those versions moves.
+// current-cycle floor and no data-bus term. The value depends only on the
+// target's bank and rank state, never on c.now, so the controller engine
+// can cache it until TakeChanged reports the bank.
 //
 //burstmem:hotpath
 func (c *Channel) EarliestReady(cmd Cmd, t Target) uint64 {
@@ -349,7 +358,7 @@ func (c *Channel) EarliestReady(cmd Cmd, t Target) uint64 {
 // ColumnBusReady returns the first cycle the data bus lets the column
 // command launch for the rank (0 when unconstrained; non-column commands
 // are never bus-constrained). The value depends only on data-bus state, so
-// it can be cached against the channel's bus version.
+// it can be cached until TakeChanged reports a bus occupation.
 //
 //burstmem:hotpath
 func (c *Channel) ColumnBusReady(cmd Cmd, rankIdx int) uint64 {
@@ -368,30 +377,24 @@ func (c *Channel) ColumnBusReady(cmd Cmd, rankIdx int) uint64 {
 	return 0
 }
 
-// StateVersion returns a counter that increments on every device-state
-// mutation (command issue, auto-precharge, refresh start). While it is
-// unchanged — and only commands the caller itself issues could change it —
-// every cached EarliestReady/ColumnBusReady bound remains exact.
+// TakeChanged returns the banks whose NextCommand or EarliestReady answer
+// a mutation may have moved since the last call, and whether the data bus
+// was occupied since then (which moves ColumnBusReady), and clears both.
+// An activate, a write and a refresh start mark every bank of their rank
+// (tRRD/tFAW, tWTR, the refresh window); a read, a precharge and an
+// auto-precharge mark their bank; a read or a write sets the bus flag.
+// Time passing marks nothing, because every bound is an absolute cycle, so
+// until a bank is reported every cached answer for it stays exact.
+//
+// Its one consumer is the engine that schedules the channel
+// (memctrl.Engine): a second caller would take changes the engine must see.
 //
 //burstmem:hotpath
-func (c *Channel) StateVersion() uint64 { return c.stateVer }
-
-// BankVersion returns the bank's mutation counter (see StateVersion).
-//
-//burstmem:hotpath
-func (c *Channel) BankVersion(rankIdx, bankIdx int) uint32 {
-	return c.ranks[rankIdx].banks[bankIdx].ver
+func (c *Channel) TakeChanged() (banks uint64, bus bool) {
+	banks, bus = c.changed, c.busMoved
+	c.changed, c.busMoved = 0, false
+	return banks, bus
 }
-
-// RankVersion returns the rank's mutation counter (see StateVersion).
-//
-//burstmem:hotpath
-func (c *Channel) RankVersion(rankIdx int) uint32 { return c.ranks[rankIdx].ver }
-
-// BusVersion returns the data-bus mutation counter (see StateVersion).
-//
-//burstmem:hotpath
-func (c *Channel) BusVersion() uint32 { return c.busVer }
 
 // busNeed returns the first cycle the data bus could start a new transfer
 // for the rank (including turnaround gaps), and whether the bus has been
@@ -534,9 +537,7 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		c.Stats.Activates++
 		c.tr.Command(now, trace.EvActivate, c.chIdx, t.Rank, t.Bank, t.Row, 0, 0)
 		bk.open = true
-		bk.ver++
-		rk.ver++
-		c.stateVer++
+		c.changed |= c.idx.RankMask(t.Rank)
 		if rk.openBanks++; rk.openBanks == 1 {
 			c.openRanks++
 		}
@@ -556,8 +557,7 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		res.DataEnd = res.DataStart + uint64(c.T.DataCycles())
 		c.tr.Command(now, trace.EvRead, c.chIdx, t.Rank, t.Bank, t.Row, res.DataStart, res.DataEnd)
 		c.occupyBus(t.Rank, false, res)
-		bk.ver++
-		c.stateVer++
+		c.changed |= 1 << uint(c.idx.Index(t.Rank, t.Bank))
 		gap := uint64(c.T.DataCycles())
 		bk.nextRead = now + gap
 		bk.nextWrite = now + gap
@@ -572,9 +572,7 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		c.tr.Command(now, trace.EvWrite, c.chIdx, t.Rank, t.Bank, t.Row, res.DataStart, res.DataEnd)
 		c.occupyBus(t.Rank, true, res)
 		rk.writeDataEnd = res.DataEnd
-		bk.ver++
-		rk.ver++
-		c.stateVer++
+		c.changed |= c.idx.RankMask(t.Rank)
 		gap := uint64(c.T.DataCycles())
 		bk.nextRead = now + gap
 		bk.nextWrite = now + gap
@@ -605,8 +603,7 @@ func (c *Channel) issuePrecharge(rankIdx, bankIdx int) {
 	c.tr.Command(c.now, trace.EvPrecharge, c.chIdx, rankIdx, bankIdx, bk.row, 0, 0)
 	bk.open = false
 	bk.nextActivate = max(bk.nextActivate, c.now+uint64(c.T.TRP))
-	bk.ver++
-	c.stateVer++
+	c.changed |= 1 << uint(c.idx.Index(rankIdx, bankIdx))
 	c.closeBankAccounting(rankIdx)
 }
 
@@ -622,8 +619,7 @@ func (c *Channel) autoClose(rankIdx, bankIdx int, preAt uint64) {
 	c.tr.Command(c.now, trace.EvAutoPrecharge, c.chIdx, rankIdx, bankIdx, bk.row, preAt, preAt)
 	bk.open = false
 	bk.nextActivate = max(bk.nextActivate, preAt+uint64(c.T.TRP))
-	bk.ver++
-	c.stateVer++
+	c.changed |= 1 << uint(c.idx.Index(rankIdx, bankIdx))
 	c.closeBankAccounting(rankIdx)
 }
 
@@ -643,8 +639,7 @@ func (c *Channel) occupyBus(rankIdx int, isWrite bool, res IssueResult) {
 	c.busLastRank = rankIdx
 	c.busLastWrite = isWrite
 	c.busUsed = true
-	c.busVer++
-	c.stateVer++
+	c.busMoved = true
 	c.Stats.DataBusCycles += uint64(c.T.DataCycles())
 }
 

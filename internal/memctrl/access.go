@@ -174,6 +174,10 @@ func (a *Access) Target() dram.Target {
 	}
 }
 
+// FlatBank returns the flat index of the access's bank under the channel's
+// numbering (dram.Channel.BankMap).
+func (a *Access) FlatBank(m dram.BankMap) int { return m.Index(int(a.Loc.Rank), int(a.Loc.Bank)) }
+
 // LineAddr returns the cache-line-aligned address used for RAW forwarding.
 //
 //burstmem:hotpath

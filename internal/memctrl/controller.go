@@ -66,11 +66,10 @@ func (c Config) Validate() error {
 	if c.MaxWrites < 1 || c.MaxWrites > c.PoolSize {
 		return fmt.Errorf("memctrl: max writes %d must be in [1, pool size %d]", c.MaxWrites, c.PoolSize)
 	}
-	if n := c.Geometry.Ranks * c.Geometry.Banks; n > 64 {
-		// The engine, the bank queues and every mechanism hold a set of
-		// the channel's banks in one uint64 (BankMap).
-		return fmt.Errorf("memctrl: %d ranks × %d banks = %d banks per channel exceeds the 64 supported",
-			c.Geometry.Ranks, c.Geometry.Banks, n)
+	// The engine, the bank queues and every mechanism hold a set of the
+	// channel's banks in one uint64 (dram.BankMap).
+	if _, err := dram.NewBankMap(c.Geometry.Ranks, c.Geometry.Banks); err != nil {
+		return err
 	}
 	if _, err := addrmap.ByName(c.Mapping, c.Geometry); err != nil {
 		return err

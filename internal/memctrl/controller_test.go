@@ -31,7 +31,7 @@ func (m *fifoMech) Enqueue(a *Access, now uint64) { m.queue = append(m.queue, a)
 func (m *fifoMech) Tick(now uint64) {
 	if len(m.queue) > 0 {
 		a := m.queue[0]
-		if m.engine.Ongoing(m.engine.BankMap().Of(a)) == nil {
+		if m.engine.Ongoing(a.FlatBank(m.engine.BankMap())) == nil {
 			m.engine.SetOngoing(a)
 			m.queue = m.queue[1:]
 		}
@@ -123,7 +123,7 @@ func TestConfigValidate(t *testing.T) {
 	cfg.Timing.TREFI = DefaultConfig().Timing.TREFI
 	cfg.Geometry.Banks = 64
 	c := mustNew(t, cfg)
-	if m := NewBankMap(64).RankMask(0); m != ^uint64(0) {
+	if m := c.Channel(0).BankMap().RankMask(0); m != ^uint64(0) {
 		t.Fatalf("RankMask(0) of a 64-bank rank = %#x, want every bit", m)
 	}
 	cyc, done := uint64(0), 0

@@ -13,24 +13,24 @@ import (
 // pick ongoing accesses and which unblocked transaction they issue.
 //
 // Mechanisms see issuable transactions only through Unblocked's class
-// masks and issue one only through Issue. Banks are numbered by BankMap's
-// flat index, and the occupied banks of the channel are one uint64, so the
-// masks are built by visiting only banks that actually hold an ongoing
-// access (bits.TrailingZeros64 per occupied bank) instead of scanning the
-// whole rank×bank grid.
+// masks and issue one only through Issue. Banks are numbered by the
+// channel's dram.BankMap, and the occupied banks of the channel are one
+// uint64, so the masks are built by visiting only banks that actually hold
+// an ongoing access (bits.TrailingZeros64 per occupied bank) instead of
+// scanning the whole rank×bank grid.
 //
-// On top of the bitmaps sits a version-guarded hint cache: for every
-// occupied bank the engine remembers the next transaction and the earliest
-// cycle it can issue, stamped with the channel's bank/rank/bus mutation
-// counters. The channel state a hint depends on is time-independent (the
+// On top of the bitmaps sits a hint cache: for every occupied bank the
+// engine remembers the next transaction and the earliest cycle it can
+// issue. The channel state a hint depends on is time-independent (the
 // timers are absolute cycles; only comparisons against "now" move), so a
-// hint stays exact until one of its counters advances — most cycles nothing
-// does, and the whole mask/next-event machinery reduces to a few version
-// compares. The sync that revalidates the hints also takes their minimum
-// issue bound, which is the engine's next-event answer.
+// hint stays exact until the channel reports its bank changed
+// (dram.Channel.TakeChanged) — most cycles nothing does, and the whole
+// mask/next-event machinery reduces to one mask test. The sync that
+// refreshes the hints also takes their minimum issue bound, which is the
+// engine's next-event answer.
 type Engine struct {
 	host    *Host
-	idx     BankMap
+	idx     dram.BankMap
 	ongoing []*Access // by flat bank index
 	occ     uint64    // occupied banks
 	// onColumn runs after an access's column transaction issues, before
@@ -41,33 +41,27 @@ type Engine struct {
 	hints []bankHint
 	// classes is the reused result of Unblocked.
 	classes BankClasses
-	// syncedVer/dirty short-circuit sync entirely: when the channel's
-	// global mutation counter has not advanced and no ongoing slot
-	// changed, every hint is still exact.
-	syncedVer uint64
-	dirty     bool
+	// stale holds the banks whose ongoing slot changed since the last
+	// sync: their hints describe another access, or none.
+	stale uint64
 	// minFull is the minimum issue bound across occupied banks
-	// (dram.NoEvent when none), refreshed by every dirty sync. While it
-	// lies in the future no bank can issue, so Unblocked skips mask
-	// construction outright on such cycles; NextEventCycle answers from
-	// it directly.
+	// (dram.NoEvent when none), refreshed by every sync that finds a
+	// change. While it lies in the future no bank can issue, so Unblocked
+	// skips mask construction outright on such cycles; NextEventCycle
+	// answers from it directly.
 	minFull uint64
 	shadow  engineShadow
 }
 
 // bankHint caches one occupied bank's next transaction and issue bound.
-// cmd and ready depend only on bank+rank state (guarded by bankVer/rankVer);
-// full folds in the data-bus availability term (guarded by busVer). All
-// three are absolute cycles, so a hint with matching versions is exact
-// regardless of how much time has passed.
+// cmd and ready depend only on bank and rank state; full folds in the
+// data-bus availability term. All three are absolute cycles, so a hint
+// stays exact however much time passes, until the channel reports a
+// change.
 type bankHint struct {
-	cmd     dram.Cmd
-	ready   uint64 // EarliestReady: bank+rank constraint bound
-	full    uint64 // max(ready, ColumnBusReady): the issue bound
-	bankVer uint32
-	rankVer uint32
-	busVer  uint32
-	valid   bool
+	cmd   dram.Cmd
+	ready uint64 // EarliestReady: bank+rank constraint bound
+	full  uint64 // max(ready, ColumnBusReady): the issue bound
 }
 
 // BankClasses holds masks of the channel's banks whose next transaction is
@@ -88,17 +82,17 @@ func NewEngine(host *Host, onColumn func(a *Access, now uint64)) *Engine {
 	n := ch.Ranks() * ch.Banks()
 	return &Engine{
 		host:     host,
-		idx:      NewBankMap(ch.Banks()),
+		idx:      ch.BankMap(),
 		ongoing:  make([]*Access, n),
 		onColumn: onColumn,
 		hints:    make([]bankHint, n),
-		dirty:    true,
+		minFull:  dram.NoEvent,
 	}
 }
 
 // BankMap returns the channel's bank numbering, which every bank argument
 // and mask bit of the engine uses.
-func (e *Engine) BankMap() BankMap { return e.idx }
+func (e *Engine) BankMap() dram.BankMap { return e.idx }
 
 // Ongoing returns bank f's ongoing access, or nil.
 func (e *Engine) Ongoing(f int) *Access { return e.ongoing[f] }
@@ -107,11 +101,10 @@ func (e *Engine) Ongoing(f int) *Access { return e.ongoing[f] }
 //
 //burstmem:hotpath
 func (e *Engine) SetOngoing(a *Access) {
-	f := e.idx.Of(a)
+	f := a.FlatBank(e.idx)
 	e.ongoing[f] = a
 	e.occ |= 1 << uint(f)
-	e.hints[f].valid = false
-	e.dirty = true
+	e.stale |= 1 << uint(f)
 }
 
 // ClearOngoing resets bank f's ongoing access (e.g. read preemption).
@@ -120,71 +113,57 @@ func (e *Engine) SetOngoing(a *Access) {
 func (e *Engine) ClearOngoing(f int) {
 	e.ongoing[f] = nil
 	e.occ &^= 1 << uint(f)
-	e.hints[f].valid = false
-	e.dirty = true
+	e.stale |= 1 << uint(f)
 }
 
 // OccupiedMask returns the banks with an ongoing access.
 func (e *Engine) OccupiedMask() uint64 { return e.occ }
 
-// sync revalidates the hint of every occupied bank. The global version
-// check makes the common case — nothing issued, nothing submitted — free;
-// otherwise only banks whose own counters moved recompute anything.
+// sync takes the channel's changes and refreshes the hints they touch. It
+// returns at once when no occupied bank changed, no ongoing slot changed
+// and the data bus did not move: every hint and minFull are still exact.
+// Otherwise the changed and stale occupied banks recompute their command
+// and bound, every occupied bank folds in the bus term, and minFull is
+// taken again. A vacated bank's stale bit forces that pass too, so minFull
+// drops the bound of an access that is no longer there.
 //
 //burstmem:hotpath
 func (e *Engine) sync() {
 	ch := e.host.Channel()
-	sv := ch.StateVersion()
-	if !e.dirty && sv == e.syncedVer {
+	changed, bus := ch.TakeChanged()
+	redo := changed&e.occ | e.stale
+	if redo == 0 && !bus {
 		return
 	}
+	e.stale = 0
 	min := uint64(dram.NoEvent)
 	for mask := e.occ; mask != 0; mask &= mask - 1 {
 		f := bits.TrailingZeros64(mask)
-		e.syncBank(ch, f)
-		if full := e.hints[f].full; full < min {
-			min = full
+		h := &e.hints[f]
+		a := e.ongoing[f]
+		t := a.Target()
+		if redo&(1<<uint(f)) != 0 {
+			h.cmd = ch.NextCommand(t, a.Kind == KindRead)
+			h.ready = ch.EarliestReady(h.cmd, t)
+		}
+		h.full = max(h.ready, ch.ColumnBusReady(h.cmd, t.Rank))
+		if h.full < min {
+			min = h.full
 		}
 	}
 	e.minFull = min
-	e.dirty = false
-	e.syncedVer = sv
-}
-
-// syncBank refreshes one bank's hint.
-//
-//burstmem:hotpath
-func (e *Engine) syncBank(ch *dram.Channel, f int) {
-	r, b := e.idx.Split(f)
-	h := &e.hints[f]
-	bv, rv, xv := ch.BankVersion(r, b), ch.RankVersion(r), ch.BusVersion()
-	if h.valid && h.bankVer == bv && h.rankVer == rv {
-		if h.busVer != xv {
-			// Only the data bus moved: the command and the bank/rank
-			// constraint bound stand; fold in the new bus term.
-			h.busVer = xv
-			h.full = max(h.ready, ch.ColumnBusReady(h.cmd, r))
-		}
-		return
-	}
-	a := e.ongoing[f]
-	h.cmd = ch.NextCommand(a.Target(), a.Kind == KindRead)
-	h.ready = ch.EarliestReady(h.cmd, a.Target())
-	h.full = max(h.ready, ch.ColumnBusReady(h.cmd, r))
-	h.bankVer, h.rankVer, h.busVer = bv, rv, xv
-	h.valid = true
 }
 
 // Unblocked classifies every occupied bank whose next transaction can issue
 // this cycle into the four Table 2 class masks, returning whether any bank
 // qualified. A bank qualifies when its hint's issue bound has passed,
-// unless its next command is an activate and the rank's refresh is due; no
-// bank qualifies while the refresh engine holds the command slot. The
-// version guards keep every hint's command and bound exact, so this is
-// dram.Channel.CanIssue read from the cache (the invariants build checks
-// it against CanIssue). The masks are reused across calls and valid until
-// the next Unblocked or state change; on a false return they are stale and
-// must not be read.
+// unless its next command is an activate and the rank's refresh is due
+// (dram.Channel.DueBanks); no bank qualifies while the refresh engine holds
+// the command slot. The channel's change reports keep every hint's command
+// and bound exact, so this is dram.Channel.CanIssue read from the cache
+// (the invariants build checks it against CanIssue). The masks are reused
+// across calls and valid until the next Unblocked or state change; on a
+// false return they are stale and must not be read.
 //
 //burstmem:hotpath
 func (e *Engine) Unblocked(now uint64) (*BankClasses, bool) {
@@ -206,7 +185,7 @@ func (e *Engine) classify(now uint64) bool {
 		// Every issue bound lies in the future: no bank can qualify.
 		return false
 	}
-	due := e.refreshDue(ch)
+	due := ch.DueBanks()
 	var colRead, colWrite, rowRead, rowWrite uint64
 	for mask := e.occ; mask != 0; mask &= mask - 1 {
 		f := bits.TrailingZeros64(mask)
@@ -229,26 +208,6 @@ func (e *Engine) classify(now uint64) bool {
 	}
 	e.classes = BankClasses{colRead, colWrite, rowRead, rowWrite}
 	return e.classes.All() != 0
-}
-
-// refreshDue returns the banks of the ranks whose refresh is due
-// (dram.Channel.RefreshDue). A refresh can be due only while the channel's
-// refresh wake bound is at most the cycle after the current one: while a
-// due refresh waits to start, the bound is that next cycle, never the
-// current one.
-//
-//burstmem:hotpath
-func (e *Engine) refreshDue(ch *dram.Channel) uint64 {
-	if ch.NextEventCycle() > ch.Now()+1 {
-		return 0
-	}
-	var due uint64
-	for r := 0; r < ch.Ranks(); r++ {
-		if ch.RefreshDue(r) {
-			due |= e.idx.RankMask(r)
-		}
-	}
-	return due
 }
 
 // FoldOldest folds the banks in mask into a running oldest-arrival pick
@@ -275,7 +234,7 @@ func (e *Engine) FoldOldest(mask uint64, best int) int {
 // their idle-skip hint: with no submissions, completions or refreshes in
 // between, the channel state is frozen and nothing can happen earlier.
 //
-// The answer is minFull after the version-guarded sync, floored at now+1
+// The answer is minFull after the sync, floored at now+1
 // (dram.NoEvent, the largest cycle, passes through the floor unchanged).
 // An early answer only shortens a skip and cannot change simulation
 // results; a late one would, so the invariants build cross-checks every

@@ -28,8 +28,8 @@ func TestEngineShadowTrigger(t *testing.T) {
 	}
 
 	// Bug: the cached bound claims no bank can issue for thousands of
-	// cycles. No channel counter moved, so sync() keeps the corrupt bound —
-	// exactly the failure mode the shadow check exists to catch.
+	// cycles. The channel reports no change, so sync() keeps the corrupt
+	// bound — exactly the failure mode the shadow check exists to catch.
 	m.engine.minFull = 50000
 
 	mustPanicContaining(t, "cycle 0: hint cache predicts next event at cycle 50000", func() {
@@ -76,7 +76,7 @@ func TestEngineShadowUnblockedTrigger(t *testing.T) {
 		t.Fatal("the read is unblocked before tRCD")
 	}
 
-	// Bug: the hint forgets tRCD. No channel counter moved, so sync()
+	// Bug: the hint forgets tRCD. The channel reports no change, so sync()
 	// keeps it, and Unblocked would hand the blocked read to a mechanism.
 	m.engine.hints[0].full = 0
 	m.engine.minFull = 0

@@ -62,8 +62,8 @@ func TestEngineOngoingBookkeeping(t *testing.T) {
 		t.Fatal("submit failed")
 	}
 	f := m.engine.BankMap().Index(1, 1)
-	if f != 3 || m.engine.BankMap().Of(a) != f {
-		t.Fatalf("rank 1 bank 1 of a 2x2 channel is bank %d (access: %d), want 3", f, m.engine.BankMap().Of(a))
+	if f != 3 || a.FlatBank(m.engine.BankMap()) != f {
+		t.Fatalf("rank 1 bank 1 of a 2x2 channel is bank %d (access: %d), want 3", f, a.FlatBank(m.engine.BankMap()))
 	}
 	if m.engine.Ongoing(f) != nil {
 		t.Fatal("fresh engine has an ongoing access")

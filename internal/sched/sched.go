@@ -89,8 +89,7 @@ type bankInOrder struct {
 func newBankInOrder(h *memctrl.Host, pipelined bool) *bankInOrder {
 	s := &bankInOrder{host: h, pipelined: pipelined}
 	s.engine = memctrl.NewEngine(h, nil)
-	ch := h.Channel()
-	s.queues = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
+	s.queues = memctrl.NewBankQueues(h.Channel())
 	return s
 }
 
@@ -166,8 +165,7 @@ type rowHit struct {
 func newRowHit(h *memctrl.Host) *rowHit {
 	s := &rowHit{host: h}
 	s.engine = memctrl.NewEngine(h, nil)
-	ch := h.Channel()
-	s.queues = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
+	s.queues = memctrl.NewBankQueues(h.Channel())
 	return s
 }
 
@@ -244,9 +242,8 @@ type intel struct {
 func newIntel(h *memctrl.Host, preemption bool) *intel {
 	s := &intel{host: h, preemption: preemption}
 	s.engine = memctrl.NewEngine(h, nil)
-	ch := h.Channel()
-	s.reads = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
-	s.writes = memctrl.NewBankQueues(ch.Ranks(), ch.Banks())
+	s.reads = memctrl.NewBankQueues(h.Channel())
+	s.writes = memctrl.NewBankQueues(h.Channel())
 	return s
 }
 

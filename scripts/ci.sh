@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate: static checks, build, race-enabled
-# tests, the benchmark module's tests and a correctness smoke of the
-# benchmark runner.
+# tests, the benchmark module's tests, a correctness smoke of the
+# benchmark runner and the byte identity of experiments_output.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,5 +70,12 @@ echo "== benchmark correctness smoke (fig10-grid: every Table 4 mechanism's dige
 # profiles x the 8 Table 4 mechanisms) against committed digests and the
 # Figure 10 rows against experiments_output.txt.
 bash bench/run.sh -workload fig10-grid -seconds 1 >/dev/null
+
+echo "== load-bearing check (experiments -exp all, byte-identical to experiments_output.txt) =="
+# Every paper table and figure at 200k+200k instructions; any change to a
+# printed number fails here. TestGoldenSmallSlice and the fig10-grid smoke
+# cover a 30k slice and the Figure 10 rows only.
+go run ./cmd/experiments -exp all -n 200000 -warmup 200000 >"$tracetmp/experiments_output.txt"
+diff experiments_output.txt "$tracetmp/experiments_output.txt"
 
 echo "CI OK"
