@@ -55,7 +55,7 @@ func main() {
 	if *seed != 0 {
 		prof.Seed = *seed
 	}
-	if *memfrac > 0 {
+	if *memfrac != 0 {
 		prof.MemFraction = *memfrac
 	}
 	factory, err := sim.MechanismByName(*mech)

@@ -94,6 +94,21 @@ func TestUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestMemFracOutOfRange: every nonzero -memfrac reaches the profile
+// check, so a negative one is rejected like one above 1 instead of
+// silently running the profile's own fraction.
+func TestMemFracOutOfRange(t *testing.T) {
+	for _, frac := range []string{"-0.5", "1.5"} {
+		stdout, stderr, code := memsim(t, slices.Concat(small, []string{"-memfrac", frac})...)
+		if code != 1 {
+			t.Errorf("-memfrac %s: exit %d, want 1; stdout:\n%s", frac, code, stdout)
+		}
+		if want := "MemFraction " + frac + " out of [0,1]"; !strings.HasPrefix(stderr, "memsim: ") || !strings.Contains(stderr, want) {
+			t.Errorf("-memfrac %s: stderr %q, want a memsim: line containing %q", frac, stderr, want)
+		}
+	}
+}
+
 // TestReplayRun: -replay runs a recorded trace and leaves the file as it
 // was; a malformed trace is a clean error exit naming its file and line.
 func TestReplayRun(t *testing.T) {

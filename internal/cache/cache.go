@@ -77,6 +77,15 @@ func (c Config) Validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineBytes)
 	}
+	// A way's tag word keeps its flags in the top two bits, so a line
+	// address must stay below 2^62; the recency order numbers ways in a
+	// byte.
+	if c.LineBytes < 4 {
+		return fmt.Errorf("cache %s: line size %d below 4 bytes", c.Name, c.LineBytes)
+	}
+	if c.Ways > 256 {
+		return fmt.Errorf("cache %s: %d ways exceed the 256 supported", c.Name, c.Ways)
+	}
 	lines := c.SizeBytes / c.LineBytes
 	if lines%c.Ways != 0 {
 		return fmt.Errorf("cache %s: %d lines not divisible by %d ways", c.Name, lines, c.Ways)
@@ -152,12 +161,12 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses+s.Coalesced) / float64(t)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // last-touch tick
-}
+// A way's tag word is its line address with these flags; an empty way's
+// word is 0.
+const (
+	validBit = 1 << 63
+	dirtyBit = 1 << 62
+)
 
 type mshr struct {
 	addr    uint64
@@ -176,10 +185,13 @@ type Cache struct {
 	cfg     Config
 	backend Backend
 
-	// lines holds every set's ways contiguously (set s occupies
-	// lines[s*ways : (s+1)*ways]): one flat allocation, no per-set
-	// pointer chase on the probe path.
-	lines   []line
+	// tags and order hold every set's ways contiguously (set s occupies
+	// [s*ways, (s+1)*ways) of each). tags[w] is way w's tag word. A set's
+	// order entries list its ways from most to least recently used, so
+	// the last one is the LRU victim; empty ways start, and stay, at the
+	// tail, the lowest-indexed last (see touch).
+	tags    []uint64
+	order   []uint8
 	ways    int
 	numSets int
 	setMask uint64
@@ -189,7 +201,6 @@ type Cache struct {
 	mshrFree []*mshr            // recycled mshr objects
 	mshrQ    deque.Deque[*mshr] // MSHRs not yet issued to the backend
 	wbQ      deque.Deque[uint64]
-	tick     uint64 // LRU touch counter, advanced on hits and fills
 	// version moves on every event after which a refused access could get
 	// another answer (see Version).
 	version uint64
@@ -243,7 +254,8 @@ func New(cfg Config, backend Backend) (*Cache, error) {
 	c := &Cache{
 		cfg:     cfg,
 		backend: backend,
-		lines:   make([]line, sets*cfg.Ways),
+		tags:    make([]uint64, sets*cfg.Ways),
+		order:   make([]uint8, sets*cfg.Ways),
 		ways:    cfg.Ways,
 		numSets: sets,
 		setMask: uint64(sets - 1),
@@ -251,6 +263,15 @@ func New(cfg Config, backend Backend) (*Cache, error) {
 	}
 	for v := cfg.LineBytes; v > 1; v >>= 1 {
 		c.offBits++
+	}
+	// Every set's order starts in descending way index: write the first
+	// set's, then double the initialised prefix, a whole number of sets
+	// each time.
+	for w := 0; w < cfg.Ways; w++ {
+		c.order[w] = uint8(cfg.Ways - 1 - w)
+	}
+	for n := cfg.Ways; n < len(c.order); n *= 2 {
+		copy(c.order[n:], c.order[:n])
 	}
 	// Pre-build the whole mshr pool (MSHRs bounds concurrent occupancy, so
 	// acquireMSHR can never need more) with waiter-list slack: the
@@ -309,11 +330,11 @@ func (c *Cache) AccessLoad(addr uint64, mayAllocate bool, done func()) Result {
 //burstmem:hotpath
 func (c *Cache) access(addr uint64, isWrite, mayAllocate bool, done func()) Result {
 	set, tag := c.index(addr)
-	if ln := c.lookup(set, tag); ln != nil {
-		c.tick++
-		ln.lru = c.tick
+	if w := c.lookup(set, tag); w >= 0 {
+		base := int(set) * c.ways
+		c.touch(base, w)
 		if isWrite {
-			ln.dirty = true
+			c.tags[base+w] |= dirtyBit
 		} else if done != nil {
 			c.deferResponse(done)
 		}
@@ -351,17 +372,37 @@ func (c *Cache) access(addr uint64, isWrite, mayAllocate bool, done func()) Resu
 	return Miss
 }
 
-// lookup returns the way of the set that holds tag, or nil.
+// lookup returns the way of the set that holds tag, or -1.
 //
 //burstmem:hotpath
-func (c *Cache) lookup(set, tag uint64) *line {
-	ways := c.lines[int(set)*c.ways : int(set)*c.ways+c.ways]
-	for i := range ways {
-		if ln := &ways[i]; ln.valid && ln.tag == tag {
-			return ln
+func (c *Cache) lookup(set, tag uint64) int {
+	want := tag | validBit
+	for w, t := range c.tags[int(set)*c.ways : int(set)*c.ways+c.ways] {
+		if t&^dirtyBit == want {
+			return w
 		}
 	}
-	return nil
+	return -1
+}
+
+// touch makes way w the most recently used of the set whose entries start
+// at base. A fill takes the last entry: the least recently touched way
+// once the set is full, and before that its lowest-indexed empty way. No
+// way is ever emptied, so the empty ones are the set's highest-indexed,
+// and the initial descending order keeps them at the tail, lowest index
+// last.
+//
+//burstmem:hotpath
+func (c *Cache) touch(base, w int) {
+	ord := c.order[base : base+c.ways]
+	prev := uint8(w)
+	for i, o := range ord {
+		ord[i] = prev // shift each more recent way back one place
+		if o == uint8(w) {
+			return
+		}
+		prev = o
+	}
 }
 
 // WouldAllocate reports whether an access to addr would start a new line
@@ -378,7 +419,7 @@ func (c *Cache) WouldAllocate(addr uint64) bool {
 
 // Probe reports whether the line is present without touching LRU state.
 func (c *Cache) Probe(addr uint64) bool {
-	return c.lookup(c.index(addr)) != nil
+	return c.lookup(c.index(addr)) >= 0
 }
 
 // Tick advances one cycle of the cache's clock domain: latency-deferred
@@ -411,30 +452,20 @@ func (c *Cache) Tick() {
 	}
 }
 
-// fill installs a returned line, evicting the LRU way (queueing the victim
-// if dirty), and wakes all coalesced waiters. The mshr returns to the pool.
+// fill installs a returned line in the set's LRU way, evicting the line
+// there (queueing it if dirty), and wakes all coalesced waiters. The mshr
+// returns to the pool.
 func (c *Cache) fill(m *mshr) {
 	la := m.addr
 	c.mshrs.Delete(la)
 	c.version++
 	set, tag := c.index(la)
-	ways := c.lines[int(set)*c.ways : int(set)*c.ways+c.ways]
-	victim := 0
-	for i := range ways {
-		ln := &ways[i]
-		if !ln.valid {
-			victim = i
-			break
-		}
-		if ln.lru < ways[victim].lru {
-			victim = i
-		}
-	}
-	v := &ways[victim]
-	if v.valid {
+	base := int(set) * c.ways
+	v := int(c.order[base+c.ways-1])
+	if old := c.tags[base+v]; old&validBit != 0 {
 		c.Stats.Evictions++
-		if v.dirty {
-			c.wbQ.PushBack(v.tag << c.offBits)
+		if old&dirtyBit != 0 {
+			c.wbQ.PushBack((old &^ (validBit | dirtyBit)) << c.offBits)
 		}
 	} else if c.cfg.WarmStart {
 		// Synthesize the steady-state resident this way would hold: the
@@ -446,8 +477,11 @@ func (c *Cache) fill(m *mshr) {
 			c.wbQ.PushBack(resident)
 		}
 	}
-	c.tick++
-	*v = line{tag: tag, valid: true, dirty: m.isWrite, lru: c.tick}
+	c.tags[base+v] = tag | validBit
+	if m.isWrite {
+		c.tags[base+v] |= dirtyBit
+	}
+	c.touch(base, v)
 	for _, w := range m.waiters {
 		c.deferResponse(w)
 	}

@@ -1,8 +1,13 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"burstmem/internal/xrand"
 )
 
 // memStub is an immediate-response backend recording traffic.
@@ -75,6 +80,24 @@ func TestConfigValidate(t *testing.T) {
 	bad.MSHRs = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero MSHRs accepted")
+	}
+
+	// The tag word and the recency order bound ways and line size: one
+	// set of 256 ways fits a byte per way, 257 do not, and a 2-byte line
+	// would let a line address reach the flag bits.
+	wide := smallConfig()
+	wide.Ways, wide.SizeBytes = 256, 256*64
+	if err := wide.Validate(); err != nil {
+		t.Fatalf("256 ways rejected: %v", err)
+	}
+	wide.Ways, wide.SizeBytes = 257, 257*64
+	if err := wide.Validate(); err == nil || !strings.Contains(err.Error(), "257 ways") {
+		t.Fatalf("257 ways: err %v, want the way limit", err)
+	}
+	bad = smallConfig()
+	bad.LineBytes = 2
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "below 4 bytes") {
+		t.Fatalf("2-byte lines: err %v, want the line-size limit", err)
 	}
 }
 
@@ -215,6 +238,142 @@ func TestLRUVictimSelection(t *testing.T) {
 	}
 	if c.Probe(0x1000) {
 		t.Fatal("LRU line survived")
+	}
+}
+
+// stampLRU is the replacement rule the cache had when every line carried a
+// last-touch stamp: hits and fills stamp their way from a counter, and a
+// fill takes the set's first empty way, else the way with the lowest
+// stamp. A zero stamp marks an empty way.
+type stampLRU struct {
+	ways    int
+	setMask uint64
+	line    []uint64 // line address held by each way
+	dirty   []bool
+	stamp   []uint64
+	tick    uint64
+}
+
+func newStampLRU(sets, ways int) *stampLRU {
+	return &stampLRU{ways: ways, setMask: uint64(sets - 1), line: make([]uint64, sets*ways),
+		dirty: make([]bool, sets*ways), stamp: make([]uint64, sets*ways)}
+}
+
+// find returns the way index that holds line, or -1.
+func (m *stampLRU) find(line uint64) int {
+	base := int(line&m.setMask) * m.ways
+	for w := base; w < base+m.ways; w++ {
+		if m.stamp[w] != 0 && m.line[w] == line {
+			return w
+		}
+	}
+	return -1
+}
+
+func (m *stampLRU) touch(w int) {
+	m.tick++
+	m.stamp[w] = m.tick
+}
+
+// fill installs line and reports the line it evicted, if the way held one.
+func (m *stampLRU) fill(line uint64, dirty bool) (victim uint64, evicted, victimDirty bool) {
+	base := int(line&m.setMask) * m.ways
+	v := base
+	for w := base; w < base+m.ways; w++ {
+		if m.stamp[w] == 0 {
+			v = w
+			break
+		}
+		if m.stamp[w] < m.stamp[v] {
+			v = w
+		}
+	}
+	victim, evicted, victimDirty = m.line[v], m.stamp[v] != 0, m.dirty[v]
+	m.line[v], m.dirty[v] = line, dirty
+	m.touch(v)
+	return victim, evicted, victimDirty
+}
+
+// TestLRUMatchesStampReference drives a 16-way and a 2-way cache of four
+// sets with a seeded stream of loads and stores over 1.5 times their
+// capacity, delivering each fetched line at a random later step and in
+// random order, and checks every step against stampLRU: each access's
+// outcome, each fill's victim, every dirty writeback address in order, and
+// Probe of every line the stream uses.
+func TestLRUMatchesStampReference(t *testing.T) {
+	for _, ways := range []int{16, 2} {
+		t.Run(fmt.Sprintf("%dway", ways), func(t *testing.T) {
+			const sets, lineBytes = 4, 64
+			cfg := Config{Name: "lru", SizeBytes: sets * ways * lineBytes, Ways: ways, LineBytes: lineBytes,
+				MSHRs: 4, WritebackBuf: 2}
+			mem := &memStub{}
+			c := mustCache(t, cfg, mem)
+			ref := newStampLRU(sets, ways)
+			pending := map[uint64]bool{} // line fetches in flight: whether a store merged
+			var wantWrites []uint64
+			queued, evictions := 0, uint64(0)
+			rng := xrand.New(uint64(ways))
+			lines := sets * (ways + ways/2 + 1)
+			for step := 0; step < 20000; step++ {
+				line := uint64(rng.Intn(lines))
+				addr := line*lineBytes + uint64(rng.Intn(lineBytes))
+				isWrite := rng.Intn(3) == 0
+				var want Result
+				if w := ref.find(line); w >= 0 {
+					want = Hit
+					ref.touch(w)
+					ref.dirty[w] = ref.dirty[w] || isWrite
+				} else if store, ok := pending[line]; ok {
+					want = MissMerged
+					pending[line] = store || isWrite
+				} else if len(pending) >= cfg.MSHRs || queued >= cfg.WritebackBuf {
+					want = Blocked
+				} else {
+					want = Miss
+					pending[line] = isWrite
+				}
+				if got := c.Access(addr, isWrite, nil); got != want {
+					t.Fatalf("step %d: access %#x (write %v) = %v, want %v", step, addr, isWrite, got, want)
+				}
+
+				c.Tick() // misses go to the backend, writebacks drain
+				queued = 0
+				if !slices.Equal(mem.writes, wantWrites) {
+					t.Fatalf("step %d: writebacks %#x, want %#x", step, mem.writes, wantWrites)
+				}
+
+				for k := rng.Intn(3); k > 0 && len(mem.deferred) > 0; k-- {
+					i := rng.Intn(len(mem.deferred))
+					la, done := mem.reads[i], mem.deferred[i]
+					mem.reads = slices.Delete(mem.reads, i, i+1)
+					mem.deferred = slices.Delete(mem.deferred, i, i+1)
+					victim, evicted, dirty := ref.fill(la/lineBytes, pending[la/lineBytes])
+					delete(pending, la/lineBytes)
+					done()
+					if evicted {
+						evictions++
+						if c.Probe(victim * lineBytes) {
+							t.Fatalf("step %d: fill of %#x kept %#x, the reference's victim", step, la, victim*lineBytes)
+						}
+						if dirty {
+							wantWrites = append(wantWrites, victim*lineBytes)
+							queued++
+						}
+					}
+				}
+				if c.Stats.Evictions != evictions {
+					t.Fatalf("step %d: %d evictions, want %d", step, c.Stats.Evictions, evictions)
+				}
+				for l := uint64(0); l < uint64(lines); l++ {
+					if got, want := c.Probe(l*lineBytes), ref.find(l) >= 0; got != want {
+						t.Fatalf("step %d: Probe(%#x) = %v, want %v", step, l*lineBytes, got, want)
+					}
+				}
+			}
+			if c.Stats.Hits == 0 || c.Stats.Blocked == 0 || c.Stats.Coalesced == 0 || len(wantWrites) == 0 {
+				t.Fatalf("stream missed a path: stats %+v, %d writebacks", c.Stats, len(wantWrites))
+			}
+		})
 	}
 }
 

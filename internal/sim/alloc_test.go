@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"burstmem/internal/addrmap"
@@ -100,5 +101,34 @@ func TestSystemSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("%s steady-state simulation loop allocates: %.1f allocs per 2000 steps", bench, allocs)
 			}
 		})
+	}
+}
+
+// TestNewSystemFootprint bounds what one build of the Table 3 machine
+// allocates. Every simulation builds its own system (40 per fig10-grid
+// rep, 288 per `experiments -exp all`), and the 2 MB, 16-way L2 is most of
+// it: a tag word and a recency-order byte per way, 288 KiB in all.
+func TestNewSystemFootprint(t *testing.T) {
+	const limit = 512 << 10
+	prof, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := MechanismByName("Burst_TH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = NewSystem(cfg, prof, factory)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewSystem allocated %d bytes", got)
+	if got > limit {
+		t.Fatalf("NewSystem allocated %d bytes, want at most %d", got, limit)
 	}
 }
