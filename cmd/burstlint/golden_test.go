@@ -72,7 +72,7 @@ func TestGoldenDirty(t *testing.T) {
 		}
 		prev = cur
 	}
-	for _, a := range []string{"detlint", "hotalloc", "errflow"} {
+	for _, a := range []string{"detlint", "errflow", "lint"} {
 		if !seen[a] {
 			t.Errorf("no %s diagnostic in golden output (analyzers seen: %v)", a, seen)
 		}

@@ -9,13 +9,12 @@
 // Analyzers (see each package's doc for the exact contract):
 //
 //	detlint     nondeterminism sources in simulation packages
-//	hotalloc    heap allocations in //burstmem:hotpath functions
 //	exhaustive  non-exhaustive switches over protocol enums
 //	errflow     error values dropped before reaching a check
 //
 // errflow runs a worklist dataflow solver over per-function control flow
 // graphs (internal/analysis/cfg, internal/analysis/dataflow);
-// detlint/hotalloc/exhaustive are single-pass AST walks.
+// detlint/exhaustive are single-pass AST walks.
 //
 // Output is one diagnostic per line, `file:line:col: analyzer: message`,
 // sorted by file, line, then analyzer name; paths are shown relative to
@@ -26,7 +25,8 @@
 //
 // Intentional exceptions are annotated in the source as
 // `//lint:ignore <analyzer> <reason>` on (or directly above) the flagged
-// line. scripts/ci.sh runs burstlint as a required stage.
+// line; a directive naming any other analyzer is itself reported, as
+// `lint`. scripts/ci.sh runs burstlint as a required stage.
 package main
 
 import (
@@ -42,14 +42,12 @@ import (
 	"burstmem/internal/analysis/detlint"
 	"burstmem/internal/analysis/errflow"
 	"burstmem/internal/analysis/exhaustive"
-	"burstmem/internal/analysis/hotalloc"
 )
 
 // analyzers is the full suite, in registration order (output order is by
 // position, not by analyzer).
 var analyzers = []*analysis.Analyzer{
 	detlint.Analyzer,
-	hotalloc.Analyzer,
 	exhaustive.Analyzer,
 	errflow.Analyzer,
 }
@@ -65,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array of {file, line, col, analyzer, message} objects")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: burstlint [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, errflow)\nover the package patterns (default ./...)\n")
+		fmt.Fprintf(stderr, "usage: burstlint [-json] [packages]\n\nruns the burstmem analyzers (detlint, exhaustive, errflow)\nover the package patterns (default ./...)\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -14,9 +14,9 @@ func checkedClose(f *os.File) error {
 	return f.Close()
 }
 
-// tick stays allocation-free on the annotated hot path.
-//
-//burstmem:hotpath
-func tick(s *state, now uint64) {
-	s.n = int(now)
+// closeQuietly's suppression names errflow, which burstlint runs, so it
+// silences the dropped error.
+func closeQuietly(f *os.File) {
+	//lint:ignore errflow the file was only read
+	f.Close()
 }

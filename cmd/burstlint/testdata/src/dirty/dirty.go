@@ -1,6 +1,6 @@
 // Package dirty is burstlint golden-test data: a known errflow finding
-// plus a hot-path allocation, spread over two files to pin the
-// file-then-line output ordering.
+// plus a suppression that names no analyzer, spread over two files to pin
+// the file-then-line output ordering.
 package dirty
 
 import (

@@ -96,9 +96,10 @@ func TestUnknownBenchmark(t *testing.T) {
 
 // TestMemFracOutOfRange: every nonzero -memfrac reaches the profile
 // check, so a negative one is rejected like one above 1 instead of
-// silently running the profile's own fraction.
+// silently running the profile's own fraction, and NaN, which fails every
+// comparison, is rejected instead of running with no memory operation.
 func TestMemFracOutOfRange(t *testing.T) {
-	for _, frac := range []string{"-0.5", "1.5"} {
+	for _, frac := range []string{"-0.5", "1.5", "NaN"} {
 		stdout, stderr, code := memsim(t, slices.Concat(small, []string{"-memfrac", frac})...)
 		if code != 1 {
 			t.Errorf("-memfrac %s: exit %d, want 1; stdout:\n%s", frac, code, stdout)

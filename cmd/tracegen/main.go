@@ -41,6 +41,9 @@ func main() {
 		return
 	}
 
+	if *n < 1 {
+		fatal(fmt.Errorf("-n %d: need at least one op", *n))
+	}
 	prof, err := workload.ByName(*bench)
 	fatal(err)
 	gen, err := workload.New(prof)

@@ -7,15 +7,18 @@
 // properties — deterministic iteration, an allocation-free scheduling hot
 // path, exhaustive handling of protocol enums — are invariants of the code
 // itself, not of any one test input. cmd/burstlint wires the analyzers in
-// this tree (detlint, hotalloc, exhaustive, errflow) into one
-// multichecker; see DESIGN.md "Verification & static analysis".
+// this tree (detlint, exhaustive, errflow) into one multichecker; see
+// DESIGN.md "Verification & static analysis".
 //
 // Suppression: a diagnostic is suppressed by a comment of the form
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // on the flagged line or the line immediately above it. The reason is
-// mandatory — an ignore without one does not suppress.
+// mandatory — an ignore without one does not suppress. A directive that
+// names an analyzer the run does not include is reported itself, under
+// the name lint: it suppresses nothing, so a misspelling or a deleted
+// analyzer's leftover would otherwise go unseen.
 package analysis
 
 import (
@@ -23,6 +26,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -84,7 +88,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			out = append(out, pkg.Errors...)
 			continue
 		}
-		ign := ignores(pkg)
+		ign, unknown := ignores(pkg, analyzers)
+		out = append(out, unknown...)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -124,9 +129,11 @@ type ignoreKey struct {
 
 type ignoreSet map[ignoreKey]bool
 
-// ignores collects a package's //lint:ignore directives.
-func ignores(pkg *Package) ignoreSet {
+// ignores collects a package's //lint:ignore directives, and reports as
+// diagnostics those that name none of the analyzers.
+func ignores(pkg *Package, analyzers []*Analyzer) (ignoreSet, []Diagnostic) {
 	set := ignoreSet{}
+	var unknown []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -139,11 +146,19 @@ func ignores(pkg *Package) ignoreSet {
 					continue // reason is mandatory
 				}
 				pos := pkg.Fset.Position(c.Pos())
+				if !slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == fields[0] }) {
+					unknown = append(unknown, Diagnostic{
+						Analyzer: "lint",
+						Pos:      pos,
+						Message:  fmt.Sprintf("//lint:ignore names unknown analyzer %q; it suppresses nothing", fields[0]),
+					})
+					continue
+				}
 				set[ignoreKey{pos.Filename, pos.Line, fields[0]}] = true
 			}
 		}
 	}
-	return set
+	return set, unknown
 }
 
 // suppressed reports whether a directive on the diagnostic's line or the

@@ -87,6 +87,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: %d ways exceed the 256 supported", c.Name, c.Ways)
 	}
 	lines := c.SizeBytes / c.LineBytes
+	if lines < c.Ways {
+		return fmt.Errorf("cache %s: %d bytes hold %d lines of %d bytes, fewer than one set of %d ways", c.Name, c.SizeBytes, lines, c.LineBytes, c.Ways)
+	}
 	if lines%c.Ways != 0 {
 		return fmt.Errorf("cache %s: %d lines not divisible by %d ways", c.Name, lines, c.Ways)
 	}
@@ -319,15 +322,11 @@ func (c *Cache) Access(addr uint64, isWrite bool, done func()) Result {
 // fetch returns Parked with zero side effects (the CPU parks the load until
 // an LSQ slot frees). Hits and coalesced misses proceed regardless, exactly
 // as Access(addr, false, done).
-//
-//burstmem:hotpath
 func (c *Cache) AccessLoad(addr uint64, mayAllocate bool, done func()) Result {
 	return c.access(addr, false, mayAllocate, done)
 }
 
 // access is the one access routine behind Access and AccessLoad.
-//
-//burstmem:hotpath
 func (c *Cache) access(addr uint64, isWrite, mayAllocate bool, done func()) Result {
 	set, tag := c.index(addr)
 	if w := c.lookup(set, tag); w >= 0 {
@@ -345,7 +344,7 @@ func (c *Cache) access(addr uint64, isWrite, mayAllocate bool, done func()) Resu
 	la := tag << c.offBits
 	if m, ok := c.mshrs.Get(la); ok {
 		if done != nil {
-			//lint:ignore hotalloc waiter slice capacity is retained across MSHR pool reuse
+			// The waiter slice keeps its capacity when the MSHR is reused.
 			m.waiters = append(m.waiters, done)
 		}
 		m.isWrite = m.isWrite || isWrite
@@ -362,7 +361,7 @@ func (c *Cache) access(addr uint64, isWrite, mayAllocate bool, done func()) Resu
 	}
 	m := c.acquireMSHR(la, isWrite)
 	if done != nil {
-		//lint:ignore hotalloc waiter slice capacity is retained across MSHR pool reuse
+		// The waiter slice keeps its capacity when the MSHR is reused.
 		m.waiters = append(m.waiters, done)
 	}
 	c.mshrs.Put(la, m)
@@ -373,8 +372,6 @@ func (c *Cache) access(addr uint64, isWrite, mayAllocate bool, done func()) Resu
 }
 
 // lookup returns the way of the set that holds tag, or -1.
-//
-//burstmem:hotpath
 func (c *Cache) lookup(set, tag uint64) int {
 	want := tag | validBit
 	for w, t := range c.tags[int(set)*c.ways : int(set)*c.ways+c.ways] {
@@ -391,8 +388,6 @@ func (c *Cache) lookup(set, tag uint64) int {
 // way is ever emptied, so the empty ones are the set's highest-indexed,
 // and the initial descending order keeps them at the tail, lowest index
 // last.
-//
-//burstmem:hotpath
 func (c *Cache) touch(base, w int) {
 	ord := c.order[base : base+c.ways]
 	prev := uint8(w)
@@ -425,8 +420,6 @@ func (c *Cache) Probe(addr uint64) bool {
 // Tick advances one cycle of the cache's clock domain: latency-deferred
 // responses fire, pending miss requests issue to the backend, and the
 // writeback queue drains.
-//
-//burstmem:hotpath
 func (c *Cache) Tick() {
 	c.now++
 	for c.delayQ.Len() > 0 && c.delayQ.Front().at <= c.now {

@@ -81,6 +81,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero MSHRs accepted")
 	}
+	// Fewer lines than ways leave no set: zero lines pass both the
+	// divisibility and the power-of-two test, and New would index an empty
+	// recency order.
+	empty := Config{Name: "tiny", SizeBytes: 32, Ways: 1, LineBytes: 64, MSHRs: 1, WritebackBuf: 1}
+	if err := empty.Validate(); err == nil || !strings.Contains(err.Error(), "fewer than one set") {
+		t.Fatalf("32-byte cache of 64-byte lines: err %v, want the no-set error", err)
+	}
 
 	// The tag word and the recency order bound ways and line size: one
 	// set of 256 ways fits a byte per way, 257 do not, and a 2-byte line

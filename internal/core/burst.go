@@ -223,15 +223,13 @@ func newBurst(h *memctrl.Host, name string, opt Options) *burstSched {
 
 // acquireGroup pops a pooled burst group (or allocates one) and starts it
 // with its first read.
-//
-//burstmem:hotpath
 func (s *burstSched) acquireGroup(row uint32, arrival uint64, first *memctrl.Access) *burstGroup {
 	var bg *burstGroup
 	if n := len(s.freeGroups); n > 0 {
 		bg = s.freeGroups[n-1]
 		s.freeGroups = s.freeGroups[:n-1]
 	} else {
-		//lint:ignore hotalloc pool refill: allocates only until the group pool warms up
+		// A pool refill allocates only until the group pool warms up.
 		bg = &burstGroup{}
 	}
 	bg.row = row
@@ -255,8 +253,6 @@ func (s *burstSched) Pending() (reads, writes int) { return s.host.Pending() }
 // either joins an existing burst to its row or opens a new single-access
 // burst at the tail of the bank's burst queue. Writes append to the bank's
 // write queue in order.
-//
-//burstmem:hotpath
 func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
 	f := a.FlatBank(s.idx)
 	st := &s.banks[f]
@@ -280,7 +276,7 @@ func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
 			return
 		}
 	}
-	//lint:ignore hotalloc per-bank burst slice keeps its capacity across bursts
+	// The per-bank burst slice keeps its capacity across bursts.
 	st.bursts = append(st.bursts, s.acquireGroup(a.Loc.Row, now, a))
 	s.burstsNE |= 1 << uint(f)
 	s.host.Tracer().Mark(now, trace.EvBurstForm, s.host.ChannelIndex(), r, b, a.Loc.Row, a.ID, 1)
@@ -305,8 +301,6 @@ func (s *burstSched) ongoingWrite(f int) bool {
 // marks need a full write queue, more pooled writes than the threshold, or
 // no pending reads, so with a threshold of at most MaxWrites no tick emits
 // marks from both passes (DESIGN.md §11).
-//
-//burstmem:hotpath
 func (s *burstSched) Tick(now uint64) {
 	if s.dynamic {
 		s.adaptThreshold(now)
@@ -330,8 +324,6 @@ var _ memctrl.EventHinter = (*burstSched)(nil)
 // Beyond the engine's transaction-release bound, burst scheduling has two
 // internal timers: a pending read-preemption decision (resolved next tick)
 // and the dynamic-threshold adaptation deadline.
-//
-//burstmem:hotpath
 func (s *burstSched) NextEventCycle(now uint64) uint64 {
 	if s.preemptCount > 0 {
 		return now + 1
@@ -345,8 +337,6 @@ func (s *burstSched) NextEventCycle(now uint64) uint64 {
 
 // arbitrateVacant is the bank arbiter subroutine (paper Fig. 5) for a bank
 // with no ongoing access.
-//
-//burstmem:hotpath
 func (s *burstSched) arbitrateVacant(f int, now uint64) {
 	st := &s.banks[f]
 	occupancy := s.host.GlobalWrites()
@@ -397,8 +387,6 @@ func (s *burstSched) arbitrateVacant(f int, now uint64) {
 // has not issued can be interrupted (a completed transfer cannot be
 // undone); the engine clears ongoing slots at column issue, so any write
 // still installed here is interruptible.
-//
-//burstmem:hotpath
 func (s *burstSched) arbitrateOngoing(f int, now uint64) {
 	st := &s.banks[f]
 	if st.preemptPending {
@@ -412,8 +400,6 @@ func (s *burstSched) arbitrateOngoing(f int, now uint64) {
 
 // installWrite removes w from its bank's write queue, makes it the bank's
 // ongoing access and marks the arbiter decision that installed it.
-//
-//burstmem:hotpath
 func (s *burstSched) installWrite(w *memctrl.Access, now uint64, why trace.Kind) {
 	s.writes.Remove(w)
 	s.engine.SetOngoing(w)
@@ -421,8 +407,6 @@ func (s *burstSched) installWrite(w *memctrl.Access, now uint64, why trace.Kind)
 }
 
 // mark records an arbiter decision about access a at its bank.
-//
-//burstmem:hotpath
 func (s *burstSched) mark(now uint64, k trace.Kind, a *memctrl.Access) {
 	s.host.Tracer().Mark(now, k, s.host.ChannelIndex(), int(a.Loc.Rank), int(a.Loc.Bank), a.Loc.Row, a.ID, 0)
 }
@@ -431,8 +415,6 @@ func (s *burstSched) mark(now uint64, k trace.Kind, a *memctrl.Access) {
 // ongoing. The next burst is the draining one if any; otherwise the oldest
 // burst (or, under LargestBurstFirst, the largest burst subject to the
 // aging guard).
-//
-//burstmem:hotpath
 func (s *burstSched) installRead(f int, now uint64) {
 	st := &s.banks[f]
 	bg := s.selectBurst(st, now)
@@ -444,8 +426,6 @@ func (s *burstSched) installRead(f int, now uint64) {
 }
 
 // selectBurst picks the bank's next burst per the inter-burst policy.
-//
-//burstmem:hotpath
 func (s *burstSched) selectBurst(st *bankState, now uint64) *burstGroup {
 	if st.activeRow >= 0 {
 		for _, bg := range st.bursts {
@@ -480,8 +460,6 @@ func (s *burstSched) selectBurst(st *bankState, now uint64) *burstGroup {
 // 10-11). The write keeps any precharge/activate progress in the bank
 // state — which is how a preempting read can observe a row empty (paper
 // Section 5.2).
-//
-//burstmem:hotpath
 func (s *burstSched) preempt(f int, now uint64) {
 	w := s.engine.Ongoing(f)
 	s.engine.ClearOngoing(f)
@@ -492,8 +470,6 @@ func (s *burstSched) preempt(f int, now uint64) {
 
 // onColumn runs when an access's column transaction issues: maintain the
 // end-of-burst piggyback window.
-//
-//burstmem:hotpath
 func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
 	f := a.FlatBank(s.idx)
 	st := &s.banks[f]
@@ -520,7 +496,7 @@ func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
 			if len(st.bursts) == 0 {
 				s.burstsNE &^= 1 << uint(f)
 			}
-			//lint:ignore hotalloc pool return: capacity is bounded by peak live groups
+			// The pool's capacity is bounded by the peak of live groups.
 			s.freeGroups = append(s.freeGroups, bg)
 			st.endOfBurst = true
 			st.lastRow = a.Loc.Row
@@ -535,8 +511,6 @@ func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
 // oldestSafeWrite returns the oldest write in the bank whose line is not
 // wanted by any queued read, or nil when every write is hazardous (the
 // reads will drain first).
-//
-//burstmem:hotpath
 func (s *burstSched) oldestSafeWrite(st *bankState, wq *memctrl.AccessList) *memctrl.Access {
 	lineBytes := s.host.Config().Geometry.LineBytes
 	for w := wq.Front(); w != nil; w = w.Next() {
@@ -549,8 +523,6 @@ func (s *burstSched) oldestSafeWrite(st *bankState, wq *memctrl.AccessList) *mem
 
 // lineHasQueuedRead reports whether any queued read in the bank targets
 // the line.
-//
-//burstmem:hotpath
 func (s *burstSched) lineHasQueuedRead(st *bankState, line uint64, lineBytes int) bool {
 	for _, bg := range st.bursts {
 		for rd := bg.reads.Front(); rd != nil; rd = rd.Next() {
@@ -566,8 +538,6 @@ func (s *burstSched) lineHasQueuedRead(st *bankState, line uint64, lineBytes int
 // nil. Writes whose line a queued read still wants are skipped (a read to
 // the same row may have formed a fresh burst after the piggyback window
 // opened; letting the write pass it would be a WAR hazard).
-//
-//burstmem:hotpath
 func (s *burstSched) rowHitWrite(st *bankState, wq *memctrl.AccessList) *memctrl.Access {
 	lineBytes := s.host.Config().Geometry.LineBytes
 	for w := wq.Front(); w != nil; w = w.Next() {
@@ -590,8 +560,6 @@ func (s *burstSched) rowHitWrite(st *bankState, wq *memctrl.AccessList) *memctrl
 // oldest-arrival tie-break within that class needs per-bank work. When
 // nothing is unblocked, the last bank moves to the bank holding the oldest
 // access so its burst starts next (Fig. 6 lines 14-15).
-//
-//burstmem:hotpath
 func (s *burstSched) schedule(now uint64) {
 	cl, any := s.engine.Unblocked(now)
 	if !any {
@@ -619,8 +587,6 @@ func (s *burstSched) schedule(now uint64) {
 // column masks AND its rank mask, other ranks' columns the same masks AND
 // NOT it. Same-priority arrival ties resolve to the lowest rank, then bank
 // (Engine.FoldOldest).
-//
-//burstmem:hotpath
 func (s *burstSched) pickTable2(cl *memctrl.BankClasses) (f, pri int) {
 	var lastRank uint64 // the last bank's rank (no bank before the first pick)
 	if last := s.lastBank; last >= 0 {
@@ -650,8 +616,6 @@ func (s *burstSched) pickTable2(cl *memctrl.BankClasses) (f, pri int) {
 }
 
 // cmdEventKind maps a DRAM command to its trace event kind.
-//
-//burstmem:hotpath
 func cmdEventKind(c dram.Cmd) trace.Kind {
 	switch c {
 	case dram.CmdPrecharge:

@@ -50,8 +50,6 @@ func BurstDynTH() memctrl.Factory {
 
 // adaptThreshold recomputes the threshold from the last interval's arrival
 // mix. Called from Tick on interval boundaries.
-//
-//burstmem:hotpath
 func (s *burstSched) adaptThreshold(now uint64) {
 	if now < s.nextAdapt {
 		return

@@ -240,8 +240,6 @@ func (c *CPU) Cycles() uint64 { return c.Stats.Cycles }
 // exactly the SkipCycles(1) accounting — drainStores has everything issued
 // and no fill at the head, retire blocks on the head, replay has no walk to
 // do, dispatch hits the full ROB — so it short-circuits to that.
-//
-//burstmem:hotpath
 func (c *CPU) Tick() {
 	if c.stalled {
 		c.SkipCycles(1)
@@ -263,8 +261,6 @@ func (c *CPU) Tick() {
 // it resolves: with the gate closed and no load woken yet, it wakes that
 // load and keeps the gate closed; a second wake reopens it. A completion
 // with neither effect leaves the gate as it is.
-//
-//burstmem:hotpath
 func (c *CPU) completeLoad(idx int) {
 	e := &c.rob[idx]
 	if e.done {
@@ -370,8 +366,6 @@ func (c *CPU) retire() {
 // an open gate, refusals to charge or a woken load. A closed gate with no
 // refusals and no woken load means every pending load waits on an address
 // dependence or a full LSQ, and only completeLoad can change either.
-//
-//burstmem:hotpath
 func (c *CPU) walkNeeded() bool {
 	return len(c.pending) > 0 && (!c.gated || c.refused > 0 || c.woken >= 0)
 }
@@ -400,8 +394,6 @@ func (c *CPU) walkNeeded() bool {
 // answer as recorded, so replay charges the recorded refusals, visits the
 // woken load as the walk would, and keeps the gate closed (DESIGN §13
 // says why the walk would issue nothing else).
-//
-//burstmem:hotpath
 func (c *CPU) replay() {
 	if !c.walkNeeded() {
 		return
@@ -493,8 +485,6 @@ func (c *CPU) dropPending(seq uint64) {
 // it (Blocked), or it would start a new line fetch with no LSQ slot free
 // (Parked, which sets lsqWait). The LSQ bounds distinct outstanding line
 // fetches; hits and merged misses ride existing entries.
-//
-//burstmem:hotpath
 func (c *CPU) tryIssueLoad(idx int, e *robEntry) bool {
 	if e.depSeq != 0 {
 		if dep := &c.rob[e.depIdx]; dep.seq == e.depSeq && !dep.done {

@@ -217,8 +217,6 @@ func (c *Channel) BankMap() BankMap { return c.idx }
 // banks by issuing precharges itself (one command per cycle), and then
 // holds the rank busy for tRFC. Afterwards every bank is precharged, which
 // is why most row-empty accesses trail refreshes (paper Section 5.2).
-//
-//burstmem:hotpath
 func (c *Channel) Tick(now uint64) bool {
 	c.now = now
 	c.cmdThisCycle = false
@@ -280,8 +278,6 @@ func (c *Channel) Tick(now uint64) bool {
 // DueBanks returns the banks of the ranks whose refresh deadline has passed
 // (RefreshDue), as of the last Tick: from the deadline until the refresh
 // starts, those ranks accept no activate.
-//
-//burstmem:hotpath
 func (c *Channel) DueBanks() uint64 { return c.due }
 
 // CommandSlotFree reports whether the controller may issue a command this
@@ -299,8 +295,6 @@ const NoEvent = ^uint64(0)
 // any coming cycle), otherwise the earliest tREFI deadline. Command-blocking
 // effects of an in-progress refresh (refreshUntil) are accounted per
 // command by EarliestIssue instead.
-//
-//burstmem:hotpath
 func (c *Channel) NextEventCycle() uint64 { return c.refreshWake }
 
 // EarliestIssue returns the earliest cycle >= now+1 at which the command
@@ -308,8 +302,6 @@ func (c *Channel) NextEventCycle() uint64 { return c.refreshWake }
 // other commands issue and no refresh starts — the skip logic guarantees
 // both by also waking at NextEventCycle). The cmdThisCycle slot is ignored:
 // the caller only asks about future cycles.
-//
-//burstmem:hotpath
 func (c *Channel) EarliestIssue(cmd Cmd, t Target) uint64 {
 	at := max(c.now+1, c.EarliestReady(cmd, t))
 	return max(at, c.ColumnBusReady(cmd, t.Rank))
@@ -320,8 +312,6 @@ func (c *Channel) EarliestIssue(cmd Cmd, t Target) uint64 {
 // current-cycle floor and no data-bus term. The value depends only on the
 // target's bank and rank state, never on c.now, so the controller engine
 // can cache it until TakeChanged reports the bank.
-//
-//burstmem:hotpath
 func (c *Channel) EarliestReady(cmd Cmd, t Target) uint64 {
 	rk := &c.ranks[t.Rank]
 	bk := &rk.banks[t.Bank]
@@ -359,8 +349,6 @@ func (c *Channel) EarliestReady(cmd Cmd, t Target) uint64 {
 // command launch for the rank (0 when unconstrained; non-column commands
 // are never bus-constrained). The value depends only on data-bus state, so
 // it can be cached until TakeChanged reports a bus occupation.
-//
-//burstmem:hotpath
 func (c *Channel) ColumnBusReady(cmd Cmd, rankIdx int) uint64 {
 	switch cmd {
 	case CmdRead:
@@ -388,8 +376,6 @@ func (c *Channel) ColumnBusReady(cmd Cmd, rankIdx int) uint64 {
 //
 // Its one consumer is the engine that schedules the channel
 // (memctrl.Engine): a second caller would take changes the engine must see.
-//
-//burstmem:hotpath
 func (c *Channel) TakeChanged() (banks uint64, bus bool) {
 	banks, bus = c.changed, c.busMoved
 	c.changed, c.busMoved = 0, false
@@ -399,8 +385,6 @@ func (c *Channel) TakeChanged() (banks uint64, bus bool) {
 // busNeed returns the first cycle the data bus could start a new transfer
 // for the rank (including turnaround gaps), and whether the bus has been
 // used at all.
-//
-//burstmem:hotpath
 func (c *Channel) busNeed(rankIdx int, isWrite bool) (uint64, bool) {
 	if !c.busUsed {
 		return 0, false
@@ -417,8 +401,6 @@ func (c *Channel) busNeed(rankIdx int, isWrite bool) (uint64, bool) {
 // AccountSkipped attributes k skipped idle cycles to the per-cycle sampled
 // channel statistics (bank state cannot change during a skip, so the sample
 // is constant).
-//
-//burstmem:hotpath
 func (c *Channel) AccountSkipped(k uint64) {
 	c.Stats.ActiveRankCycles += k * uint64(c.openRanks)
 }
@@ -431,8 +413,6 @@ func (c *Channel) OpenRow(rankIdx, bankIdx int) (uint32, bool) {
 
 // Classify reports the row outcome an access to (rank, bank, row) would see
 // in the current bank state.
-//
-//burstmem:hotpath
 func (c *Channel) Classify(t Target) RowOutcome {
 	b := &c.ranks[t.Rank].banks[t.Bank]
 	switch {
@@ -448,8 +428,6 @@ func (c *Channel) Classify(t Target) RowOutcome {
 // NextCommand returns the command an access to the target needs next, given
 // current bank state: CmdPrecharge for a row conflict, CmdActivate for a
 // closed bank, or the column command itself (read=true selects CmdRead).
-//
-//burstmem:hotpath
 func (c *Channel) NextCommand(t Target, read bool) Cmd {
 	switch c.Classify(t) {
 	case RowConflict:
@@ -468,8 +446,6 @@ func (c *Channel) NextCommand(t Target, read bool) Cmd {
 // RefreshDue reports whether the rank's refresh deadline has passed. From
 // then until the refresh starts, the refresh engine is closing the rank's
 // banks and the rank accepts no activate.
-//
-//burstmem:hotpath
 func (c *Channel) RefreshDue(rankIdx int) bool {
 	return c.T.TREFI > 0 && c.now >= c.ranks[rankIdx].nextRefresh
 }
@@ -481,8 +457,6 @@ func (c *Channel) RefreshDue(rankIdx int) bool {
 // reached the command's issue bounds, EarliestReady (which covers an
 // in-progress refresh) and ColumnBusReady. Refresh is never legal here:
 // only the channel's refresh engine issues it.
-//
-//burstmem:hotpath
 func (c *Channel) CanIssue(cmd Cmd, t Target) bool {
 	if c.cmdThisCycle {
 		return false
@@ -517,8 +491,6 @@ type IssueResult struct {
 // It panics if the command is not legal this cycle.
 // For column commands, autoPrecharge closes the bank automatically after
 // the access (the Close Page Autoprecharge controller policy).
-//
-//burstmem:hotpath
 func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 	if !c.CanIssue(cmd, t) {
 		panic(fmt.Sprintf("dram: Issue of blocked command %v %+v at cycle %d", cmd, t, c.now))
@@ -595,7 +567,6 @@ func (c *Channel) RecordOutcome(o RowOutcome) {
 	c.Stats.Outcomes[o]++
 }
 
-//burstmem:hotpath
 func (c *Channel) issuePrecharge(rankIdx, bankIdx int) {
 	c.san.precharge(c, rankIdx, bankIdx, c.now)
 	bk := &c.ranks[rankIdx].banks[bankIdx]
@@ -609,8 +580,6 @@ func (c *Channel) issuePrecharge(rankIdx, bankIdx int) {
 
 // autoClose models a column access with auto-precharge: the bank closes as
 // soon as its precharge constraint allows, without an explicit command.
-//
-//burstmem:hotpath
 func (c *Channel) autoClose(rankIdx, bankIdx int, preAt uint64) {
 	c.san.autoPrecharge(c, rankIdx, bankIdx, preAt)
 	bk := &c.ranks[rankIdx].banks[bankIdx]
@@ -624,8 +593,6 @@ func (c *Channel) autoClose(rankIdx, bankIdx int, preAt uint64) {
 }
 
 // closeBankAccounting updates the open-bank counters after a bank closes.
-//
-//burstmem:hotpath
 func (c *Channel) closeBankAccounting(rankIdx int) {
 	rk := &c.ranks[rankIdx]
 	if rk.openBanks--; rk.openBanks == 0 {
@@ -633,7 +600,6 @@ func (c *Channel) closeBankAccounting(rankIdx int) {
 	}
 }
 
-//burstmem:hotpath
 func (c *Channel) occupyBus(rankIdx int, isWrite bool, res IssueResult) {
 	c.busBusyUntil = res.DataEnd
 	c.busLastRank = rankIdx

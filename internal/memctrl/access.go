@@ -99,8 +99,6 @@ func (l *AccessList) Empty() bool { return l.n == 0 }
 func (l *AccessList) Front() *Access { return l.head }
 
 // PushBack appends a at the tail. a must not be on any list.
-//
-//burstmem:hotpath
 func (l *AccessList) PushBack(a *Access) {
 	a.san.checkLive(a, "list link")
 	a.prev = l.tail
@@ -115,8 +113,6 @@ func (l *AccessList) PushBack(a *Access) {
 }
 
 // PushFront prepends a at the head. a must not be on any list.
-//
-//burstmem:hotpath
 func (l *AccessList) PushFront(a *Access) {
 	a.san.checkLive(a, "list link")
 	a.next = l.head
@@ -131,8 +127,6 @@ func (l *AccessList) PushFront(a *Access) {
 }
 
 // Remove unlinks a, which must be on this list.
-//
-//burstmem:hotpath
 func (l *AccessList) Remove(a *Access) {
 	if a.prev != nil {
 		a.prev.next = a.next
@@ -149,8 +143,6 @@ func (l *AccessList) Remove(a *Access) {
 }
 
 // PopFront unlinks and returns the head access; nil when empty.
-//
-//burstmem:hotpath
 func (l *AccessList) PopFront() *Access {
 	a := l.head
 	if a != nil {
@@ -163,8 +155,6 @@ func (l *AccessList) PopFront() *Access {
 func (a *Access) Started() bool { return a.started }
 
 // Target returns the access's DRAM command target within its channel.
-//
-//burstmem:hotpath
 func (a *Access) Target() dram.Target {
 	return dram.Target{
 		Rank: int(a.Loc.Rank),
@@ -179,8 +169,6 @@ func (a *Access) Target() dram.Target {
 func (a *Access) FlatBank(m dram.BankMap) int { return m.Index(int(a.Loc.Rank), int(a.Loc.Bank)) }
 
 // LineAddr returns the cache-line-aligned address used for RAW forwarding.
-//
-//burstmem:hotpath
 func (a *Access) LineAddr(lineBytes int) uint64 {
 	return a.Addr &^ uint64(lineBytes-1)
 }

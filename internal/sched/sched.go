@@ -112,8 +112,6 @@ func (s *bankInOrder) Pending() (int, int) { return s.host.Pending() }
 func (s *bankInOrder) Enqueue(a *memctrl.Access, now uint64) { s.queues.PushBack(a) }
 
 // Tick implements memctrl.Mechanism.
-//
-//burstmem:hotpath
 func (s *bankInOrder) Tick(now uint64) {
 	if s.pipelined {
 		// Banks with queued work and a free ongoing slot.
@@ -145,8 +143,6 @@ func (s *bankInOrder) Tick(now uint64) {
 
 // roundRobin returns the first bank of a nonempty mask at or after the
 // cursor, else the first bank of the mask.
-//
-//burstmem:hotpath
 func roundRobin(mask uint64, cursor int) int {
 	if m := mask &^ (1<<uint(cursor) - 1); m != 0 {
 		return bits.TrailingZeros64(m)
@@ -189,8 +185,6 @@ func (s *rowHit) Enqueue(a *memctrl.Access, now uint64) { s.queues.PushBack(a) }
 // transactions, column accesses go first (oldest first), then precharges
 // and activates — keeping the data bus busy while row operations overlap
 // underneath.
-//
-//burstmem:hotpath
 func (s *rowHit) Tick(now uint64) {
 	for m := s.queues.Mask() &^ s.engine.OccupiedMask(); m != 0; m &= m - 1 {
 		q := s.queues.List(bits.TrailingZeros64(m))
@@ -213,8 +207,6 @@ func (s *rowHit) Tick(now uint64) {
 
 // rowHitFirst returns the oldest access of a nonempty bank queue to the
 // bank's open row, else the oldest access.
-//
-//burstmem:hotpath
 func rowHitFirst(ch *dram.Channel, q *memctrl.AccessList) *memctrl.Access {
 	head := q.Front()
 	if row, open := ch.OpenRow(int(head.Loc.Rank), int(head.Loc.Bank)); open {
@@ -275,8 +267,6 @@ func (s *intel) Enqueue(a *memctrl.Access, now uint64) {
 // each bank at most once: vacant banks install, then (with preemption)
 // the banks occupied before that pass check for a read to preempt their
 // write. Only the second pass emits trace marks.
-//
-//burstmem:hotpath
 func (s *intel) Tick(now uint64) {
 	occ := s.engine.OccupiedMask()
 	for m := (s.reads.Mask() | s.writes.Mask()) &^ occ; m != 0; m &= m - 1 {
@@ -309,8 +299,6 @@ func (s *intel) Tick(now uint64) {
 
 // arbitrateVacant picks bank f's next ongoing access when no access is in
 // flight there.
-//
-//burstmem:hotpath
 func (s *intel) arbitrateVacant(f int) {
 	switch reads, _ := s.host.Pending(); {
 	case s.host.WriteQueueFull() && !s.writes.List(f).Empty():
@@ -332,8 +320,6 @@ func (s *intel) arbitrateVacant(f int) {
 }
 
 // arbitrateOngoing handles read preemption of bank f's in-flight write.
-//
-//burstmem:hotpath
 func (s *intel) arbitrateOngoing(f int, now uint64) {
 	ongoing := s.engine.Ongoing(f)
 	if ongoing.Kind == memctrl.KindWrite && !s.reads.List(f).Empty() && !s.host.WriteQueueFull() {
@@ -348,15 +334,12 @@ func (s *intel) arbitrateOngoing(f int, now uint64) {
 
 // installRead picks the oldest row-hit read if the bank row is open, else
 // the oldest read.
-//
-//burstmem:hotpath
 func (s *intel) installRead(f int) {
 	pick := rowHitFirst(s.host.Channel(), s.reads.List(f))
 	s.reads.Remove(pick)
 	s.engine.SetOngoing(pick)
 }
 
-//burstmem:hotpath
 func (s *intel) installWrite(w *memctrl.Access) {
 	s.writes.Remove(w)
 	s.engine.SetOngoing(w)
@@ -364,8 +347,6 @@ func (s *intel) installWrite(w *memctrl.Access) {
 
 // oldestSafeWrite returns bank f's oldest write whose line no queued read
 // targets, or nil.
-//
-//burstmem:hotpath
 func (s *intel) oldestSafeWrite(f int) *memctrl.Access {
 	lineBytes := s.host.Config().Geometry.LineBytes
 	for w := s.writes.List(f).Front(); w != nil; w = w.Next() {
@@ -388,20 +369,14 @@ func (s *intel) oldestSafeWrite(f int) *memctrl.Access {
 // mechanisms have internal timers: with no submissions or completions, the
 // only thing that can happen is an ongoing access's next transaction
 // becoming issuable, which the engine bounds.
-//
-//burstmem:hotpath
 func (s *bankInOrder) NextEventCycle(now uint64) uint64 { return s.engine.NextEventCycle(now) }
 
 // NextEventCycle implements memctrl.EventHinter.
-//
-//burstmem:hotpath
 func (s *rowHit) NextEventCycle(now uint64) uint64 { return s.engine.NextEventCycle(now) }
 
 // NextEventCycle implements memctrl.EventHinter. Read preemption needs no
 // extra hint: it triggers only on state that submissions and completions
 // change, both of which already wake the controller.
-//
-//burstmem:hotpath
 func (s *intel) NextEventCycle(now uint64) uint64 { return s.engine.NextEventCycle(now) }
 
 var (

@@ -6,9 +6,10 @@
 //
 // The tracer is attached at runtime (memctrl.Controller.SetTracer); when
 // no tracer is attached every emit call is a nil-receiver check that the
-// compiler inlines, so the `//burstmem:hotpath` contract (no allocation,
-// near-zero overhead) holds with tracing disabled and simulation results
-// are bit-identical either way — instrumentation only observes, it never
+// compiler inlines. internal/sim's steady-state allocation tests hold the
+// simulation loop at zero allocations without a tracer and with one
+// attached (intervals off), and the golden outputs keep simulation results
+// bit-identical either way — instrumentation only observes, it never
 // steers.
 //
 // With tracing enabled the stream is deterministic: events are emitted in
@@ -390,7 +391,6 @@ func (t *Tracer) rollTo(cycle uint64) {
 		return
 	}
 	if t.curOpen {
-		//lint:ignore hotalloc enabled-tracing interval roll; disabled path never reaches here
 		t.intervals = append(t.intervals, t.cur)
 	}
 	start := cycle - cycle%t.interval

@@ -44,8 +44,6 @@ func New[V any](hint int) *Map[V] {
 }
 
 // slot hashes k to its ideal slot with a Fibonacci multiply.
-//
-//burstmem:hotpath
 func (m *Map[V]) slot(k uint64) uint64 {
 	return ((k + 1) * 0x9E3779B97F4A7C15) >> 32 & m.mask
 }
@@ -54,8 +52,6 @@ func (m *Map[V]) slot(k uint64) uint64 {
 func (m *Map[V]) Len() int { return m.n }
 
 // Get returns the value stored under k, and whether it was present.
-//
-//burstmem:hotpath
 func (m *Map[V]) Get(k uint64) (V, bool) {
 	for i := m.slot(k); ; i = (i + 1) & m.mask {
 		kk := m.keys[i]
@@ -69,8 +65,6 @@ func (m *Map[V]) Get(k uint64) (V, bool) {
 }
 
 // Put stores v under k, replacing any existing entry.
-//
-//burstmem:hotpath
 func (m *Map[V]) Put(k uint64, v V) {
 	for i := m.slot(k); ; i = (i + 1) & m.mask {
 		kk := m.keys[i]
@@ -80,7 +74,7 @@ func (m *Map[V]) Put(k uint64, v V) {
 		}
 		if kk == 0 {
 			if 2*(m.n+1) > len(m.keys) {
-				//lint:ignore hotalloc grow is the amortized slow path; New pre-sizes past it for bounded sets
+				// Growth is the amortized slow path; New pre-sizes past it for bounded sets.
 				m.grow()
 				m.Put(k, v)
 				return
@@ -95,8 +89,6 @@ func (m *Map[V]) Put(k uint64, v V) {
 
 // Delete removes k's entry if present, compacting the probe chain behind it
 // (backward-shift deletion) so lookups never chase tombstones.
-//
-//burstmem:hotpath
 func (m *Map[V]) Delete(k uint64) {
 	i := m.slot(k)
 	for ; ; i = (i + 1) & m.mask {

@@ -19,6 +19,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"burstmem/internal/xrand"
@@ -103,17 +104,24 @@ type Profile struct {
 
 // Validate reports profile errors.
 func (p Profile) Validate() error {
-	if p.MemFraction < 0 || p.MemFraction > 1 {
+	// Each range test is written so that NaN, which fails every
+	// comparison, fails it too.
+	if !(p.MemFraction >= 0 && p.MemFraction <= 1) {
 		return fmt.Errorf("workload %s: MemFraction %v out of [0,1]", p.Name, p.MemFraction)
 	}
-	if p.StoreFraction < 0 || p.StoreFraction > 1 {
+	if !(p.StoreFraction >= 0 && p.StoreFraction <= 1) {
 		return fmt.Errorf("workload %s: StoreFraction %v out of [0,1]", p.Name, p.StoreFraction)
 	}
-	if p.StreamWeight < 0 || p.RandomWeight < 0 || p.ChaseWeight < 0 || p.LoopWeight < 0 {
-		return fmt.Errorf("workload %s: negative kernel weight", p.Name)
+	if !(p.StreamWeight >= 0 && p.RandomWeight >= 0 && p.ChaseWeight >= 0 && p.LoopWeight >= 0) {
+		return fmt.Errorf("workload %s: negative or NaN kernel weight", p.Name)
 	}
-	if p.StreamWeight+p.RandomWeight+p.ChaseWeight+p.LoopWeight <= 0 {
+	total := p.StreamWeight + p.RandomWeight + p.ChaseWeight + p.LoopWeight
+	if total <= 0 {
 		return fmt.Errorf("workload %s: all kernel weights zero", p.Name)
+	}
+	if math.IsInf(total, 1) {
+		// New divides each weight by the total, and Inf/Inf is NaN.
+		return fmt.Errorf("workload %s: infinite kernel weight", p.Name)
 	}
 	if p.WorkingSet < 1<<20 {
 		return fmt.Errorf("workload %s: working set %d too small", p.Name, p.WorkingSet)
@@ -121,7 +129,7 @@ func (p Profile) Validate() error {
 	if p.Streams < 1 {
 		return fmt.Errorf("workload %s: need at least one stream", p.Name)
 	}
-	if p.Burstiness < 0 || p.Burstiness > 1 {
+	if !(p.Burstiness >= 0 && p.Burstiness <= 1) {
 		return fmt.Errorf("workload %s: Burstiness %v out of [0,1]", p.Name, p.Burstiness)
 	}
 	if p.StrideBytes < 0 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 )
 
@@ -41,6 +42,14 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		func(p *Profile) { p.WorkingSet = 1024 },
 		func(p *Profile) { p.Streams = 0 },
 		func(p *Profile) { p.Burstiness = 2 },
+		// NaN fails every comparison, so a range test written as
+		// "x < 0 || x > 1" lets it through.
+		func(p *Profile) { p.MemFraction = math.NaN() },
+		func(p *Profile) { p.StoreFraction = math.NaN() },
+		func(p *Profile) { p.Burstiness = math.NaN() },
+		func(p *Profile) { p.ChaseWeight = math.NaN() },
+		// New divides each weight by their total, and Inf/Inf is NaN.
+		func(p *Profile) { p.ChaseWeight = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		p := base
