@@ -12,9 +12,9 @@
 //	exhaustive  non-exhaustive switches over protocol enums
 //	errflow     error values dropped before reaching a check
 //
-// errflow runs a worklist dataflow solver over per-function control flow
-// graphs (internal/analysis/cfg, internal/analysis/dataflow);
-// detlint/exhaustive are single-pass AST walks.
+// All three walk the AST: errflow follows each function's statements
+// from an error store to its next read, overwrite or return, without a
+// control-flow graph.
 //
 // Output is one diagnostic per line, `file:line:col: analyzer: message`,
 // sorted by file, line, then analyzer name; paths are shown relative to

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 
 	"burstmem/internal/memctrl"
 	"burstmem/internal/sim"
@@ -50,6 +51,9 @@ func main() {
 		return
 	}
 
+	if *traceEvents < 1 {
+		fatal(fmt.Errorf("-trace-events %d: need at least one event", *traceEvents))
+	}
 	prof, err := workload.ByName(*bench)
 	fatal(err)
 	if *seed != 0 {
@@ -100,7 +104,7 @@ func main() {
 
 	res, err := sim.RunSystem(cfg, sys, name)
 	fatal(err)
-	printResult(res)
+	printResult(res, sys.Ctrl.Stats.ReadLatencyHist.Size()-1)
 
 	if tr != nil {
 		f, err := os.Create(*traceOut)
@@ -150,20 +154,26 @@ func printTraceLatency(tr *trace.Tracer) {
 	fmt.Printf("traced read latency distribution (%d reads, %d-cycle bins):\n", h.Total(), bin)
 	for b := 0; b <= h.NonzeroMax(); b++ {
 		if c := h.Count(b); c > 0 {
-			fmt.Printf("  [%4d,%4d)  %8d  %5.1f%%\n", b*bin, (b+1)*bin, c, h.Fraction(b)*100)
+			label := fmt.Sprintf("[%4d,%4d)", b*bin, (b+1)*bin)
+			if b == h.Size()-1 { // Add clamps: the last bin holds every longer read
+				label = fmt.Sprintf(">=%d", b*bin)
+			}
+			fmt.Printf("  %-11s  %8d  %5.1f%%\n", label, c, h.Fraction(b)*100)
 		}
 	}
 }
 
-func printResult(r sim.Result) {
+// printResult prints the measurements; last is the read-latency
+// histogram's last bucket, which holds every longer latency too.
+func printResult(r sim.Result, last int) {
 	fmt.Printf("benchmark         %s\n", r.Benchmark)
 	fmt.Printf("mechanism         %s\n", r.Mechanism)
 	fmt.Printf("instructions      %d\n", r.Instructions)
 	fmt.Printf("cpu cycles        %d  (IPC %.3f)\n", r.CPUCycles, r.IPC)
 	fmt.Printf("memory cycles     %d\n", r.MemCycles)
 	fmt.Printf("mem reads/writes  %d / %d  (forwarded reads %d)\n", r.MemReads, r.MemWrites, r.ForwardedReads)
-	fmt.Printf("read latency      %.1f memory cycles (p50 %d, p95 %d, p99 %d)\n",
-		r.ReadLatency, r.ReadLatencyP50, r.ReadLatencyP95, r.ReadLatencyP99)
+	fmt.Printf("read latency      %.1f memory cycles (p50 %s, p95 %s, p99 %s)\n",
+		r.ReadLatency, clamped(r.ReadLatencyP50, last), clamped(r.ReadLatencyP95, last), clamped(r.ReadLatencyP99, last))
 	fmt.Printf("write latency     %.1f memory cycles\n", r.WriteLatency)
 	fmt.Printf("row outcomes      hit %.3f  empty %.3f  conflict %.3f\n", r.RowHit, r.RowEmpty, r.RowConflict)
 	fmt.Printf("bus utilization   data %.3f  address %.3f\n", r.DataBusUtil, r.AddrBusUtil)
@@ -173,6 +183,15 @@ func printResult(r sim.Result) {
 	fmt.Printf("L1D miss rate     %.4f   L2 miss rate %.4f\n", r.L1DStats.MissRate(), r.L2Stats.MissRate())
 	fmt.Printf("cpu stalls        head-load %d  store-buf %d  rob-full %d\n",
 		r.CPUStats.HeadLoadStalls, r.CPUStats.StoreBufFullStalls, r.CPUStats.ROBFullCycles)
+}
+
+// clamped prints a percentile that falls in the last histogram bucket as
+// a lower bound: the bucket also holds every larger value.
+func clamped(v, last int) string {
+	if v >= last {
+		return fmt.Sprintf(">=%d", last)
+	}
+	return strconv.Itoa(v)
 }
 
 func fatal(err error) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -80,6 +81,39 @@ func TestTracedRun(t *testing.T) {
 	}
 	if !json.Valid(data) {
 		t.Errorf("%s is not valid JSON (%d bytes)", path, len(data))
+	}
+}
+
+// TestClampedLatencies: the read-latency histogram's last bucket also
+// holds every longer latency, so a percentile that lands there prints as
+// a lower bound, and so does the traced distribution's last bin.
+func TestClampedLatencies(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	stdout, stderr, code := memsim(t, "-bench", "lucas", "-row-policy", "cpa", "-mech", "Burst_WP",
+		"-n", "20000", "-warmup", "5000", "-trace", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, ", p99 >=2047)\n") {
+		t.Errorf("p99 not printed as >=2047:\n%s", stdout)
+	}
+	if !regexp.MustCompile(`\n  >=1008 +\d+ +\d+\.\d%\n`).MatchString(stdout) || strings.Contains(stdout, "[1008,1024)") {
+		t.Errorf("traced overflow bin not printed as >=1008:\n%s", stdout)
+	}
+}
+
+// TestTraceEventsBelowOne: a ring that holds no event is an operator
+// error, not a silent one-event ring.
+func TestTraceEventsBelowOne(t *testing.T) {
+	for _, events := range []string{"0", "-5"} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		stdout, stderr, code := memsim(t, slices.Concat(small, []string{"-trace", path, "-trace-events", events})...)
+		if code != 1 {
+			t.Errorf("-trace-events %s: exit %d, want 1; stdout:\n%s", events, code, stdout)
+		}
+		if !strings.HasPrefix(stderr, "memsim: ") || !strings.Contains(stderr, "-trace-events "+events) {
+			t.Errorf("-trace-events %s: stderr %q, want a memsim: line naming the flag", events, stderr)
+		}
 	}
 }
 

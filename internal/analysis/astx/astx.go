@@ -1,54 +1,11 @@
-// Package astx holds the small AST utilities errflow uses: access-path
-// printing, function enumeration and scope matching (which detlint shares).
+// Package astx holds the small AST utilities the analyzers share:
+// access-path printing (errflow) and scope matching (errflow, detlint).
 package astx
 
 import (
 	"go/ast"
 	"strings"
 )
-
-// FuncInfo is one analyzable function: a declaration or a function
-// literal.
-type FuncInfo struct {
-	Node ast.Node // *ast.FuncDecl or *ast.FuncLit
-}
-
-// Body returns the function's body (nil for bodyless declarations).
-func (fi FuncInfo) Body() *ast.BlockStmt {
-	switch fn := fi.Node.(type) {
-	case *ast.FuncDecl:
-		return fn.Body
-	case *ast.FuncLit:
-		return fn.Body
-	}
-	return nil
-}
-
-// Funcs returns every function with a body in the file: declarations and
-// all function literals nested inside them, each reported once. Analyzers
-// build one CFG per entry, so a literal's statements are analyzed in the
-// literal's own graph, not its enclosing function's.
-func Funcs(file *ast.File) []FuncInfo {
-	var out []FuncInfo
-	for _, d := range file.Decls {
-		decl, _ := d.(*ast.FuncDecl)
-		if decl != nil && decl.Body == nil {
-			continue
-		}
-		root := ast.Node(d)
-		if decl != nil {
-			out = append(out, FuncInfo{Node: decl})
-			root = decl.Body
-		}
-		ast.Inspect(root, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, FuncInfo{Node: lit})
-			}
-			return true
-		})
-	}
-	return out
-}
 
 // PathString renders a stable access-path key for an expression of the
 // form ident(.field)* — "tr", "c.tracer", "s.host.mu" — or "" when the

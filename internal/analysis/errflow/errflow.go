@@ -12,28 +12,29 @@
 //   - a call with an error result used as a bare statement
 //     (`f.Close()`): the error is dropped at birth. Writing `_ = f.Close()`
 //     is the same drop with makeup on and is flagged identically;
-//   - an error assigned to a variable that is dead at that point: no
-//     path from the assignment reaches a read of the variable before it
-//     is overwritten or goes out of scope. This is classic backward
-//     liveness over the CFG, so `err := f(); if c { return }; check(err)`
-//     is fine (one live path suffices) while `err := f(); err = g(...)`
-//     flags the first assignment.
+//   - an error stored in a local variable that is dead there: no path
+//     from the store reads the variable before overwriting it or leaving
+//     its block. Go's statements are structured, so the rule needs no
+//     control-flow graph: it folds the statements that follow the store.
+//     `err := f(); if c { return }; check(err)` is fine (one path reads
+//     it) while `err := f(); err = g(...)` flags the first store.
 //
-// Deliberate exclusions: deferred calls (`defer f.Close()` on read-only
-// files is idiomatic), the fmt.Print/Fprint family (best-effort
-// diagnostics to stderr), and named error results, which are live at
-// every return by construction.
+// Never reported: deferred and go'd calls (`defer f.Close()` on read-only
+// files is idiomatic); the fmt.Print/Fprint family (best-effort
+// diagnostics to stderr); named error results, which the caller reads;
+// variables that a function literal mentions or whose address is taken,
+// which other code may read; and stores in an if, switch or for init,
+// whose condition follows.
 package errflow
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
 	"burstmem/internal/analysis"
 	"burstmem/internal/analysis/astx"
-	"burstmem/internal/analysis/cfg"
-	"burstmem/internal/analysis/dataflow"
 )
 
 // Analyzer is the errflow pass.
@@ -51,176 +52,308 @@ func run(pass *analysis.Pass) {
 		return
 	}
 	for _, file := range pass.Files {
-		for _, fi := range astx.Funcs(file) {
-			if fi.Body() == nil {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					deadStores(pass, n, n.Type, n.Body)
+				}
+			case *ast.FuncLit:
+				deadStores(pass, n, n.Type, n.Body)
+			case *ast.ExprStmt:
+				call, ok := n.X.(*ast.CallExpr)
+				if ok && returnsError(pass.TypesInfo, call) && !excluded(call) {
+					pass.Reportf(call.Pos(), "error result of %s is dropped; check it, return it, or //lint:ignore errflow", callName(call))
+				}
+			case *ast.AssignStmt:
+				for i, l := range n.Lhs {
+					if id, ok := l.(*ast.Ident); ok && id.Name == "_" && discardsError(pass.TypesInfo, n, i) {
+						pass.Reportf(id.Pos(), "error discarded into _; check it, return it, or //lint:ignore errflow")
+					}
+				}
 			}
-			checkFunc(pass, fi.Node)
-		}
+			return true
+		})
 	}
 }
 
-func checkFunc(pass *analysis.Pass, fn ast.Node) {
-	g := cfg.New(fn)
-	p := &problem{pass: pass, results: namedErrorResults(pass, fn)}
-	res := dataflow.Solve[liveSet](g, p)
+// flow is what the statements after a store do with the stored value,
+// ordered so that max joins two alternative paths: one read keeps the
+// value live, and it is dead only when both paths kill it.
+type flow uint8
 
-	// Replay each block backward: before undoing a node's transfer the
-	// current set is the liveness just after that node — the state that
-	// decides whether an error assigned there is ever read.
-	for _, b := range g.Blocks {
-		live := p.cloneSet(res.In[b]) // backward: In is the fact at block end
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			n := b.Nodes[i]
-			p.checkNode(n, live)
-			p.stepBack(n, live)
-		}
-	}
+const (
+	dead    flow = iota // every path overwrites the value or returns first
+	through             // some path leaves the statements, value untouched
+	read                // some path may read the value
+)
+
+// frame is one statement list on the way from a function body down to
+// the statement being visited.
+type frame struct {
+	list  []ast.Stmt
+	i     int      // index of the statement being visited
+	block ast.Node // the block or case clause that holds the list
+	loop  bool     // the list is a loop body
 }
 
-// liveSet is the set of error-typed variables live at a program point.
-type liveSet map[*types.Var]bool
-
-type problem struct {
-	pass    *analysis.Pass
-	results liveSet // named error results of the function under analysis
+// fn walks one function body, a declaration's or a literal's; nested
+// literals are walked on their own.
+type fn struct {
+	pass  *analysis.Pass
+	node  ast.Node            // the *ast.FuncDecl or *ast.FuncLit
+	skip  map[*types.Var]bool // variables never reported
+	stack []frame
 }
 
-func (p *problem) Direction() dataflow.Direction { return dataflow.Backward }
-func (p *problem) Bottom() liveSet               { return liveSet{} }
-
-// Boundary: named error results are live at exit — a bare return reads
-// them, and the caller receives whatever they hold.
-func (p *problem) Boundary() liveSet { return p.cloneSet(p.results) }
-
-// namedErrorResults resolves the function's named error-typed result
-// variables.
-func namedErrorResults(pass *analysis.Pass, fn ast.Node) liveSet {
-	out := liveSet{}
-	var ft *ast.FuncType
-	switch fn := fn.(type) {
-	case *ast.FuncDecl:
-		ft = fn.Type
-	case *ast.FuncLit:
-		ft = fn.Type
-	}
-	if ft == nil || ft.Results == nil {
-		return out
-	}
-	for _, field := range ft.Results.List {
-		for _, name := range field.Names {
-			if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok && isErrorType(v.Type()) {
-				out[v] = true
+// deadStores reports the error stores in one function that no path reads.
+func deadStores(pass *analysis.Pass, node ast.Node, ft *ast.FuncType, body *ast.BlockStmt) {
+	f := &fn{pass: pass, node: node, skip: map[*types.Var]bool{}}
+	if ft.Results != nil {
+		for _, field := range ft.Results.List {
+			for _, name := range field.Names {
+				if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
+					f.skip[v] = true
+				}
 			}
 		}
 	}
-	return out
-}
-
-func (p *problem) Join(a, b liveSet) liveSet {
-	out := liveSet{}
-	for v := range a {
-		out[v] = true
-	}
-	for v := range b {
-		out[v] = true
-	}
-	return out
-}
-
-func (p *problem) Equal(a, b liveSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if !b[v] {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			ast.Inspect(n.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					f.shared(id)
+				}
+				return true
+			})
 			return false
-		}
-	}
-	return true
-}
-
-func (p *problem) Transfer(b *cfg.Block, in liveSet) liveSet {
-	out := p.cloneSet(in)
-	for i := len(b.Nodes) - 1; i >= 0; i-- {
-		p.stepBack(b.Nodes[i], out)
-	}
-	return out
-}
-
-func (p *problem) cloneSet(s liveSet) liveSet {
-	out := liveSet{}
-	for v := range s {
-		out[v] = true
-	}
-	return out
-}
-
-// stepBack undoes one node: kill assignment targets, then gen reads.
-func (p *problem) stepBack(n ast.Node, live liveSet) {
-	if as, ok := n.(*ast.AssignStmt); ok {
-		for _, l := range as.Lhs {
-			if v := p.errVar(l); v != nil {
-				delete(live, v)
-			}
-		}
-		for _, r := range as.Rhs {
-			p.genReads(r, live)
-		}
-		return
-	}
-	p.genReads(n, live)
-}
-
-// genReads adds every error variable read inside the subtree. Reads
-// inside nested function literals count — a closure capturing err keeps
-// it alive — and assignments inside literals are conservatively treated
-// as reads too (the closure may run zero or many times).
-func (p *problem) genReads(n ast.Node, live liveSet) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		if id, ok := x.(*ast.Ident); ok {
-			if v := p.errVar(id); v != nil {
-				live[v] = true
+		case *ast.UnaryExpr:
+			if id, ok := n.X.(*ast.Ident); ok && n.Op == token.AND {
+				f.shared(id)
 			}
 		}
 		return true
 	})
+	f.list(body.List, body, false)
 }
 
-// checkNode reports dead error births in one node, given liveness just
-// after it. Function literals have their own CFG and replay.
-func (p *problem) checkNode(n ast.Node, live liveSet) {
-	switch n := n.(type) {
-	case *ast.ExprStmt:
-		call, ok := n.X.(*ast.CallExpr)
-		if ok && p.returnsError(call) && !p.excluded(call) {
-			p.pass.Reportf(call.Pos(), "error result of %s is dropped; check it, return it, or //lint:ignore errflow", callName(call))
-		}
+// shared marks the variable id refers to as readable by other code.
+func (f *fn) shared(id *ast.Ident) {
+	if v, ok := f.pass.TypesInfo.Uses[id].(*types.Var); ok {
+		f.skip[v] = true
+	}
+}
+
+// list visits the statements of one list, with a frame pushed for it.
+func (f *fn) list(list []ast.Stmt, block ast.Node, loop bool) {
+	f.stack = append(f.stack, frame{list: list, block: block, loop: loop})
+	top := len(f.stack) - 1
+	for i, s := range list {
+		f.stack[top].i = i
+		f.stmt(s)
+	}
+	f.stack = f.stack[:top]
+}
+
+// stmt checks the stores of one listed statement and descends into the
+// lists nested in it. The init and post statements of if, switch and for
+// are not visited: their condition follows them.
+func (f *fn) stmt(s ast.Stmt) {
+	switch s := s.(type) {
 	case *ast.AssignStmt:
-		for _, l := range n.Lhs {
-			if id, ok := l.(*ast.Ident); ok && id.Name == "_" && p.lhsIsError(n, l) {
-				p.pass.Reportf(id.Pos(), "error discarded into _; check it, return it, or //lint:ignore errflow")
+		for _, l := range s.Lhs {
+			// A variable declared outside this function is shared with
+			// its enclosing one, or package-level.
+			v := f.errVar(l)
+			if v == nil || f.skip[v] || v.Pos() < f.node.Pos() || v.Pos() >= f.node.End() {
 				continue
 			}
-			v := p.errVar(l)
-			if v == nil || live[v] {
-				continue
+			if f.after(v) == dead {
+				f.pass.Reportf(l.Pos(), "%s assigned here is dead: no path reads it before reassignment or return", v.Name())
 			}
-			p.pass.Reportf(l.Pos(), "%s assigned here is dead: no path reads it before reassignment or return", v.Name())
+		}
+	case *ast.BlockStmt:
+		f.list(s.List, s, false)
+	case *ast.LabeledStmt:
+		f.stmt(s.Stmt)
+	case *ast.IfStmt:
+		f.list(s.Body.List, s.Body, false)
+		if s.Else != nil {
+			f.stmt(s.Else)
+		}
+	case *ast.ForStmt:
+		f.list(s.Body.List, s.Body, true)
+	case *ast.RangeStmt:
+		f.list(s.Body.List, s.Body, true)
+	case *ast.SwitchStmt:
+		f.clauses(s.Body)
+	case *ast.TypeSwitchStmt:
+		f.clauses(s.Body)
+	case *ast.SelectStmt:
+		f.clauses(s.Body)
+	}
+}
+
+// clauses visits the clause bodies of a switch or select.
+func (f *fn) clauses(body *ast.BlockStmt) {
+	for _, s := range body.List {
+		switch cc := s.(type) {
+		case *ast.CaseClause:
+			f.list(cc.Body, cc, false)
+		case *ast.CommClause:
+			f.list(cc.Body, cc, false)
 		}
 	}
 }
 
-// errVar resolves an expression to the *types.Var of a local error
-// variable, or nil.
-func (p *problem) errVar(e ast.Expr) *types.Var {
+// after answers for a store to v in the statement being visited: it
+// folds the rest of each enclosing list, innermost first, until a
+// statement decides. The value dies at the end of v's own block and at
+// the end of the function; the end of a loop body counts as a read,
+// because the next iteration may read it.
+func (f *fn) after(v *types.Var) flow {
+	for k := len(f.stack) - 1; k >= 0; k-- {
+		fr := f.stack[k]
+		if fl := f.fold(fr.list[fr.i+1:], v); fl != through {
+			return fl
+		}
+		if fr.block.Pos() <= v.Pos() && v.Pos() < fr.block.End() {
+			return dead
+		}
+		if fr.loop {
+			return read
+		}
+	}
+	return dead
+}
+
+// fold answers for a statement list: the first statement that does not
+// let the value through decides.
+func (f *fn) fold(list []ast.Stmt, v *types.Var) flow {
+	for _, s := range list {
+		if fl := f.flowOf(s, v); fl != through {
+			return fl
+		}
+	}
+	return through
+}
+
+// flowOf answers for one statement. An if without an else, or a switch
+// without a default, lets the value through. Branch statements count as
+// reads, and so do loops, selects and any other statement that mentions v.
+func (f *fn) flowOf(s ast.Stmt, v *types.Var) flow {
+	switch s := s.(type) {
+	case *ast.AssignStmt:
+		// The right-hand side is evaluated before the store.
+		fl := through
+		for _, l := range s.Lhs {
+			if f.errVar(l) == v {
+				fl = dead
+			} else if f.mentions(l, v) {
+				return read
+			}
+		}
+		for _, r := range s.Rhs {
+			if f.mentions(r, v) {
+				return read
+			}
+		}
+		return fl
+	case *ast.ReturnStmt:
+		if f.mentions(s, v) {
+			return read
+		}
+		return dead
+	case *ast.BranchStmt:
+		return read
+	case *ast.BlockStmt:
+		return f.fold(s.List, v)
+	case *ast.IfStmt:
+		if fl := f.head(s.Init, s.Cond, v); fl != through {
+			return fl
+		}
+		els := through
+		if s.Else != nil {
+			els = f.flowOf(s.Else, v)
+		}
+		return max(f.fold(s.Body.List, v), els)
+	case *ast.SwitchStmt:
+		return f.cases(s.Init, s.Tag, s.Body, v)
+	case *ast.TypeSwitchStmt:
+		return f.cases(s.Init, s.Assign, s.Body, v)
+	}
+	if f.mentions(s, v) {
+		return read
+	}
+	return through
+}
+
+// head answers for the init statement and condition (or tag) that head an
+// if or switch; either may be nil.
+func (f *fn) head(init ast.Stmt, cond ast.Node, v *types.Var) flow {
+	if init != nil {
+		if fl := f.flowOf(init, v); fl != through {
+			return fl
+		}
+	}
+	if cond != nil && f.mentions(cond, v) {
+		return read
+	}
+	return through
+}
+
+// cases answers for a switch: its head, then its clauses joined; without
+// a default, the value can also pass the switch untouched.
+func (f *fn) cases(init ast.Stmt, tag ast.Node, body *ast.BlockStmt, v *types.Var) flow {
+	if fl := f.head(init, tag, v); fl != through {
+		return fl
+	}
+	out, hasDefault := dead, false
+	for _, s := range body.List {
+		cc := s.(*ast.CaseClause)
+		if cc.List == nil {
+			hasDefault = true
+		}
+		for _, e := range cc.List {
+			if f.mentions(e, v) {
+				return read
+			}
+		}
+		out = max(out, f.fold(cc.Body, v))
+	}
+	if !hasDefault {
+		out = max(out, through)
+	}
+	return out
+}
+
+// mentions reports whether n uses v, or holds a labelled branch or goto
+// that may leave the statements around it.
+func (f *fn) mentions(n ast.Node, v *types.Var) bool {
+	found := false
+	ast.Inspect(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.Ident:
+			found = found || f.pass.TypesInfo.Uses[x] == v
+		case *ast.BranchStmt:
+			found = found || x.Label != nil
+		}
+		return !found
+	})
+	return found
+}
+
+// errVar resolves an expression to the *types.Var of an error variable,
+// or nil.
+func (f *fn) errVar(e ast.Expr) *types.Var {
 	id, ok := e.(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
 	}
-	obj := p.pass.TypesInfo.Defs[id]
+	obj := f.pass.TypesInfo.Defs[id]
 	if obj == nil {
-		obj = p.pass.TypesInfo.Uses[id]
+		obj = f.pass.TypesInfo.Uses[id]
 	}
 	v, ok := obj.(*types.Var)
 	if !ok || !isErrorType(v.Type()) {
@@ -229,39 +362,23 @@ func (p *problem) errVar(e ast.Expr) *types.Var {
 	return v
 }
 
-// lhsIsError reports whether the value flowing into this lhs position is
-// a fresh error from a call (for blank-identifier discards, where the
-// ident itself has no object). Only call results count: `_ = err` on an
-// already-bound variable is a deliberate no-op, not a drop.
-func (p *problem) lhsIsError(as *ast.AssignStmt, lhs ast.Expr) bool {
-	idx := -1
-	for i, l := range as.Lhs {
-		if l == lhs {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return false
-	}
+// discardsError reports whether the value flowing into the i'th lhs of
+// the assignment is a fresh error from a call (for blank-identifier
+// discards, where the ident itself has no object). Only call results
+// count: `_ = err` on an already-bound variable is a deliberate no-op, not
+// a drop.
+func discardsError(info *types.Info, as *ast.AssignStmt, i int) bool {
 	if len(as.Rhs) == len(as.Lhs) {
-		if _, ok := as.Rhs[idx].(*ast.CallExpr); !ok {
-			return false
-		}
-		return isErrorType(p.pass.TypesInfo.Types[as.Rhs[idx]].Type)
+		_, call := as.Rhs[i].(*ast.CallExpr)
+		return call && isErrorType(info.Types[as.Rhs[i]].Type)
 	}
-	tuple, ok := p.pass.TypesInfo.Types[as.Rhs[0]].Type.(*types.Tuple)
-	if !ok || idx >= tuple.Len() {
-		return false
-	}
-	return isErrorType(tuple.At(idx).Type())
+	tuple, ok := info.Types[as.Rhs[0]].Type.(*types.Tuple)
+	return ok && i < tuple.Len() && isErrorType(tuple.At(i).Type())
 }
 
 // returnsError reports whether any result of the call is error-typed.
-func (p *problem) returnsError(call *ast.CallExpr) bool {
-	t := p.pass.TypesInfo.Types[call].Type
-	if t == nil {
-		return false
-	}
+func returnsError(info *types.Info, call *ast.CallExpr) bool {
+	t := info.Types[call].Type
 	if tuple, ok := t.(*types.Tuple); ok {
 		for i := 0; i < tuple.Len(); i++ {
 			if isErrorType(tuple.At(i).Type()) {
@@ -281,7 +398,7 @@ func isErrorType(t types.Type) bool {
 
 // excluded reports whether the dropped error is idiomatically ignorable:
 // the fmt print family writing best-effort diagnostics.
-func (p *problem) excluded(call *ast.CallExpr) bool {
+func excluded(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false

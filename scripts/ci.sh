@@ -23,6 +23,11 @@ go build ./...
 echo "== burstlint =="
 go run ./cmd/burstlint ./...
 
+echo "== go vet + burstlint (benchmark module) =="
+# bench/ is a module of its own, so the ./... patterns above stop at its
+# boundary; its cmd/* packages are in errflow's scope.
+(cd bench && go vet ./... && go run burstmem/cmd/burstlint ./...)
+
 echo "== burstlint golden (CLI output/exit-code contract) =="
 go test -count=1 -run 'TestGolden|TestExitCode' ./cmd/burstlint/
 
