@@ -105,6 +105,9 @@ func main() {
 	res, err := sim.RunSystem(cfg, sys, name)
 	fatal(err)
 	printResult(res, sys.Ctrl.Stats.ReadLatencyHist.Size()-1)
+	cc := sys.Census()
+	fmt.Printf("memory cycles by  stepped %d  cpu-inert %d  skipped %d  (warmup included)\n",
+		cc.Stepped, cc.Collapsed, cc.Skipped)
 
 	if tr != nil {
 		f, err := os.Create(*traceOut)

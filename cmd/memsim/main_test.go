@@ -50,8 +50,9 @@ func memsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 var small = []string{"-bench", "swim", "-n", "2000", "-warmup", "0"}
 
-// TestUntracedRun: without -trace, memsim prints the result and exports
-// nothing — the trace block runs only when a tracer was attached.
+// TestUntracedRun: without -trace, memsim prints the result and the cycle
+// census and exports nothing — the trace block runs only when a tracer was
+// attached.
 func TestUntracedRun(t *testing.T) {
 	stdout, stderr, code := memsim(t, small...)
 	if code != 0 {
@@ -59,6 +60,9 @@ func TestUntracedRun(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "benchmark         swim\n") || !strings.Contains(stdout, "read latency") {
 		t.Errorf("result missing from output:\n%s", stdout)
+	}
+	if !regexp.MustCompile(`\nmemory cycles by  stepped \d+  cpu-inert \d+  skipped \d+  \(warmup included\)\n`).MatchString(stdout) {
+		t.Errorf("cycle census missing from output:\n%s", stdout)
 	}
 	if strings.Contains(stdout, "\ntrace ") {
 		t.Errorf("untraced run printed a trace line:\n%s", stdout)

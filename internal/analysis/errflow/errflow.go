@@ -7,7 +7,7 @@
 // comparison, a return, an argument — on some path, or carry an explicit
 // `//lint:ignore errflow <reason>`.
 //
-// Two failure shapes are reported:
+// Three failure shapes are reported:
 //
 //   - a call with an error result used as a bare statement
 //     (`f.Close()`): the error is dropped at birth. Writing `_ = f.Close()`
@@ -17,7 +17,11 @@
 //     its block. Go's statements are structured, so the rule needs no
 //     control-flow graph: it folds the statements that follow the store.
 //     `err := f(); if c { return }; check(err)` is fine (one path reads
-//     it) while `err := f(); err = g(...)` flags the first store.
+//     it) while `err := f(); err = g(...)` flags the first store;
+//   - an error check that handles nothing: an if whose condition compares
+//     an error with nil and whose body is empty, `if err != nil {}`, or
+//     `if err == nil {}` without an else. The comparison reads the error,
+//     so the dead-store rule passes it, but the error goes nowhere.
 //
 // Never reported: deferred and go'd calls (`defer f.Close()` on read-only
 // files is idiomatic); the fmt.Print/Fprint family (best-effort
@@ -71,10 +75,29 @@ func run(pass *analysis.Pass) {
 						pass.Reportf(id.Pos(), "error discarded into _; check it, return it, or //lint:ignore errflow")
 					}
 				}
+			case *ast.IfStmt:
+				if emptyCheck(pass.TypesInfo, n) {
+					pass.Reportf(n.Pos(), "error check has an empty body; handle the error, or //lint:ignore errflow")
+				}
 			}
 			return true
 		})
 	}
+}
+
+// emptyCheck reports whether the if compares an error with nil and does
+// nothing about it: an empty body under `!=`, or, under `==`, an empty body
+// with no else to handle the error.
+func emptyCheck(info *types.Info, s *ast.IfStmt) bool {
+	cond, ok := s.Cond.(*ast.BinaryExpr)
+	if !ok || len(s.Body.List) != 0 || !(cond.Op == token.NEQ || cond.Op == token.EQL && s.Else == nil) {
+		return false
+	}
+	x, y := cond.X, cond.Y
+	if info.Types[x].IsNil() {
+		x, y = y, x
+	}
+	return info.Types[y].IsNil() && isErrorType(info.Types[x].Type)
 }
 
 // flow is what the statements after a store do with the stored value,

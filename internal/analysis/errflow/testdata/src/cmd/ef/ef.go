@@ -36,6 +36,29 @@ func checked(f *os.File) {
 	}
 }
 
+// emptyCheck: comparing the error with nil reads it, but an empty body
+// handles nothing.
+func emptyCheck(f *os.File) {
+	if err := f.Close(); err != nil { // want `error check has an empty body`
+	}
+	err := flush()
+	if nil != err { // want `error check has an empty body`
+	}
+	if err := parse(f); err == nil { // want `error check has an empty body`
+	}
+}
+
+// emptySuccessBranch: an empty success branch is fine when the else
+// handles the error, and so is an empty body on a non-error comparison.
+func emptySuccessBranch(f *os.File) {
+	if err := f.Close(); err == nil {
+	} else {
+		fatal(err)
+	}
+	if f != nil {
+	}
+}
+
 // returned: passing the error up is a use.
 func returned(f *os.File) error {
 	return parse(f)

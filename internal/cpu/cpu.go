@@ -23,8 +23,10 @@
 // frees a slot of a full LSQ or the L1D's state moves, so replay charges
 // the cache's refusals in bulk instead of re-probing them. A completion
 // that resolves a pending load's address wakes that one load, which replay
-// visits alone. The gate also tells SkipEligible and NextEventCycle when
-// the replay stage is idle.
+// visits alone. The store buffer has a gate of its own: a store the L1D
+// refused is charged, not re-probed, until the L1D's state moves. A CPU
+// whose only work is charging refusals is idle to SkipEligible and
+// NextEventCycle, and SkipCycles charges them in bulk.
 package cpu
 
 import (
@@ -47,10 +49,10 @@ type Mem interface {
 	AccessLoad(addr uint64, mayAllocate bool, done func()) cache.Result
 }
 
-// refusalGate is the optional port (the L1 data cache) behind replay's
-// gate. Version moves whenever an access the cache refused could get
-// another answer; AddBlocked charges n refusals to the cache's Blocked
-// statistic without probing.
+// refusalGate is the optional port (the L1 data cache) behind the replay
+// and store gates. Version moves whenever an access the cache refused
+// could get another answer; AddBlocked charges n refusals to the cache's
+// Blocked statistic without probing.
 type refusalGate interface {
 	Version() uint64
 	AddBlocked(n uint64)
@@ -170,6 +172,11 @@ type CPU struct {
 	sbHead   int
 	sbLen    int
 	sbIssued int
+	// The store gate (see drainStores): set when the L1D refused the first
+	// unissued store, with the L1D's version then. Never set without a
+	// refusalGate port.
+	sbGated   bool
+	sbGateVer uint64
 
 	// Prebuilt completion callbacks, one per physical slot, so the hot
 	// issue paths never allocate a closure. A ROB slot (or store-buffer
@@ -182,10 +189,15 @@ type CPU struct {
 
 	// stalled records that the last Tick ended SkipEligible: until an
 	// external cache callback arrives, every subsequent Tick is a pure
-	// stall whose only effects are the counters SkipCycles accounts, so
-	// Tick short-circuits. Cleared by loadReturned and store-fill
-	// callbacks (the only external unblock events).
-	stalled bool
+	// stall whose only effects are the counters and refusal charges
+	// SkipCycles accounts, so Tick short-circuits. Cleared by loadReturned
+	// and store-fill callbacks (the only external unblock events). A stall
+	// with refusals to charge rests on a gate (stallOnGate) and also ends
+	// when the L1D's version moves from stallVer; a plain stall never
+	// reads the version.
+	stalled     bool
+	stallOnGate bool
+	stallVer    uint64
 
 	now          uint64 // internal cycle clock (never reset)
 	totalRetired uint64 // lifetime retirement count (never reset)
@@ -238,12 +250,21 @@ func (c *CPU) Cycles() uint64 { return c.Stats.Cycles }
 //
 // While stalled (see the field comment), a full Tick provably performs
 // exactly the SkipCycles(1) accounting — drainStores has everything issued
-// and no fill at the head, retire blocks on the head, replay has no walk to
-// do, dispatch hits the full ROB — so it short-circuits to that.
+// or charges its gated store, no fill at the head, retire blocks on the
+// head, replay has no walk to do or charges its holding gate's refusals,
+// dispatch hits the full ROB — so it short-circuits to that.
 func (c *CPU) Tick() {
 	if c.stalled {
-		c.SkipCycles(1)
-		return
+		// A plain stall takes the inlined counter path alone.
+		if !c.stallOnGate {
+			c.skipStall(1)
+			return
+		}
+		if c.gate.Version() == c.stallVer {
+			c.SkipCycles(1)
+			return
+		}
+		c.stalled = false
 	}
 	c.now++
 	c.Stats.Cycles++
@@ -251,7 +272,11 @@ func (c *CPU) Tick() {
 	c.retire()
 	c.replay()
 	c.dispatch()
-	c.stalled = c.SkipEligible()
+	if c.stalled = c.SkipEligible(); c.stalled {
+		if c.stallOnGate = c.gateCharge() > 0; c.stallOnGate {
+			c.stallVer = c.gate.Version()
+		}
+	}
 }
 
 // completeLoad marks a load done and releases its LSQ slot. Freeing a slot
@@ -293,6 +318,13 @@ const storeIssueWidth = 4
 // cache accesses for stores whose lines are not yet in flight. Stores
 // issue in order, so sbIssued is a watermark: everything before it is
 // already waiting or filled.
+//
+// The store gate. A refused store stops the issue loop, so it is the first
+// unissued store until it issues; popping filled slots before it keeps it
+// there. A store's answer depends only on the L1D's lines, MSHRs and
+// writeback-queue length, as a load's does (see replay), so while the
+// L1D's version stands still a repeat probe would be refused again:
+// drainStores charges that refusal with AddBlocked(1) instead.
 func (c *CPU) drainStores() {
 	for c.sbLen > 0 && c.sb[c.sbHead].filled {
 		c.sb[c.sbHead] = storeSlot{}
@@ -304,6 +336,12 @@ func (c *CPU) drainStores() {
 			c.sbIssued--
 		}
 	}
+	holds := c.sbGated && c.gate.Version() == c.sbGateVer
+	if holds && !c.shadow.armed() {
+		c.gate.AddBlocked(1)
+		return
+	}
+	c.sbGated = false
 	issued := 0
 	for c.sbIssued < c.sbLen && issued < storeIssueWidth {
 		i := c.sbHead + c.sbIssued
@@ -311,7 +349,12 @@ func (c *CPU) drainStores() {
 			i -= c.cfg.StoreBufSize
 		}
 		s := &c.sb[i]
-		switch c.mem.Access(s.addr, true, c.sbFillCB[i]) {
+		res := c.mem.Access(s.addr, true, c.sbFillCB[i])
+		if holds {
+			c.shadow.checkStore(c.now, res)
+			holds = false
+		}
+		switch res {
 		case cache.Hit:
 			s.filled = true
 			issued++
@@ -325,6 +368,9 @@ func (c *CPU) drainStores() {
 			// Retry next cycle: this is the back-pressure path from
 			// a saturated memory write queue. Stop issuing to
 			// preserve ordering pressure at the blocked line.
+			if c.gate != nil {
+				c.sbGated, c.sbGateVer = true, c.gate.Version()
+			}
 			return
 		}
 	}
@@ -565,33 +611,48 @@ func (c *CPU) dispatch() {
 }
 
 // SkipEligible reports whether Tick is a guaranteed stall until external
-// input (a cache callback) arrives: nothing to retire, issue or dispatch. When true, each elapsed cycle would only bump the cycle count
-// and the stall counters that SkipCycles applies in bulk.
+// input (a cache callback) arrives or the L1D's version moves: nothing to
+// retire, issue or dispatch. When true, each elapsed cycle would only bump
+// the cycle count and the stall counters, and charge the gates' refusals,
+// all of which SkipCycles applies in bulk.
 func (c *CPU) SkipEligible() bool { return c.NextEventCycle() == NoEvent }
 
-// NextEventCycle returns NoEvent when only an external cache callback can
-// change the CPU's state, and otherwise the next CPU cycle (on the CPU's
-// own clock). It depends on CPU state alone: pending load completions,
-// hits included, are the caches' events. While it returns NoEvent, each
-// Tick is bit-identical to SkipCycles(1) because every stage idles: the
-// store buffer is fully issued with no fill at the head, the head is
-// blocked (bumping exactly the stall counter SkipCycles bumps; an
-// incomplete head is always a load, since non-memory ops and stores
-// dispatch completed), replay has no walk to do, and the ROB is full.
+// NextEventCycle returns NoEvent when only an external cache callback or a
+// move of the L1D's version can change the CPU's state, and otherwise the
+// next CPU cycle (on the CPU's own clock). It depends on CPU state and the
+// L1D's version alone: pending load completions, hits included, are the
+// caches' events, and the version moves only when a cache ticks, fills or
+// is accessed. While it returns NoEvent, each Tick is bit-identical to
+// SkipCycles(1) because every stage idles: the store buffer is fully
+// issued or its gate holds, with no fill at the head; the head is blocked
+// (bumping exactly the stall counter SkipCycles bumps; an incomplete head
+// is always a load, since non-memory ops and stores dispatch completed);
+// replay has no walk to do or its gate holds; and the ROB is full.
 func (c *CPU) NextEventCycle() uint64 {
-	if c.stalled {
-		// SkipEligible held at the last Tick and no callback has arrived
-		// since.
+	if c.stalled && (!c.stallOnGate || c.gate.Version() == c.stallVer) {
+		// The stall the last Tick ended in still holds.
 		return NoEvent
 	}
-	if c.count >= c.cfg.ROBSize && !c.walkNeeded() &&
-		c.sbIssued == c.sbLen && !(c.sbLen > 0 && c.sb[c.sbHead].filled) {
+	if c.count >= c.cfg.ROBSize {
 		head := &c.rob[c.head]
-		if !head.done || (head.typ == workload.OpStore && c.sbLen >= c.cfg.StoreBufSize) {
+		blocked := !head.done || (head.typ == workload.OpStore && c.sbLen >= c.cfg.StoreBufSize)
+		// A needed walk behind a closed gate with no woken load has
+		// refusals to charge.
+		if blocked && !(c.sbLen > 0 && c.sb[c.sbHead].filled) &&
+			(c.sbIssued == c.sbLen || c.idleGate(c.sbGated, c.sbGateVer)) &&
+			(!c.walkNeeded() || c.woken < 0 && c.idleGate(c.gated, c.gateVer)) {
 			return NoEvent
 		}
 	}
 	return c.now + 1
+}
+
+// idleGate reports whether a gate leaves its stage nothing to do but
+// charge refusals: it is closed, and the L1D's version is still ver, the
+// one it recorded. Under -tags invariants a holding gate is work, since the
+// shadow checks probe it.
+func (c *CPU) idleGate(closed bool, ver uint64) bool {
+	return closed && !c.shadow.armed() && c.gate.Version() == ver
 }
 
 // InertFor reports whether the next n Ticks are provably equivalent to
@@ -604,8 +665,18 @@ func (c *CPU) InertFor(n uint64) bool {
 // SkipCycles accounts n skipped stall cycles (caller checked SkipEligible
 // or a NextEventCycle bound): the clock advances and the counters a
 // stalled Tick would have bumped — ROB-full at dispatch, plus the
-// head-blocked reason at retire — grow by n.
+// head-blocked reason at retire — grow by n, and the L1D is charged n
+// times the refusals each stalled Tick charges, in one AddBlocked call.
 func (c *CPU) SkipCycles(n uint64) {
+	c.skipStall(n)
+	if k := c.gateCharge(); k > 0 {
+		c.gate.AddBlocked(n * k)
+	}
+}
+
+// skipStall is SkipCycles without the refusal charges, for a stall with
+// none to charge.
+func (c *CPU) skipStall(n uint64) {
 	c.now += n
 	c.Stats.Cycles += n
 	c.Stats.ROBFullCycles += n
@@ -614,6 +685,20 @@ func (c *CPU) SkipCycles(n uint64) {
 	} else {
 		c.Stats.StoreBufFullStalls += n
 	}
+}
+
+// gateCharge returns the refusals an idle Tick charges to the L1D: the
+// replay gate's recorded ones, plus one for a gated store. Neither gate
+// closes without a refusalGate port, so it is then 0.
+func (c *CPU) gateCharge() uint64 {
+	var k uint64
+	if c.gated {
+		k = c.refused
+	}
+	if c.sbGated {
+		k++
+	}
+	return k
 }
 
 // ResetStats zeroes the statistics counters without disturbing

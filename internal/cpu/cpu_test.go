@@ -72,19 +72,29 @@ func (m *stubMem) release() {
 	}
 }
 
-// gateMem is a stubMem with the refusal-gate port. It counts its load
-// probes and the refusals it charged, probed or in bulk; its version moves
-// only when a test bumps it.
+// gateMem is a stubMem with the refusal-gate port. It counts its load and
+// store probes and the refusals it charged, probed or in bulk; its version
+// moves only when a test bumps it.
 type gateMem struct {
 	stubMem
-	version  uint64
-	probes   int
-	refusals uint64
+	version     uint64
+	probes      int // loads
+	storeProbes int
+	refusals    uint64
 }
 
 func (m *gateMem) AccessLoad(addr uint64, mayAllocate bool, done func()) cache.Result {
 	m.probes++
-	r := m.stubMem.AccessLoad(addr, mayAllocate, done)
+	return m.refuse(m.stubMem.AccessLoad(addr, mayAllocate, done))
+}
+
+// Access is the store path: the CPU probes loads through AccessLoad only.
+func (m *gateMem) Access(addr uint64, isWrite bool, done func()) cache.Result {
+	m.storeProbes++
+	return m.refuse(m.stubMem.Access(addr, isWrite, done))
+}
+
+func (m *gateMem) refuse(r cache.Result) cache.Result {
 	if r == cache.Blocked {
 		m.refusals++
 	}
@@ -139,6 +149,23 @@ func chainThenRefused(t *testing.T) (*CPU, *gateMem) {
 	if !c.gated || c.refused != 4 || len(c.pending) != 5 || len(mem.pending) != 1 {
 		t.Fatalf("after two ticks: gated %v, %d refusals recorded, %d loads pending, %d misses; want true, 4, 5, 1",
 			c.gated, c.refused, len(c.pending), len(mem.pending))
+	}
+	return c, mem
+}
+
+// refusedStore builds a CPU whose one store the cache refuses, ticked until
+// the store gate has closed: the first tick dispatches the store, the
+// second retires it into the store buffer, the third probes it.
+func refusedStore(t *testing.T) (*CPU, *gateMem) {
+	t.Helper()
+	mem := &gateMem{stubMem: stubMem{blocked: true}}
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: []workload.Op{{Type: workload.OpStore, Addr: 0x1000}}}, mem)
+	for i := 0; i < 3; i++ {
+		c.Tick()
+	}
+	if !c.sbGated || mem.storeProbes != 1 || mem.refusals != 1 {
+		t.Fatalf("after three ticks: store gated %v, %d store probes, %d refusals; want true, 1, 1",
+			c.sbGated, mem.storeProbes, mem.refusals)
 	}
 	return c, mem
 }
@@ -481,5 +508,89 @@ func TestReplayGateZeroLatencyChain(t *testing.T) {
 	}
 	if !c.gated {
 		t.Fatal("the woken chain reopened the gate")
+	}
+}
+
+// TestStoreGateChargesRefusal: while the store gate is closed, each tick
+// charges the refused store's refusal without probing the cache (the probe
+// count is asserted only when the invariants shadow check, which
+// re-probes, is off); a version bump makes the next tick probe again, and
+// once the cache accepts, the store issues and the gate opens.
+func TestStoreGateChargesRefusal(t *testing.T) {
+	c, mem := refusedStore(t)
+	for i := 0; i < 5; i++ {
+		probes, refusals := mem.storeProbes, mem.refusals
+		c.Tick()
+		if got := mem.refusals - refusals; got != 1 {
+			t.Fatalf("closed store gate charged %d refusals on tick %d, want 1", got, i)
+		}
+		if !c.shadow.armed() && mem.storeProbes != probes {
+			t.Fatalf("closed store gate probed the cache %d times on tick %d", mem.storeProbes-probes, i)
+		}
+	}
+	mem.version++
+	probes, refusals := mem.storeProbes, mem.refusals
+	c.Tick()
+	if mem.storeProbes-probes != 1 || mem.refusals-refusals != 1 || !c.sbGated {
+		t.Fatalf("tick after a version bump: %d store probes, %d refusals, gated %v; want 1, 1, true",
+			mem.storeProbes-probes, mem.refusals-refusals, c.sbGated)
+	}
+	mem.blocked = false
+	mem.version++
+	c.Tick()
+	if c.sbGated || c.sbIssued != 1 || mem.stores != 1 {
+		t.Fatalf("after the cache accepts: gated %v, %d stores issued, %d accepted; want false, 1, 1",
+			c.sbGated, c.sbIssued, mem.stores)
+	}
+}
+
+// TestGatedStallChargesInBulk: a CPU whose ROB is full behind a refused
+// load at its head, with four refused loads behind the replay gate and a
+// refused store behind the store gate, does nothing but charge refusals.
+// It is skip-eligible, and SkipCycles(n) and each stalled tick charge five
+// refusals a cycle without probing; a version move ends the stall, and the
+// next tick probes the store and the loads again. Under -tags invariants
+// both gates are work, since the shadow checks probe them.
+func TestGatedStallChargesInBulk(t *testing.T) {
+	ops := []workload.Op{{Type: workload.OpStore, Addr: 0x100}}
+	for i := 0; i < 4; i++ {
+		ops = append(ops, workload.Op{Type: workload.OpLoad, Addr: uint64(i+1) << 12})
+	}
+	mem := &gateMem{stubMem: stubMem{blocked: true}}
+	c := newCPU(t, DefaultConfig(), &scriptGen{ops: ops}, mem)
+	for c.count < c.cfg.ROBSize {
+		c.Tick()
+	}
+	c.Tick() // dispatch finds the ROB full
+	if !c.sbGated || !c.gated || c.refused != 4 {
+		t.Fatalf("ROB full: store gated %v, replay gated %v, %d refusals recorded; want true, true, 4", c.sbGated, c.gated, c.refused)
+	}
+	if got, want := c.SkipEligible(), !c.shadow.armed(); got != want {
+		t.Fatalf("SkipEligible %v with both gates holding, want %v", got, want)
+	}
+	if c.shadow.armed() {
+		return
+	}
+	probes := mem.probes + mem.storeProbes
+	refusals, stalls := mem.refusals, c.Stats.HeadLoadStalls
+	c.SkipCycles(10)
+	c.Tick()
+	if got := mem.refusals - refusals; got != 55 {
+		t.Fatalf("SkipCycles(10) and a stalled tick charged %d refusals, want 55", got)
+	}
+	if mem.probes+mem.storeProbes != probes || c.Stats.HeadLoadStalls-stalls != 11 {
+		t.Fatalf("stalled: %d probes, %d head-load stalls; want 0 and 11", mem.probes+mem.storeProbes-probes, c.Stats.HeadLoadStalls-stalls)
+	}
+	mem.version++
+	if c.SkipEligible() {
+		t.Fatal("still skip-eligible after the version moved")
+	}
+	refusals = mem.refusals
+	c.Tick()
+	if got := mem.probes + mem.storeProbes - probes; got != 5 {
+		t.Fatalf("tick after a version move probed %d times, want 5 (the store and four loads)", got)
+	}
+	if mem.refusals-refusals != 5 || !c.SkipEligible() {
+		t.Fatalf("tick after a version move: %d refusals, skip-eligible %v; want 5, true", mem.refusals-refusals, c.SkipEligible())
 	}
 }

@@ -28,6 +28,15 @@ func TestReplayGateWokenShadowTrigger(t *testing.T) {
 	mustPanicContaining(t, "cycle 3: closed replay gate predicted 4 refusals and no issue, but the walk issued 4 loads and was refused 0 times", c.Tick)
 }
 
+// TestStoreGateShadowTrigger: once the store gate has closed on a refused
+// store, the cache starts accepting it without moving its version, and the
+// next tick must panic, cycle-stamped.
+func TestStoreGateShadowTrigger(t *testing.T) {
+	c, mem := refusedStore(t)
+	mem.blocked = false
+	mustPanicContaining(t, "cycle 4: closed store gate predicted a refusal, but the store's probe was a miss", c.Tick)
+}
+
 func mustPanicContaining(t *testing.T, want string, f func()) {
 	t.Helper()
 	defer func() {

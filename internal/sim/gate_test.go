@@ -11,8 +11,9 @@ import (
 )
 
 // walkPort forwards only the cpu.Mem methods of an L1D. A CPU over it finds
-// no refusal-gate port, so its gate never closes and replay walks every
-// pending load on every cycle.
+// no refusal-gate port, so neither of its gates closes: replay walks every
+// pending load and drainStores probes its first unissued store on every
+// cycle.
 type walkPort struct{ l1 *cache.Cache }
 
 func (p walkPort) Access(addr uint64, isWrite bool, done func()) cache.Result {
@@ -23,40 +24,68 @@ func (p walkPort) AccessLoad(addr uint64, mayAllocate bool, done func()) cache.R
 	return p.l1.AccessLoad(addr, mayAllocate, done)
 }
 
-// TestReplayGateMatchesWalk: the replay gate (bulk refusal charges, woken
-// loads visited alone) must give every Result field a walk on every cycle
-// gives. parser and mcf chase pointers, so completions wake loads; lucas is
-// refused the most. LSQ 2 keeps the LSQ full; a zero-latency L1D completes
-// hits inside the probe, so one woken load can wake the next.
+// TestReplayGateMatchesWalk: the replay and store gates (bulk refusal
+// charges, woken loads visited alone, idle CPU cycles collapsed or skipped
+// with their charges applied by SkipCycles) must give every Result field
+// that probing every cycle gives. parser and mcf chase pointers, so
+// completions wake loads; lucas is refused the most. LSQ 2 keeps the LSQ
+// full; a zero-latency L1D completes hits inside the probe, so one woken
+// load can wake the next. The write-saturated cases run lucas and swim,
+// whose writebacks fill the write queue until the store buffer fills,
+// under an in-order, a write-preempting and the threshold mechanism, with
+// a small and the default store buffer.
 func TestReplayGateMatchesWalk(t *testing.T) {
+	type gateCase struct {
+		name                string
+		bench, mech         string
+		lsq, latency, sbLen int
+		writeSaturated      bool
+	}
+	var cases []gateCase
 	for _, bench := range []string{"parser", "mcf", "lucas"} {
 		for _, lsq := range []int{2, 32} {
 			for _, latency := range []int{0, 3} {
-				bench, lsq, latency := bench, lsq, latency
-				t.Run(fmt.Sprintf("%s/lsq%d/l1lat%d", bench, lsq, latency), func(t *testing.T) {
-					cfg := quickConfig()
-					cfg.CPU.LSQSize = lsq
-					cfg.L1D.LatencyCycles = latency
-					gated := runReplay(t, cfg, bench, false)
-					walked := runReplay(t, cfg, bench, true)
-					if !reflect.DeepEqual(gated, walked) {
-						t.Errorf("gated replay diverged from a walk every cycle:\n  gated: %+v\n walked: %+v", gated, walked)
-					}
-				})
+				name := fmt.Sprintf("%s/lsq%d/l1lat%d", bench, lsq, latency)
+				cases = append(cases, gateCase{name, bench, "Burst_TH", lsq, latency, 32, false})
 			}
 		}
 	}
+	for _, bench := range []string{"lucas", "swim"} {
+		for _, mech := range []string{"BkInOrder", "Burst_WP", "Burst_TH"} {
+			for _, sbLen := range []int{4, 32} {
+				name := fmt.Sprintf("%s/%s/sb%d", bench, mech, sbLen)
+				cases = append(cases, gateCase{name, bench, mech, 32, 3, sbLen, true})
+			}
+		}
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickConfig()
+			cfg.CPU.LSQSize = tc.lsq
+			cfg.CPU.StoreBufSize = tc.sbLen
+			cfg.L1D.LatencyCycles = tc.latency
+			gated := runReplay(t, cfg, tc.bench, tc.mech, false)
+			walked := runReplay(t, cfg, tc.bench, tc.mech, true)
+			if !reflect.DeepEqual(gated, walked) {
+				t.Errorf("gated replay and stores diverged from probing every cycle:\n  gated: %+v\n walked: %+v", gated, walked)
+			}
+			if tc.writeSaturated && walked.CPUStats.StoreBufFullStalls == 0 {
+				t.Errorf("the store buffer never filled: not a write-saturated case")
+			}
+		})
+	}
 }
 
-// runReplay runs bench under Burst_TH; with walk set, the CPU is rebuilt
+// runReplay runs bench under mech; with walk set, the CPU is rebuilt
 // before the run over a walkPort of its L1D.
-func runReplay(t *testing.T, cfg Config, bench string, walk bool) Result {
+func runReplay(t *testing.T, cfg Config, bench, mech string, walk bool) Result {
 	t.Helper()
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := MechanismByName("Burst_TH")
+	factory, err := MechanismByName(mech)
 	if err != nil {
 		t.Fatal(err)
 	}

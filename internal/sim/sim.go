@@ -170,7 +170,19 @@ type System struct {
 
 	memCycle     uint64 // the machine clock
 	measureStart uint64 // memCycle when the measurement window opened
+	census       CycleCensus
 }
+
+// CycleCensus counts a System's memory cycles, warmup included, by how
+// they advanced. The three counts sum to MemCycle().
+type CycleCensus struct {
+	Stepped   uint64 // the CPU domain ticked CPUCyclesPerMemCycle times
+	Collapsed uint64 // the CPU domain was inert: one SkipCycles per component
+	Skipped   uint64 // jumped over by TrySkip
+}
+
+// Census returns the System's cycle census so far.
+func (s *System) Census() CycleCensus { return s.census }
 
 // NewSystem builds the machine for one benchmark profile and mechanism.
 func NewSystem(cfg Config, prof workload.Profile, factory memctrl.Factory) (*System, error) {
@@ -255,6 +267,7 @@ func (s *System) StepMemCycle() {
 	s.FSB.Tick(s.memCycle)
 	r := uint64(s.Cfg.CPUCyclesPerMemCycle)
 	if !s.DisableSkip && s.cpuDomainInertFor(r) {
+		s.census.Collapsed++
 		s.L2.SkipCycles(r)
 		for c := range s.CPUs {
 			s.L1Ds[c].SkipCycles(r)
@@ -262,6 +275,7 @@ func (s *System) StepMemCycle() {
 		}
 		return
 	}
+	s.census.Stepped++
 	for i := 0; i < s.Cfg.CPUCyclesPerMemCycle; i++ {
 		s.L2.Tick()
 		for c := range s.CPUs {
@@ -336,6 +350,7 @@ func (s *System) TrySkip() uint64 {
 		s.CPUs[c].SkipCycles(n)
 	}
 	s.memCycle += k
+	s.census.Skipped += k
 	return k
 }
 

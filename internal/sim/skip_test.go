@@ -56,6 +56,11 @@ func TestFastForwardBitIdentical(t *testing.T) {
 		{"gzip", "Burst_TH", 1},
 		{"gzip", "Burst_DYN", 1},
 		{"mcf", "Burst_TH", 2}, // CMP: every core's classifier must agree
+		// lucas saturates the write queue: the store buffer fills, and
+		// CPU cycles that only charge the gates' refusals are skipped.
+		{"lucas", "BkInOrder", 1},
+		{"lucas", "Burst_TH", 1},
+		{"lucas", "Burst_TH", 2},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -96,6 +101,41 @@ func TestFastForwardActuallySkips(t *testing.T) {
 	}
 	t.Logf("stepped %d of %d memory cycles (%.1f%% skipped)",
 		steps, sys.MemCycle(), 100*(1-float64(steps)/float64(sys.MemCycle())))
+}
+
+// TestCycleCensus: every memory cycle is counted once, as stepped,
+// collapsed or skipped, and with skipping off every one is stepped.
+// lucas under BkInOrder is write-saturated, so all three kinds occur.
+func TestCycleCensus(t *testing.T) {
+	prof, err := workload.ByName("lucas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := MechanismByName("BkInOrder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, disableSkip := range []bool{false, true} {
+		cfg := quickConfig()
+		sys, err := NewSystem(cfg, prof, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.DisableSkip = disableSkip
+		if _, err := runSystem(cfg, sys, "lucas"); err != nil {
+			t.Fatal(err)
+		}
+		cc := sys.Census()
+		if sum := cc.Stepped + cc.Collapsed + cc.Skipped; sum != sys.MemCycle() {
+			t.Errorf("DisableSkip %v: census %+v sums to %d, want MemCycle %d", disableSkip, cc, sum, sys.MemCycle())
+		}
+		if disableSkip && cc.Stepped != sys.MemCycle() {
+			t.Errorf("DisableSkip: census %+v, want every cycle stepped", cc)
+		}
+		if !disableSkip && (cc.Stepped == 0 || cc.Collapsed == 0 || cc.Skipped == 0) {
+			t.Errorf("census %+v: want stepped, collapsed and skipped cycles", cc)
+		}
+	}
 }
 
 // TestRunDeterministic: repeated identical runs must produce bit-identical

@@ -38,17 +38,18 @@ echo "== go test -tags invariants (protocol sanitizer armed) =="
 go test -tags invariants ./internal/cpu/ ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/ \
     ./internal/core/ ./internal/sched/
 
-echo "== shadow checks (next-event bound vs linear scan; replay gate vs re-walk) =="
+echo "== shadow checks (next-event bound vs linear scan; replay and store gates vs re-probe) =="
 # The invariants build cross-checks the engine's next-event cycle, taken
 # from the hint cache's minimum issue bound, against the linear scan: first
 # on its trigger and clean-run tests, then on live simulations (an
 # over-estimate would let an idle skip jump a real event). It also re-walks
 # every load the CPU's closed replay gate would charge without probing, and
-# every pending load when the gate visits a woken load alone; the trigger
-# tests prove that a cache answer changing behind a still version panics,
-# with and without a woken load.
+# every pending load when the gate visits a woken load alone, and re-probes
+# the store its closed store gate would charge; the trigger tests prove
+# that a cache answer changing behind a still version panics, for loads
+# with and without a woken load and for a gated store.
 go test -count=1 -tags invariants -run 'TestEngineShadow' ./internal/memctrl/
-go test -count=1 -tags invariants -run 'TestReplayGate' ./internal/cpu/
+go test -count=1 -tags invariants -run 'TestReplayGate|TestStoreGate' ./internal/cpu/
 go test -count=1 -tags invariants -run 'TestTraceSkipEquivalence' ./internal/sim/
 
 echo "== traced simulation (memsim -trace, exported JSON must parse) =="
