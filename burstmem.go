@@ -171,11 +171,10 @@ func NewSystem(cfg Config, prof Profile, factory MechanismFactory) (*System, err
 // order.
 func MechanismNames() []string { return sim.MechanismNames() }
 
-// MechanismByName resolves a mechanism name to its factory: a Table 4 name
-// ("BkInOrder", "RowHit", "Intel", "Intel_RP", "Burst", "Burst_RP",
-// "Burst_WP", "Burst_TH"), "Burst_TH<n>" for threshold n, the serial
-// "InOrder" scheduler, or one of the burst variants "Burst_Naive",
-// "Burst_DYN" and "Burst_SZ".
+// MechanismByName resolves a mechanism name to its factory: a name of
+// MechanismNames, "Burst_TH<n>" for threshold n, or another name that
+// `memsim -list` prints. Its error for an unknown name lists every name it
+// accepts.
 func MechanismByName(name string) (MechanismFactory, error) { return sim.MechanismByName(name) }
 
 // Benchmarks returns the 16 built-in synthetic benchmark profiles in the

@@ -29,7 +29,7 @@ import (
 func main() {
 	var (
 		bench     = flag.String("bench", "swim", "benchmark profile (see -list)")
-		mech      = flag.String("mech", "Burst_TH", "mechanism: BkInOrder, RowHit, Intel, Intel_RP, Burst, Burst_RP, Burst_WP, Burst_TH[n]")
+		mech      = flag.String("mech", "Burst_TH", "mechanism: "+sim.MechanismListing())
 		n         = flag.Uint64("n", 1_000_000, "instructions to simulate")
 		mapping   = flag.String("mapping", "page-interleave", "address mapping: page-interleave, line-interleave, bit-reversal, permutation")
 		rowPolicy = flag.String("row-policy", "op", "row policy: op (open page) or cpa (close page autoprecharge)")
@@ -47,7 +47,7 @@ func main() {
 
 	if *list {
 		fmt.Println("benchmarks:", workload.Names())
-		fmt.Println("mechanisms:", sim.MechanismNames())
+		fmt.Println("mechanisms:", sim.MechanismListing())
 		return
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -129,6 +130,21 @@ func TestUnknownBenchmark(t *testing.T) {
 	}
 	if !strings.HasPrefix(stderr, "memsim: ") {
 		t.Errorf("stderr %q lacks the memsim: prefix", stderr)
+	}
+}
+
+// TestList: -list prints every profile and every mechanism -mech accepts,
+// the InOrder reference, the burst ablation and extension and the
+// Burst_TH<n> form included, and exits without simulating.
+func TestList(t *testing.T) {
+	stdout, stderr, code := memsim(t, "-list")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	want := fmt.Sprintln("benchmarks:", workload.Names()) +
+		"mechanisms: BkInOrder, RowHit, Intel, Intel_RP, Burst, Burst_RP, Burst_WP, Burst_TH, InOrder, Burst_Naive, Burst_DYN, Burst_TH<n>\n"
+	if stdout != want {
+		t.Errorf("-list printed\n%s\nwant\n%s", stdout, want)
 	}
 }
 

@@ -46,20 +46,7 @@ type Options struct {
 	// comes from timing-aware transaction interleaving (the "bubble
 	// cycles" the paper attributes to best-effort mechanisms).
 	NaivePriority bool
-	// LargestBurstFirst changes inter-burst order within a bank from
-	// arrival order to largest-burst-first (the paper's Section 7 future
-	// work), with StarvationLimit as the aging guard the paper calls
-	// for: a burst whose first access has waited longer goes first
-	// regardless of size.
-	LargestBurstFirst bool
-	// StarvationLimit is the age, in memory cycles, at which the oldest
-	// burst overrides size order (0 picks a default).
-	StarvationLimit uint64
 }
-
-// defaultStarvationLimit bounds how long a small burst can be bypassed by
-// larger ones under LargestBurstFirst.
-const defaultStarvationLimit = 2000
 
 // Variant name constants as used in the paper's Table 4.
 const (
@@ -105,19 +92,6 @@ func BurstNaive() memctrl.Factory {
 	}
 }
 
-// BurstSized returns the Section 7 inter-burst variant: Burst_TH(52) with
-// largest-burst-first ordering inside banks (aging-guarded).
-func BurstSized() memctrl.Factory {
-	return func(h *memctrl.Host) memctrl.Mechanism {
-		return newBurst(h, "Burst_SZ", Options{
-			ReadPreemption:    true,
-			WritePiggyback:    true,
-			Threshold:         52,
-			LargestBurstFirst: true,
-		})
-	}
-}
-
 // BurstTH returns burst scheduling with both options switched by the static
 // threshold. The paper's experimentally determined best value is 52 (of a
 // 64-entry write queue).
@@ -136,9 +110,8 @@ func BurstTH(threshold int) memctrl.Factory {
 // scheduler's free list, and the reads ride an intrusive list, so burst
 // formation allocates nothing in steady state.
 type burstGroup struct {
-	row     uint32
-	arrival uint64 // arrival of the first access, for inter-burst ordering
-	reads   memctrl.AccessList
+	row   uint32
+	reads memctrl.AccessList
 }
 
 // bankState holds one bank's burst queue and piggyback context (writes
@@ -151,11 +124,6 @@ type bankState struct {
 	// lastRow.
 	endOfBurst bool
 	lastRow    uint32
-
-	// activeRow is the row of the burst currently draining (-1 when
-	// none): inter-burst reordering never switches away from a
-	// partially drained burst, preserving its back-to-back row hits.
-	activeRow int64
 
 	// preemptPending is set when a read ARRIVES while a write is ongoing
 	// (paper Section 3.2: "read preemption allows a newly arrived read
@@ -206,7 +174,7 @@ func newBurst(h *memctrl.Host, name string, opt Options) *burstSched {
 	s.idx = ch.BankMap()
 	s.banks = make([]bankState, ch.Ranks()*ch.Banks())
 	for f := range s.banks {
-		s.banks[f] = bankState{activeRow: -1, bursts: make([]*burstGroup, 0, 8)}
+		s.banks[f] = bankState{bursts: make([]*burstGroup, 0, 8)}
 	}
 	s.writes = memctrl.NewBankQueues(ch)
 	// Prewarm the group pool to two groups per bank (row-spread workloads
@@ -223,7 +191,7 @@ func newBurst(h *memctrl.Host, name string, opt Options) *burstSched {
 
 // acquireGroup pops a pooled burst group (or allocates one) and starts it
 // with its first read.
-func (s *burstSched) acquireGroup(row uint32, arrival uint64, first *memctrl.Access) *burstGroup {
+func (s *burstSched) acquireGroup(row uint32, first *memctrl.Access) *burstGroup {
 	var bg *burstGroup
 	if n := len(s.freeGroups); n > 0 {
 		bg = s.freeGroups[n-1]
@@ -233,7 +201,6 @@ func (s *burstSched) acquireGroup(row uint32, arrival uint64, first *memctrl.Acc
 		bg = &burstGroup{}
 	}
 	bg.row = row
-	bg.arrival = arrival
 	bg.reads.PushBack(first)
 	return bg
 }
@@ -277,7 +244,7 @@ func (s *burstSched) Enqueue(a *memctrl.Access, now uint64) {
 		}
 	}
 	// The per-bank burst slice keeps its capacity across bursts.
-	st.bursts = append(st.bursts, s.acquireGroup(a.Loc.Row, now, a))
+	st.bursts = append(st.bursts, s.acquireGroup(a.Loc.Row, a))
 	s.burstsNE |= 1 << uint(f)
 	s.host.Tracer().Mark(now, trace.EvBurstForm, s.host.ChannelIndex(), r, b, a.Loc.Row, a.ID, 1)
 }
@@ -363,7 +330,7 @@ func (s *burstSched) arbitrateVacant(f int, now uint64) {
 		if w := s.oldestSafeWrite(st, wq); w != nil {
 			s.installWrite(w, now, trace.EvForcedWrite)
 		} else if len(st.bursts) > 0 {
-			s.installRead(f, now)
+			s.installRead(f)
 		}
 	case piggyW != nil:
 		// Fig. 5 line 4: piggyback the oldest qualified write at
@@ -378,7 +345,7 @@ func (s *burstSched) arbitrateVacant(f int, now uint64) {
 		s.installWrite(wq.Front(), now, trace.EvIdleWrite)
 	case len(st.bursts) > 0:
 		// Fig. 5 line 8: first read in the next burst.
-		s.installRead(f, now)
+		s.installRead(f)
 	}
 }
 
@@ -411,48 +378,17 @@ func (s *burstSched) mark(now uint64, k trace.Kind, a *memctrl.Access) {
 	s.host.Tracer().Mark(now, k, s.host.ChannelIndex(), int(a.Loc.Rank), int(a.Loc.Bank), a.Loc.Row, a.ID, 0)
 }
 
-// installRead pops the head read of the bank's next burst and makes it
-// ongoing. The next burst is the draining one if any; otherwise the oldest
-// burst (or, under LargestBurstFirst, the largest burst subject to the
-// aging guard).
-func (s *burstSched) installRead(f int, now uint64) {
-	st := &s.banks[f]
-	bg := s.selectBurst(st, now)
-	rd := bg.reads.PopFront()
-	st.activeRow = int64(bg.row)
+// installRead pops the head read of the bank's first burst and makes it
+// ongoing: bursts are served in the arrival order of their first reads
+// (Fig. 5 line 8). A draining burst is always the first: bursts are only
+// appended, one leaves only when its last read's column issues, and while
+// one of its reads is ongoing the bank is occupied, so no other read
+// installs before it.
+func (s *burstSched) installRead(f int) {
+	bg := s.banks[f].bursts[0]
 	// Leaving the burst in the queue lets newly arrived same-row reads
 	// keep joining it while it drains (paper Section 3).
-	s.engine.SetOngoing(rd)
-}
-
-// selectBurst picks the bank's next burst per the inter-burst policy.
-func (s *burstSched) selectBurst(st *bankState, now uint64) *burstGroup {
-	if st.activeRow >= 0 {
-		for _, bg := range st.bursts {
-			if int64(bg.row) == st.activeRow && bg.reads.Len() > 0 {
-				return bg
-			}
-		}
-		// The draining burst is exhausted or gone; fall through.
-	}
-	if !s.opt.LargestBurstFirst {
-		return st.bursts[0]
-	}
-	limit := s.opt.StarvationLimit
-	if limit == 0 {
-		limit = defaultStarvationLimit
-	}
-	oldest := st.bursts[0]
-	if now-oldest.arrival >= limit {
-		return oldest // aging guard: the paper's starvation consideration
-	}
-	best := oldest
-	for _, bg := range st.bursts[1:] {
-		if bg.reads.Len() > best.reads.Len() {
-			best = bg
-		}
-	}
-	return best
+	s.engine.SetOngoing(bg.reads.PopFront())
 }
 
 // preempt resets bank f's ongoing write back to the front of the bank's
@@ -465,7 +401,7 @@ func (s *burstSched) preempt(f int, now uint64) {
 	s.engine.ClearOngoing(f)
 	s.writes.PushFront(w)
 	s.mark(now, trace.EvPreempt, w)
-	s.installRead(f, now)
+	s.installRead(f)
 }
 
 // onColumn runs when an access's column transaction issues: maintain the
@@ -483,29 +419,24 @@ func (s *burstSched) onColumn(a *memctrl.Access, now uint64) {
 		st.lastRow = a.Loc.Row
 		return
 	}
-	for i, bg := range st.bursts {
-		if bg.row != a.Loc.Row {
-			continue
-		}
-		if bg.reads.Len() == 0 {
-			// The burst is exhausted: remove it, recycle the group and
-			// open the piggyback window on its row.
-			copy(st.bursts[i:], st.bursts[i+1:])
-			st.bursts[len(st.bursts)-1] = nil
-			st.bursts = st.bursts[:len(st.bursts)-1]
-			if len(st.bursts) == 0 {
-				s.burstsNE &^= 1 << uint(f)
-			}
-			// The pool's capacity is bounded by the peak of live groups.
-			s.freeGroups = append(s.freeGroups, bg)
-			st.endOfBurst = true
-			st.lastRow = a.Loc.Row
-			st.activeRow = -1
-			return
-		}
-		break
+	// The read came from the bank's first burst (installRead).
+	bg := st.bursts[0]
+	if bg.reads.Len() > 0 {
+		st.endOfBurst = false
+		return
 	}
-	st.endOfBurst = false
+	// The burst is exhausted: remove it, recycle the group and open the
+	// piggyback window on its row.
+	copy(st.bursts, st.bursts[1:])
+	st.bursts[len(st.bursts)-1] = nil
+	st.bursts = st.bursts[:len(st.bursts)-1]
+	if len(st.bursts) == 0 {
+		s.burstsNE &^= 1 << uint(f)
+	}
+	// The pool's capacity is bounded by the peak of live groups.
+	s.freeGroups = append(s.freeGroups, bg)
+	st.endOfBurst = true
+	st.lastRow = a.Loc.Row
 }
 
 // oldestSafeWrite returns the oldest write in the bank whose line is not

@@ -280,6 +280,48 @@ func TestBurstOrderingFIFO(t *testing.T) {
 	}
 }
 
+// TestBurstDrainNotInterrupted: once a burst starts draining, a larger,
+// younger burst to another row of the same bank waits until it finishes,
+// so the draining burst's row hits stay back to back. Arrival order gives
+// this: a burst leaves the bank's queue only when its last read's column
+// issues, so the draining burst is always the bank's first.
+func TestBurstDrainNotInterrupted(t *testing.T) {
+	cfg := mctest.SmallConfig(noRefresh(dram.DDR2_800()))
+	for _, factory := range []memctrl.Factory{Burst(), BurstRP(), BurstWP(), BurstTH(52)} {
+		r, err := mctest.NewRunner(cfg, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := r.Ctrl.MechanismName()
+		var first []*memctrl.Access
+		for i := 0; i < 3; i++ {
+			a, err := r.SubmitLoc(memctrl.KindRead, addrmap.Loc{Bank: 0, Row: 1, Col: uint32(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first = append(first, a)
+		}
+		r.Step(8) // the first burst starts draining
+		var second []*memctrl.Access
+		for i := 0; i < 6; i++ {
+			a, err := r.SubmitLoc(memctrl.KindRead, addrmap.Loc{Bank: 0, Row: 2, Col: uint32(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			second = append(second, a)
+		}
+		if _, err := r.RunUntilDrained(100000); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range first {
+			if r.DoneAt[a.ID] >= r.DoneAt[second[0].ID] {
+				t.Errorf("%s: draining burst interrupted: first-burst access done %d after second burst began %d",
+					name, r.DoneAt[a.ID], r.DoneAt[second[0].ID])
+			}
+		}
+	}
+}
+
 // TestRAWForwarding: a read to a pending write's line is satisfied from the
 // write queue and completes in ForwardLatency cycles.
 func TestRAWForwarding(t *testing.T) {

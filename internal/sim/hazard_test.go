@@ -19,7 +19,7 @@ import (
 //     (for forwarding mechanisms) or completes after that write drains
 //     (for in-order ones).
 func TestOrderingInvariants(t *testing.T) {
-	for _, mech := range append(MechanismNames(), "InOrder", "Burst_DYN", "Burst_SZ") {
+	for _, mech := range conservationMechanisms() {
 		mech := mech
 		t.Run(mech, func(t *testing.T) {
 			factory, err := MechanismByName(mech)

@@ -93,7 +93,7 @@ func requireIdentical(t *testing.T, label string, ref, got tracedRun) {
 // inputs, so runs on concurrent goroutines produce output
 // byte-identical to a run on its own — the full Result (latency histograms
 // included), the complete trace event stream, and the interval metrics —
-// for every one of the eleven mechanisms on SPEC trace workloads. Mutable
+// for every one of the ten mechanisms on SPEC trace workloads. Mutable
 // state shared between Systems fails here, or under -race.
 func TestParallelEquivalence(t *testing.T) {
 	workloads := []string{"swim", "mcf"}

@@ -366,6 +366,16 @@ func (s *System) MinRetired() uint64 {
 	return min
 }
 
+// retiredByCore names each core's lifetime retirement count, so a run
+// that stalls on one starved core says which.
+func (s *System) retiredByCore() string {
+	counts := make([]string, len(s.CPUs))
+	for i, c := range s.CPUs {
+		counts[i] = fmt.Sprintf("core %d: %d", i, c.Retired())
+	}
+	return strings.Join(counts, ", ")
+}
+
 // MemCycle returns the current memory cycle.
 func (s *System) MemCycle() uint64 { return s.memCycle }
 
@@ -404,8 +414,8 @@ func runSystem(cfg Config, sys *System, name string) (Result, error) {
 	warmed := cfg.WarmupInstructions == 0
 	for sys.MinRetired() < target {
 		if sys.memCycle >= maxCycles {
-			return Result{}, fmt.Errorf("sim: %s/%s exceeded %d memory cycles with %d/%d instructions retired",
-				sys.Ctrl.MechanismName(), name, maxCycles, sys.MinRetired(), target)
+			return Result{}, fmt.Errorf("sim: %s/%s exceeded %d memory cycles with %d/%d instructions retired (%s)",
+				sys.Ctrl.MechanismName(), name, maxCycles, sys.MinRetired(), target, sys.retiredByCore())
 		}
 		if !warmed && sys.MinRetired() >= cfg.WarmupInstructions {
 			sys.ResetStats()
@@ -518,45 +528,64 @@ func RunGenerator(cfg Config, name string, gens []workload.Generator, factory me
 	return runSystem(cfg, sys, name)
 }
 
-// MechanismNames lists the mechanisms of paper Table 4 in its order.
-// "Burst_TH" uses the paper's best static threshold of 52.
-func MechanismNames() []string {
-	return []string{"BkInOrder", "RowHit", "Intel", "Intel_RP", "Burst", "Burst_RP", "Burst_WP", "Burst_TH"}
-}
-
 // BestThreshold is the paper's experimentally determined optimum (of a
 // 64-entry write queue).
 const BestThreshold = 52
 
-// MechanismByName resolves a Table 4 mechanism name to its factory.
+// mechanisms is every mechanism MechanismByName resolves by exact name, in
+// listing order: paper Table 4's eight in its order, then the serial
+// in-order reference, the oldest-first transaction ablation and the
+// dynamic-threshold extension. Factories hold no state, so one value
+// serves every run.
+var mechanisms = []struct {
+	name    string
+	factory memctrl.Factory
+}{
+	{"BkInOrder", sched.BkInOrder()},
+	{"RowHit", sched.RowHit()},
+	{"Intel", sched.Intel()},
+	{"Intel_RP", sched.IntelRP()},
+	{"Burst", core.Burst()},
+	{"Burst_RP", core.BurstRP()},
+	{"Burst_WP", core.BurstWP()},
+	{"Burst_TH", core.BurstTH(BestThreshold)},
+	{"InOrder", sched.InOrder()},
+	{"Burst_Naive", core.BurstNaive()},
+	{"Burst_DYN", core.BurstDynTH()},
+}
+
+// table4 is the number of leading mechanisms entries that are Table 4's.
+const table4 = 8
+
+// MechanismNames lists the mechanisms of paper Table 4 in its order.
+// "Burst_TH" uses the paper's best static threshold of 52.
+func MechanismNames() []string {
+	names := make([]string, table4)
+	for i := range names {
+		names[i] = mechanisms[i].name
+	}
+	return names
+}
+
+// MechanismListing names, comma-separated, every mechanism MechanismByName
+// accepts: Table 4's eight, InOrder, Burst_Naive, Burst_DYN and the
+// Burst_TH<n> form.
+func MechanismListing() string {
+	names := make([]string, 0, len(mechanisms)+1)
+	for _, m := range mechanisms {
+		names = append(names, m.name)
+	}
+	return strings.Join(append(names, "Burst_TH<n>"), ", ")
+}
+
+// MechanismByName resolves a mechanism name to its factory.
 // "Burst_TH" takes the paper's default threshold 52; "Burst_TH<n>" selects
 // threshold n.
 func MechanismByName(name string) (memctrl.Factory, error) {
-	switch name {
-	case "BkInOrder":
-		return sched.BkInOrder(), nil
-	case "InOrder":
-		return sched.InOrder(), nil
-	case "RowHit":
-		return sched.RowHit(), nil
-	case "Intel":
-		return sched.Intel(), nil
-	case "Intel_RP":
-		return sched.IntelRP(), nil
-	case "Burst":
-		return core.Burst(), nil
-	case "Burst_RP":
-		return core.BurstRP(), nil
-	case "Burst_WP":
-		return core.BurstWP(), nil
-	case "Burst_Naive":
-		return core.BurstNaive(), nil
-	case "Burst_DYN":
-		return core.BurstDynTH(), nil
-	case "Burst_SZ":
-		return core.BurstSized(), nil
-	case "Burst_TH":
-		return core.BurstTH(BestThreshold), nil
+	for _, m := range mechanisms {
+		if m.name == name {
+			return m.factory, nil
+		}
 	}
 	if rest, ok := strings.CutPrefix(name, "Burst_TH"); ok {
 		th, err := strconv.Atoi(rest)
@@ -565,5 +594,5 @@ func MechanismByName(name string) (memctrl.Factory, error) {
 		}
 		return core.BurstTH(th), nil
 	}
-	return nil, fmt.Errorf("sim: unknown mechanism %q (known: %v)", name, MechanismNames())
+	return nil, fmt.Errorf("sim: unknown mechanism %q (known: %s)", name, MechanismListing())
 }

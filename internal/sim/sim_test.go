@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"burstmem/internal/workload"
@@ -47,23 +50,35 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestMechanismByName: every listed mechanism resolves, an unknown name's
+// error lists them all and the Burst_TH<n> form, and MechanismNames stays
+// paper Table 4 in its order (bench/ and cmd/experiments iterate it).
 func TestMechanismByName(t *testing.T) {
-	for _, name := range MechanismNames() {
-		if _, err := MechanismByName(name); err != nil {
-			t.Errorf("MechanismByName(%q): %v", name, err)
-		}
+	_, unknown := MechanismByName("FRFCFS")
+	if unknown == nil {
+		t.Fatal("unknown mechanism accepted")
 	}
-	if _, err := MechanismByName("InOrder"); err != nil {
-		t.Errorf("InOrder: %v", err)
+	var want []string
+	for _, m := range mechanisms {
+		if _, err := MechanismByName(m.name); err != nil {
+			t.Errorf("MechanismByName(%q): %v", m.name, err)
+		}
+		want = append(want, m.name)
+	}
+	want = append(want, "Burst_TH<n>")
+	_, known, _ := strings.Cut(unknown.Error(), "(known: ")
+	if got := strings.Split(strings.TrimSuffix(known, ")"), ", "); !slices.Equal(got, want) {
+		t.Errorf("unknown-name error %q lists %q, want %q", unknown, got, want)
+	}
+	table4 := []string{"BkInOrder", "RowHit", "Intel", "Intel_RP", "Burst", "Burst_RP", "Burst_WP", "Burst_TH"}
+	if got := MechanismNames(); !slices.Equal(got, table4) {
+		t.Errorf("MechanismNames() = %q, want %q", got, table4)
 	}
 	if _, err := MechanismByName("Burst_TH17"); err != nil {
 		t.Errorf("parameterized threshold: %v", err)
 	}
 	if _, err := MechanismByName("Burst_THx"); err == nil {
 		t.Error("bad threshold accepted")
-	}
-	if _, err := MechanismByName("FRFCFS"); err == nil {
-		t.Error("unknown mechanism accepted")
 	}
 }
 
@@ -260,6 +275,36 @@ func TestCMPMultiCore(t *testing.T) {
 	}
 	if res.MemReads <= sres.MemReads {
 		t.Fatalf("2-core memory traffic %d not above 1-core %d", res.MemReads, sres.MemReads)
+	}
+}
+
+// TestCycleLimitNamesEveryCore: a run that exceeds MaxMemCycles reports
+// every core's lifetime retirement count, not only the lowest, so a core
+// starved behind another shows in the error.
+func TestCycleLimitNamesEveryCore(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Cores = 2
+	cfg.MaxMemCycles = 2_000
+	prof, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := MechanismByName("Burst_TH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(cfg, prof, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runSystem(cfg, sys, prof.Name)
+	if err == nil {
+		t.Fatalf("run finished within %d memory cycles", cfg.MaxMemCycles)
+	}
+	for i, c := range sys.CPUs {
+		if want := fmt.Sprintf("core %d: %d", i, c.Retired()); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"burstmem/internal/memctrl"
 	"burstmem/internal/workload"
 )
 
@@ -36,31 +37,44 @@ func runWith(t *testing.T, cfg Config, bench, mech string, disableSkip bool) Res
 // occur, so the skipped run and the cycle-by-cycle run are the same
 // simulation; the full Result (latency histograms, stall counters,
 // occupancy distributions, power, everything) must match exactly.
+// A case with a mapping or the close-page policy carries it in its name.
 func TestFastForwardBitIdentical(t *testing.T) {
 	cases := []struct {
-		bench string
-		mech  string
-		cores int
+		bench   string
+		mech    string
+		cores   int
+		mapping string // "" keeps page interleaving
+		policy  memctrl.RowPolicy
 	}{
 		// mcf is latency-bound (pointer chasing): long all-stalled
 		// stretches make skips frequent, the strongest stress on the
 		// eligibility classifiers.
-		{"mcf", "BkInOrder", 1},
-		{"mcf", "Burst_TH", 1},
-		{"swim", "RowHit", 1},
-		{"swim", "Intel_RP", 1},
-		{"swim", "Burst_RP", 1},
-		{"gcc", "Burst_DYN", 1},
+		{bench: "mcf", mech: "BkInOrder", cores: 1},
+		{bench: "mcf", mech: "Burst_TH", cores: 1},
+		{bench: "swim", mech: "RowHit", cores: 1},
+		{bench: "swim", mech: "Intel_RP", cores: 1},
+		{bench: "swim", mech: "Burst_RP", cores: 1},
+		{bench: "gcc", mech: "Burst_DYN", cores: 1},
 		// gzip once exposed a boundary bug: a skip straddling the
 		// warmup-crossing cycle moved stall cycles out of the window.
-		{"gzip", "Burst_TH", 1},
-		{"gzip", "Burst_DYN", 1},
-		{"mcf", "Burst_TH", 2}, // CMP: every core's classifier must agree
+		{bench: "gzip", mech: "Burst_TH", cores: 1},
+		{bench: "gzip", mech: "Burst_DYN", cores: 1},
+		{bench: "mcf", mech: "Burst_TH", cores: 2}, // CMP: every core's classifier must agree
 		// lucas saturates the write queue: the store buffer fills, and
 		// CPU cycles that only charge the gates' refusals are skipped.
-		{"lucas", "BkInOrder", 1},
-		{"lucas", "Burst_TH", 1},
-		{"lucas", "Burst_TH", 2},
+		{bench: "lucas", mech: "BkInOrder", cores: 1},
+		{bench: "lucas", mech: "Burst_TH", cores: 1},
+		{bench: "lucas", mech: "Burst_TH", cores: 2},
+		// Other mappings spread a profile's rows over banks and channels
+		// differently, and close page issues every column with
+		// auto-precharge: the channels' next-event bounds and the bank
+		// arbiters then see other row and timing states.
+		{bench: "swim", mech: "Burst_TH", cores: 1, mapping: "line-interleave"},
+		{bench: "swim", mech: "Burst_TH", cores: 1, mapping: "bit-reversal"},
+		{bench: "mcf", mech: "Burst_TH", cores: 1, mapping: "permutation"},
+		{bench: "mcf", mech: "BkInOrder", cores: 1, mapping: "bit-reversal"},
+		{bench: "lucas", mech: "Burst_WP", cores: 1, policy: memctrl.ClosePageAuto},
+		{bench: "mcf", mech: "Burst_TH", cores: 1, policy: memctrl.ClosePageAuto},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -68,9 +82,19 @@ func TestFastForwardBitIdentical(t *testing.T) {
 		if tc.cores > 1 {
 			name += "/cmp"
 		}
+		if tc.mapping != "" {
+			name += "/" + tc.mapping
+		}
+		if tc.policy == memctrl.ClosePageAuto {
+			name += "/close-page"
+		}
 		t.Run(name, func(t *testing.T) {
 			cfg := quickConfig()
 			cfg.Cores = tc.cores
+			if tc.mapping != "" {
+				cfg.Mem.Mapping = tc.mapping
+			}
+			cfg.Mem.RowPolicy = tc.policy
 			stepped := runWith(t, cfg, tc.bench, tc.mech, true)
 			skipped := runWith(t, cfg, tc.bench, tc.mech, false)
 			if !reflect.DeepEqual(stepped, skipped) {

@@ -65,6 +65,11 @@ echo "== examples that drive the controller and engine by hand =="
 go run ./examples/controller_trace >/dev/null
 go run ./examples/custom_mechanism >/dev/null
 
+echo "== root benchmark (BenchmarkSimThroughput, one iteration per case) =="
+# The simcycles/s the North star names; one iteration each shows the
+# benchmark still builds and runs.
+go test -run '^$' -bench SimThroughput -benchtime 1x .
+
 echo "== benchmark module tests =="
 (cd bench && go test ./...)
 
